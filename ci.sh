@@ -9,58 +9,66 @@
 #   4. test suite         cargo test -q
 #   5. rustdoc, zero-warn RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #   6. equivalence suite  cargo test -q --release --test equivalence
-#   7. bench smoke        cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace
-#   8. fleet bench smoke  cargo run --release -p tagbreathe-bench --bin stream_bench -- --fleet --smoke
-#   9. CLI slo smoke      cargo run --release --bin tagbreathe-cli -- slo <metrics sidecar>
-#  10. loopback soak      cargo run --release -p tagbreathe-bench --bin loopback_soak -- --smoke
-#  11. workspace lint     cargo run -p tagbreathe-lint -- check --format sarif
-#  12. hot-path report    cargo run -p tagbreathe-lint -- hotpath --max-sites 0
-#  13. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
-#  14. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
-#  15. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
+#   7. server suites x6   cargo test -q --release --test server_loopback --test slo
+#                         (5 passes, default threads; 1 pass, RUST_TEST_THREADS=1)
+#   8. bench smoke        cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace
+#   9. fleet bench smoke  cargo run --release -p tagbreathe-bench --bin stream_bench -- --fleet --smoke
+#  10. CLI slo smoke      cargo run --release --bin tagbreathe-cli -- slo <metrics sidecar>
+#  11. loopback soak      cargo run --release -p tagbreathe-bench --bin loopback_soak -- --smoke
+#  12. workspace lint     cargo run -p tagbreathe-lint -- check --format sarif
+#  13. hot-path report    cargo run -p tagbreathe-lint -- hotpath --max-sites 0
+#  14. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
+#  15. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
+#  16. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
 #
 # Step 5 keeps the API docs buildable (broken intra-doc links are
 # errors). Step 6 pins the batch/streaming agreement of the shared
-# operator graph (0.1 bpm); step 7 is the streaming-vs-recompute
-# microbench in its one-iteration smoke mode, and also asserts the
+# operator graph (0.1 bpm). Step 7 repeats the two real-socket server
+# suites (loopback bit-identity, SLO/freshness) five times with the
+# default test threads and once with RUST_TEST_THREADS=1: they must
+# pass every time on any core count, so a timing-dependent wait or an
+# engine that sits on finished snapshots fails here instead of flaking
+# later (one pass is ~0.1 s of test time). Step 8 is the
+# streaming-vs-recompute microbench in its one-iteration smoke mode,
+# and also asserts the
 # instrumented metrics sidecar and the flight-recorder Chrome-trace
 # sidecar are written and non-empty (stream_bench itself validates both
-# JSON documents before writing). Step 8 runs the sharded fleet engine
+# JSON documents before writing). Step 9 runs the sharded fleet engine
 # in its one-point smoke mode: the binary exits non-zero unless the
 # fleet's merged snapshot stream is bit-identical to the single-threaded
 # engine's, and its JSON output is re-validated here like the other
-# machine-readable artefacts. Step 8 also ratchets the fleet's memory
+# machine-readable artefacts. Step 9 also ratchets the fleet's memory
 # footprint: the max `bytes_per_resident_user` across smoke points must
 # stay under the ceiling asserted below (observed ~364 B/user at the
 # smoke window; the ceiling leaves ~10x headroom and catches per-user
-# state blowups). Step 9 renders the SLO table offline from the step-7
+# state blowups). Step 10 renders the SLO table offline from the step-8
 # metrics sidecar via `tagbreathe-cli slo` — the same burn-rate code the
-# server runs behind `/slo`. Step 10 drives a simulated reader fleet
+# server runs behind `/slo`. Step 11 drives a simulated reader fleet
 # through real TCP into tagbreathe-server (docs/PROTOCOL.md) and exits
 # non-zero unless every served snapshot is bit-identical to the inline
 # engine and nothing was shed; it also validates the `/slo` JSON (via
 # obs::json) and the `/status` dashboard sections under live load.
-# Step 11 is the in-tree
+# Step 12 is the in-tree
 # ratchet linter (crates/lint): it fails on any violation beyond
 # lint-baseline.txt AND on any uncommitted slack (a burn-down that
 # forgot `-- check --update-baseline`). It also emits the full report as
 # SARIF 2.1.0 (lint.sarif), re-validated with the linter's own in-tree
 # JSON validator (`validate-json`, backed by tagbreathe_obs::json).
-# Step 12 is the machine-readable hot-path cost inventory: it fails if a
+# Step 13 is the machine-readable hot-path cost inventory: it fails if a
 # `[hotpath]` root no longer resolves or the per-report path performs
 # any allocation or non-slab map lookup at all (`--max-sites 0` — the
 # slab/interner refactor burned the last two sites, and this pins the
-# ratchet shut), and its JSON is re-validated like the SARIF. Step 13 is
+# ratchet shut), and its JSON is re-validated like the SARIF. Step 14 is
 # the atomics-discipline gate: every atomic call site must match the
 # ordering protocol declared in lint.toml's `[atomics]` section
-# (`--max-violations 0`), and the JSON report is re-validated. Step 14
+# (`--max-violations 0`), and the JSON report is re-validated. Step 15
 # is the static mutant proof: re-resolving the cfg-switched ordering
 # constants under `--cfg sync_mutant` MUST produce violations — if the
 # weakened orderings pass the gate, the analyzer has gone blind and CI
-# fails. Step 15 runs the bounded model checker (crates/syncmodel): the
+# fails. Step 16 runs the bounded model checker (crates/syncmodel): the
 # declared ring/barrier/drain protocols must survive exhaustive
 # small-bound exploration AND seeded deep random walks, and each runtime
-# ordering mutant must fail with a counterexample trace. Steps 11-15
+# ordering mutant must fail with a counterexample trace. Steps 12-16
 # together must finish inside the lint wall-clock budget below — the
 # linter re-parses the workspace per invocation, so a runaway pass
 # shows up here before it slows every pre-commit hook.
@@ -84,6 +92,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo test -q --release --test equivalence"
 cargo test -q --release --test equivalence
+
+echo "==> server suites: 5 passes with default threads, 1 with RUST_TEST_THREADS=1"
+for pass in 1 2 3 4 5; do
+    echo "ci: server suites pass ${pass}/5"
+    cargo test -q --release --test server_loopback --test slo
+done
+RUST_TEST_THREADS=1 cargo test -q --release --test server_loopback --test slo
 
 echo "==> stream_bench --smoke --trace"
 cargo run -q --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace --out /tmp/BENCH_streaming_smoke.json

@@ -32,6 +32,7 @@ use rfchannel::{Antenna, Vec3};
 use server::{LaneMerger, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use tagbreathe::{FleetEngine, PipelineConfig, RateSnapshot};
 
 struct SoakConfig {
@@ -232,12 +233,17 @@ fn main() {
     let ingest = handle.ingest_addr();
     let http = handle.http_addr();
 
-    // One thread per reader: real TCP, real interleave.
+    // One thread per reader: real TCP, real interleave. The server opens
+    // a reader's merge lane before it acks the Hello, so once every reader
+    // holds its Ack all lanes are open, as in the reference; a reader that
+    // streamed before another had connected would be merged ahead of it.
     let mut feeders = Vec::new();
+    let handshaken = Arc::new(Barrier::new(streams.len()));
     for (idx, stream_reports) in streams.iter().enumerate() {
         let reader_id = u32::try_from(idx).unwrap_or(u32::MAX).saturating_add(1);
         let batches = chunk_by_time(stream_reports, cfg.batch_span_s);
         let span = cfg.batch_span_s;
+        let handshaken = handshaken.clone();
         feeders.push(std::thread::spawn(move || {
             let stream = match TcpStream::connect(ingest) {
                 Ok(s) => s,
@@ -253,6 +259,7 @@ fn main() {
                     std::process::exit(1);
                 }
             };
+            handshaken.wait();
             for (b, batch) in batches.iter().enumerate() {
                 let clock = span * (b as f64 + 1.0);
                 let sent = if batch.is_empty() {

@@ -14,7 +14,10 @@
 //!   locally inferable — `self`, a parameter, or a `let` with a type
 //!   annotation / `Type::new(…)` / struct-literal initialiser — or when
 //!   exactly one workspace function bears that name (unique-name
-//!   fallback).
+//!   fallback). The fallback never crosses into a crate that mirrors the
+//!   std atomic API (`[atomics] exempt-crates`, e.g. the model checker's
+//!   shim): there the one workspace `load` is the mirror, while a caller
+//!   outside that crate means the std method.
 //!
 //! Unresolvable calls produce no edge; rules treat them as leaves.
 
@@ -100,7 +103,7 @@ impl Workspace {
                 parsed: parse_file(sf),
             })
             .collect();
-        let graph = CallGraph::build(&files);
+        let graph = CallGraph::build(&files, &config.atomics.exempt);
         Workspace {
             files,
             lib_crates: config.lib_crates.clone(),
@@ -218,8 +221,10 @@ impl Workspace {
 }
 
 impl CallGraph {
-    /// Builds nodes and edges for all functions in `files`.
-    pub fn build(files: &[AnalyzedFile]) -> CallGraph {
+    /// Builds nodes and edges for all functions in `files`. `mirrors` names
+    /// the crates that mirror std APIs, which the unique-name fallback only
+    /// resolves into from inside themselves.
+    pub fn build(files: &[AnalyzedFile], mirrors: &[String]) -> CallGraph {
         let mut nodes = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             for (ii, f) in file.parsed.fns.iter().enumerate() {
@@ -233,7 +238,7 @@ impl CallGraph {
                 });
             }
         }
-        let index = NameIndex::build(&nodes);
+        let index = NameIndex::build(&nodes, mirrors);
         let mut edges = Vec::with_capacity(nodes.len());
         for node in &nodes {
             let mut callees = Vec::new();
@@ -276,10 +281,12 @@ struct NameIndex {
     method: BTreeMap<(String, String), Vec<usize>>,
     /// Every function by bare name (free + methods).
     any: BTreeMap<String, Vec<usize>>,
+    /// Crates mirroring std APIs, closed to outside unique-name fallback.
+    mirrors: Vec<String>,
 }
 
 impl NameIndex {
-    fn build(nodes: &[FnNode]) -> NameIndex {
+    fn build(nodes: &[FnNode], mirrors: &[String]) -> NameIndex {
         let mut free: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut method: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
         let mut any: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -293,7 +300,12 @@ impl NameIndex {
                 None => free.entry(n.name.clone()).or_default().push(i),
             }
         }
-        NameIndex { free, method, any }
+        NameIndex {
+            free,
+            method,
+            any,
+            mirrors: mirrors.to_vec(),
+        }
     }
 }
 
@@ -444,10 +456,14 @@ fn resolve_expr(
                 }
                 None => {
                     // Unique-name fallback: only when the workspace has
-                    // exactly one function with this name.
-                    if let Some(v) = index.any.get(method) {
-                        if v.len() == 1 {
-                            out.extend(v.iter().copied());
+                    // exactly one function with this name, and not into a
+                    // std-API mirror from outside it.
+                    if let Some(&[only]) = index.any.get(method).map(Vec::as_slice) {
+                        let foreign_mirror = nodes.get(only).is_some_and(|n| {
+                            n.crate_name != node.crate_name && index.mirrors.contains(&n.crate_name)
+                        });
+                        if !foreign_mirror {
+                            out.push(only);
                         }
                     }
                 }
@@ -578,6 +594,32 @@ mod tests {
             "{:?}",
             callees(&w, "f")
         );
+    }
+
+    #[test]
+    fn unique_name_fallback_stays_out_of_std_mirrors() {
+        let sources: Vec<SourceFile> = [
+            (
+                "crates/syncmodel/src/a.rs",
+                "struct Shim;\nimpl Shim { pub fn load(&self) {} }\nfn inner() { current().load(); }\n",
+            ),
+            (
+                "crates/tagbreathe/src/b.rs",
+                "fn outer() { current().load(); }\n",
+            ),
+        ]
+        .iter()
+        .map(|(path, text)| SourceFile::parse(path, text))
+        .collect();
+        let mut config = Config::default();
+        config.atomics.exempt = vec!["syncmodel".to_string()];
+        let w = Workspace::build(&sources, &config);
+        assert!(
+            callees(&w, "outer").is_empty(),
+            "{:?}",
+            callees(&w, "outer")
+        );
+        assert_eq!(callees(&w, "inner"), vec!["load"]);
     }
 
     #[test]

@@ -37,7 +37,6 @@
 //! assert_eq!(lag, Some(Duration::from_millis(20)));
 //! ```
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// A pipeline boundary that snapshot lag is attributed to.
@@ -112,12 +111,15 @@ impl Stage {
 ///
 /// Stamps are taken at most once per `resolution_s` of stream time, so a
 /// kilohertz report stream costs a handful of retained stamps per second
-/// rather than one per report. When the queue is full further stamps are
+/// rather than one per report. The queue is a ring allocated once at its
+/// bound, so stamping never allocates; when it is full further stamps are
 /// skipped — the measurement degrades gracefully instead of growing.
 #[derive(Debug, Clone)]
 pub struct WatermarkClock {
-    stamps: VecDeque<(f64, Instant)>,
-    capacity: usize,
+    /// Ring of `(stream time, ingest instant)` stamps, oldest at `head`.
+    stamps: Vec<(f64, Instant)>,
+    head: usize,
+    len: usize,
     resolution_s: f64,
     last_stamped_s: f64,
     /// Stamps skipped because the queue was full.
@@ -131,8 +133,9 @@ impl WatermarkClock {
     #[must_use]
     pub fn new(capacity: usize, resolution_s: f64) -> Self {
         WatermarkClock {
-            stamps: VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
+            stamps: vec![(f64::NAN, Instant::now()); capacity.max(1)],
+            head: 0,
+            len: 0,
             resolution_s: if resolution_s.is_finite() && resolution_s > 0.0 {
                 resolution_s
             } else {
@@ -160,12 +163,16 @@ impl WatermarkClock {
         if !time_s.is_finite() || time_s < self.last_stamped_s + self.resolution_s {
             return;
         }
-        if self.stamps.len() >= self.capacity {
+        let capacity = self.stamps.len();
+        if self.len >= capacity {
             self.skipped = self.skipped.saturating_add(1);
             return;
         }
+        if let Some(cell) = self.stamps.get_mut((self.head + self.len) % capacity) {
+            *cell = (time_s, at);
+        }
+        self.len += 1;
         self.last_stamped_s = time_s;
-        self.stamps.push_back((time_s, at));
     }
 
     /// Pops every stamp with stream time ≤ `up_to_s` and returns the wall
@@ -178,10 +185,14 @@ impl WatermarkClock {
     /// seam).
     pub fn lag_at(&mut self, up_to_s: f64, now: Instant) -> Option<Duration> {
         let mut newest = None;
-        while let Some(&(t, at)) = self.stamps.front() {
+        while self.len > 0 {
+            let Some(&(t, at)) = self.stamps.get(self.head) else {
+                break;
+            };
             if t <= up_to_s {
                 newest = Some(at);
-                self.stamps.pop_front();
+                self.head = (self.head + 1) % self.stamps.len();
+                self.len -= 1;
             } else {
                 break;
             }
@@ -192,7 +203,7 @@ impl WatermarkClock {
     /// Stamps currently awaiting a covering snapshot.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.stamps.len()
+        self.len
     }
 
     /// Stamps dropped because the queue was full.
@@ -249,6 +260,20 @@ mod tests {
         clock.stamp_at(2.0, t0); // full: skipped, not grown
         assert_eq!(clock.pending(), 2);
         assert_eq!(clock.skipped(), 1);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_in_stream_order() {
+        let mut clock = WatermarkClock::new(2, 0.0);
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        clock.stamp_at(1.0, t0);
+        clock.stamp_at(2.0, t0 + ms(1));
+        assert_eq!(clock.lag_at(1.0, t0 + ms(10)), Some(ms(10)));
+        clock.stamp_at(3.0, t0 + ms(3)); // wraps into the freed slot
+        assert_eq!((clock.pending(), clock.skipped()), (2, 0));
+        assert_eq!(clock.lag_at(3.0, t0 + ms(10)), Some(ms(7)));
+        assert_eq!(clock.pending(), 0);
     }
 
     #[test]

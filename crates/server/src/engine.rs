@@ -8,6 +8,14 @@
 //! the release order independent of arrival interleave, the reports the
 //! fleet sees (and therefore every served snapshot) are bit-identical to
 //! an inline run over the same per-reader streams.
+//!
+//! The fleet hands back a snapshot only when a `push` finds all of its
+//! shard parts merged, and the last parts of a cadence point usually land
+//! after the push that requested them. So the engine never blocks on the
+//! queue for longer than `ENGINE_TICK`: when the queue stays quiet it
+//! pushes an empty batch, which drains the finished parts, and publishes
+//! what completed. An idle publisher therefore never sits on finished
+//! work.
 
 use crate::merge::LaneMerger;
 use crate::metrics;
@@ -17,12 +25,17 @@ use obs::registry::Registry;
 use obs::slo::{SloState, SloTable};
 use obs::trace::TraceEvent;
 use std::collections::BTreeMap;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use tagbreathe::flight::{Anomaly, AnomalyKind, FlightDiagnostics};
 use tagbreathe::{FleetEngine, RateSnapshot, TagReport};
 
 use epcgen2::mapping::IdentityResolver;
+
+/// Longest wait for a session event before the engine drains the fleet's
+/// finished snapshot parts — the same order as the acceptor's 2 ms poll.
+pub(crate) const ENGINE_TICK: Duration = Duration::from_millis(2);
 
 /// A unit of work for the engine thread.
 #[derive(Debug)]
@@ -103,7 +116,8 @@ pub(crate) struct Publisher {
 }
 
 /// Consumes events until every sender hangs up, then drains the lanes,
-/// finishes the fleet, and returns.
+/// finishes the fleet, and returns. A quiet queue ticks every
+/// `ENGINE_TICK` to publish snapshots whose parts finished meanwhile.
 pub(crate) fn run_engine<R: IdentityResolver>(
     rx: &Receiver<EngineEvent>,
     mut state: EngineState<R>,
@@ -114,7 +128,17 @@ pub(crate) fn run_engine<R: IdentityResolver>(
     // Engine-ingest stamps measured against lane release — the
     // `lane_merge` freshness stage.
     let mut lane_clock = WatermarkClock::new(512, 0.05);
-    while let Ok(event) = rx.recv() {
+    loop {
+        let event = match rx.recv_timeout(ENGINE_TICK) {
+            Ok(event) => event,
+            Err(RecvTimeoutError::Timeout) => {
+                for snap in state.fleet.push(Vec::new()) {
+                    state.publisher.publish(store, snap);
+                }
+                continue;
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
         match event {
             EngineEvent::Open { reader } => merger.open(reader),
             EngineEvent::Batch {

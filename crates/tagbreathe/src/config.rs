@@ -88,7 +88,7 @@ pub struct PipelineConfig {
 /// Error from validating a pipeline configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidConfigError {
-    what: &'static str,
+    pub(crate) what: &'static str,
 }
 
 impl std::fmt::Display for InvalidConfigError {

@@ -117,48 +117,11 @@ impl UserStreams {
 
 /// Resolves one report to its monitored `(user_id, tag_id)` identity, or
 /// `None` for unrelated tags — the single classification rule shared by the
-/// batch [`demux`] and the incremental [`StreamDemux`].
+/// batch [`demux`] and the streaming engine's admission path.
 pub fn classify<R: IdentityResolver>(resolver: &R, report: &TagReport) -> Option<(u64, u32)> {
     match resolver.resolve(report.epc) {
         TagIdentity::Monitor { user_id, tag_id } => Some((user_id, tag_id)),
         TagIdentity::Unknown => None,
-    }
-}
-
-/// Incremental report classifier: [`classify`] plus a running count of
-/// unrelated-tag reports, for the streaming pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct StreamDemux<R> {
-    resolver: R,
-    unknown: usize,
-}
-
-impl<R: IdentityResolver> StreamDemux<R> {
-    /// Wraps a resolver.
-    pub fn new(resolver: R) -> Self {
-        StreamDemux {
-            resolver,
-            unknown: 0,
-        }
-    }
-
-    /// Classifies one report; unknown tags are counted and return `None`.
-    pub fn push(&mut self, report: &TagReport) -> Option<(u64, u32)> {
-        let identity = classify(&self.resolver, report);
-        if identity.is_none() {
-            self.unknown += 1;
-        }
-        identity
-    }
-
-    /// Reports seen so far that resolved to no monitored identity.
-    pub fn unknown_reports(&self) -> usize {
-        self.unknown
-    }
-
-    /// The wrapped resolver.
-    pub fn resolver(&self) -> &R {
-        &self.resolver
     }
 }
 
@@ -420,15 +383,6 @@ mod tests {
     fn best_antenna_none_for_unseen_user() {
         let (users, _) = demux(&[], &EmbeddedIdentity::new([1]));
         assert!(users.is_empty());
-    }
-
-    #[test]
-    fn stream_demux_counts_unknowns_and_classifies() {
-        let mut sd = StreamDemux::new(EmbeddedIdentity::new([1]));
-        assert_eq!(sd.push(&report(0.0, 1, 2, 1, -50.0)), Some((1, 2)));
-        assert_eq!(sd.push(&report(0.1, 7, 0, 1, -50.0)), None);
-        assert_eq!(sd.push(&report(0.2, 1, 0, 1, -50.0)), Some((1, 0)));
-        assert_eq!(sd.unknown_reports(), 1);
     }
 
     #[test]

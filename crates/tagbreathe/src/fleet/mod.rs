@@ -1,13 +1,14 @@
 //! Sharded multi-core fleet engine: many users, many cores, one stream.
 //!
-//! [`StreamingMonitor`](crate::pipeline::StreamingMonitor) drives every
-//! user's operator graph inline on the caller's thread — the right shape
-//! for one reader and a handful of subjects. A hospital-ward deployment
-//! inverts the economics: thousands of monitored users behind one LLRP
-//! feed, far more analysis work per cadence tick than one core can absorb.
-//! The fleet engine spreads that work across OS threads without giving up
-//! the property that makes the single-threaded engine testable — the
-//! estimate stream is **bit-identical** to the inline one.
+//! The inline executor of [`Engine`] drives every user's operator graph on
+//! the caller's thread — the right shape for one reader and a handful of
+//! subjects. A hospital-ward deployment inverts the economics: thousands of
+//! monitored users behind one LLRP feed, far more analysis work per
+//! cadence tick than one core can absorb. [`FleetEngine`] is the same
+//! engine over the [`Threaded`] executor, which spreads that work across
+//! OS threads without giving up the property that makes the
+//! single-threaded engine testable — the estimate stream is
+//! **bit-identical** to the inline one.
 //!
 //! Architecture (std-only: threads + atomics):
 //!
@@ -19,13 +20,15 @@
 //!            └────────────┘                └──────────────┘
 //! ```
 //!
-//! * The **router** interns each EPC once ([`interner::IdentityCache`]),
-//!   partitions users over shards by hash ([`interner::shard_of_user`]),
-//!   and forwards every report over a bounded lock-free
+//! * The **router** (shared with the inline executor, [`crate::engine`])
+//!   interns each EPC once ([`interner::IdentityCache`]), partitions users
+//!   over shards by hash ([`interner::shard_of_user`]), and hands every
+//!   report to the executor, which forwards it over a bounded lock-free
 //!   [`ring`](ring::SpscRing) to the owning shard.
 //! * Each **shard worker** owns the [`shard::ShardCore`] slab for its
-//!   users; the ring is its only input, so no user state is ever shared
-//!   between threads.
+//!   users and applies each popped message with [`shard::ShardCore`]'s
+//!   one step; the ring is its only input, so no user state is ever
+//!   shared between threads.
 //! * **Snapshots** use epoch/watermark handoff: the router broadcasts a
 //!   `Snapshot{watermark, time, epoch}` request in-stream, each shard
 //!   evicts to the watermark, analyses its users and sends one part back;
@@ -52,70 +55,29 @@ pub mod shard;
 pub use ring::protocol;
 
 use crate::config::{InvalidConfigError, PipelineConfig};
-use crate::demux::{classify, LinkQualityTracker};
+use crate::engine::{Engine, Executor};
 use crate::metrics;
-use crate::pipeline::RateSnapshot;
-use epcgen2::epc::Epc96;
 use epcgen2::mapping::IdentityResolver;
-use epcgen2::report::TagReport;
-use interner::{shard_of_user, IdentityCache, Route};
 use msg::ShardMsg;
-use obs::freshness::{duration_ns, Stage, WatermarkClock};
-use obs::trace::SharedTracer;
 use obs::{Label, Recorder, SharedRecorder};
-use ring::{RingConsumer, RingProducer, SLOT_WORDS};
-use shard::ShardCore;
-use std::collections::BTreeMap;
+use ring::{RingConsumer, RingProducer};
+use shard::{ShardCore, ShardEnv, ShardPart};
 use std::sync::mpsc;
 use std::thread;
-use std::time::Instant;
 
 /// Ring capacity per shard, in slots. 1024 six-word slots ≈ 48 KiB per
 /// shard: deep enough to ride out a snapshot pause, small enough to stay
 /// cache-resident.
 const RING_SLOTS: usize = 1024;
 
-/// One shard's snapshot contribution, sent back over the results channel.
-#[derive(Debug)]
-struct ShardPart {
-    shard: u32,
-    epoch: u64,
-    time_s: f64,
-    rates_bpm: BTreeMap<u64, f64>,
-    effort_rms: BTreeMap<u64, f64>,
-    occupancy: usize,
-    state_cells: usize,
-    resident_bytes: u64,
-    ring_depth: u64,
-}
-
-/// Accumulator for one epoch's parts while they trickle in.
-#[derive(Debug, Default)]
-struct PendingEpoch {
-    time_s: f64,
-    parts: usize,
-    rates_bpm: BTreeMap<u64, f64>,
-    effort_rms: BTreeMap<u64, f64>,
-    occupancy: usize,
-    state_cells: usize,
-}
-
-/// The router's handle to one shard: ring producer plus worker thread.
-#[derive(Debug)]
-struct ShardLink {
-    feed: RingProducer,
-    worker: Option<thread::JoinHandle<()>>,
-    /// Next dense user slot to assign on this shard.
-    next_slot: u32,
-}
-
-/// Multi-core sharded streaming engine.
+/// The multi-core streaming engine: [`Engine`] over the [`Threaded`]
+/// executor.
 ///
 /// Same contract as [`StreamingMonitor`](crate::pipeline::StreamingMonitor)
-/// — push time-ordered reports, get [`RateSnapshot`]s back at the cadence —
-/// but per-user work runs on `shards` worker threads. Snapshot parts merge
-/// in epoch order, so the returned stream is deterministic and
-/// bit-identical to the single-threaded engine for any shard count
+/// — push time-ordered reports, get [`RateSnapshot`](crate::RateSnapshot)s
+/// back at the cadence — but per-user work runs on `shards` worker
+/// threads. Snapshot parts merge in epoch order, so the returned stream is
+/// deterministic and bit-identical to the inline engine for any shard count
 /// (pinned by `tests/fleet_equivalence.rs`).
 ///
 /// # Examples
@@ -137,37 +99,9 @@ struct ShardLink {
 /// assert!(snaps.is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct FleetEngine<R> {
-    config: PipelineConfig,
-    resolver: R,
-    routes: IdentityCache,
-    /// Cold-path user → (shard, slot) assignments.
-    user_slots: BTreeMap<u64, (u32, u32)>,
-    shards: Vec<ShardLink>,
-    results: mpsc::Receiver<ShardPart>,
-    pending: BTreeMap<u64, PendingEpoch>,
-    /// Broadcast instant per in-flight epoch (recorded runs only).
-    epoch_started: BTreeMap<u64, Instant>,
-    next_epoch: u64,
-    next_emit: u64,
-    /// Merged snapshots ready to hand back, in epoch order.
-    done: Vec<RateSnapshot>,
-    window_s: f64,
-    update_every_s: f64,
-    watermark_s: f64,
-    next_update_s: f64,
-    last_evict_s: f64,
-    recorder: SharedRecorder,
-    recording: bool,
-    link_quality: LinkQualityTracker,
-    /// Ingest stamps for the shard-ingest freshness stage (recorded runs
-    /// only; never touched on the disabled path).
-    lag_clock: WatermarkClock,
-    finished: bool,
-}
+pub type FleetEngine<R> = Engine<R, Threaded>;
 
-impl<R: IdentityResolver> FleetEngine<R> {
+impl<R: IdentityResolver> Engine<R, Threaded> {
     /// Creates a fleet with `shards` worker threads and no metric sink.
     ///
     /// # Errors
@@ -207,379 +141,124 @@ impl<R: IdentityResolver> FleetEngine<R> {
         shards: usize,
         recorder: SharedRecorder,
     ) -> Result<Self, InvalidConfigError> {
-        config.validate()?;
-        if window_s.is_nan() || window_s <= 0.0 || update_every_s.is_nan() || update_every_s <= 0.0
-        {
-            return Err(crate::pipeline::validate_window_error());
-        }
-        let shards = shards.max(1);
-        let (results_tx, results) = mpsc::channel();
-        let mut links = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (feed, consumer) = ring::channel(RING_SLOTS);
-            let worker_config = config.clone();
-            let worker_recorder = recorder.clone();
-            let out = results_tx.clone();
-            let shard_id = u32::try_from(shard).unwrap_or(u32::MAX);
-            let worker = thread::spawn(move || {
-                shard_worker(
-                    shard_id,
-                    consumer,
-                    worker_config,
-                    window_s,
-                    &worker_recorder,
-                    &out,
-                );
-            });
-            links.push(ShardLink {
-                feed,
-                worker: Some(worker),
-                next_slot: 0,
-            });
-        }
-        drop(results_tx);
-        let recording = recorder.enabled();
-        Ok(FleetEngine {
+        Self::build(
             config,
             resolver,
-            routes: IdentityCache::new(),
-            user_slots: BTreeMap::new(),
-            shards: links,
-            results,
-            pending: BTreeMap::new(),
-            epoch_started: BTreeMap::new(),
-            next_epoch: 0,
-            next_emit: 0,
-            done: Vec::new(),
             window_s,
             update_every_s,
-            watermark_s: 0.0,
-            next_update_s: update_every_s,
-            last_evict_s: 0.0,
             recorder,
-            recording,
-            link_quality: LinkQualityTracker::new(),
-            lag_clock: WatermarkClock::new(512, update_every_s / 8.0),
-            finished: false,
-        })
-    }
-
-    /// Number of shard workers.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Users admitted (interned and assigned a shard) so far.
-    #[must_use]
-    pub fn routed_users(&self) -> usize {
-        self.user_slots.len()
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// Routes a batch of time-ordered reports and returns every merged
-    /// snapshot that completed its handoff. Snapshots for a cadence point
-    /// may surface in a later `push` (or in [`FleetEngine::finish`]) if a
-    /// shard has not caught up yet; their order is always epoch order.
-    pub fn push<I>(&mut self, reports: I) -> Vec<RateSnapshot>
-    where
-        I: IntoIterator<Item = TagReport>,
-    {
-        // One clock pair per push call (not per report) when recording:
-        // the ring-handoff stage is the router-side cost of this batch.
-        let handoff_started = if self.recording {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let mut routed_any = false;
-        for r in reports {
-            routed_any = true;
-            self.watermark_s = self.watermark_s.max(r.time_s);
-            if self.recording {
-                self.recorder.count(metrics::REPORTS_INGESTED, 1);
-                let _ = self.link_quality.observe(&r);
-                self.lag_clock.stamp(r.time_s);
-            }
-            let route = match self.routes.probe(r.epc.user_id(), r.epc.tag_id()) {
-                Some(route) => route,
-                None => self.admit_report(&r),
-            };
-            match route {
-                Route::User {
-                    shard,
-                    slot,
-                    tag_id,
-                } => {
-                    let words = ShardMsg::Report {
-                        slot,
-                        tag_id,
-                        antenna_port: r.antenna_port,
-                        channel_index: r.channel_index,
-                        time_s: r.time_s,
-                        phase_rad: r.phase_rad,
-                        rssi_dbm: r.rssi_dbm,
-                        doppler_hz: r.doppler_hz,
-                    }
-                    .encode();
-                    self.send_to(shard, &words);
-                    if self.recording {
-                        self.recorder.count(metrics::FLEET_REPORTS_ROUTED, 1);
-                    }
-                }
-                Route::Unknown => {
-                    if self.recording {
-                        self.recorder.count(metrics::REPORTS_UNKNOWN, 1);
-                    }
-                }
-            }
-            if self.watermark_s >= self.next_update_s {
-                self.request_due_snapshots();
-            }
-            if self.watermark_s - self.last_evict_s >= self.window_s.min(self.update_every_s) {
-                let words = ShardMsg::Evict {
-                    watermark_s: self.watermark_s,
-                }
-                .encode();
-                self.broadcast(&words);
-                self.last_evict_s = self.watermark_s;
-            }
-        }
-        if let (Some(started), true) = (handoff_started, routed_any) {
-            self.recorder.observe(
-                metrics::SNAPSHOT_LAG_NS,
-                Some(Label::stage(Stage::RingHandoff.code())),
-                duration_ns(started.elapsed()),
-            );
-        }
-        self.drain_results();
-        std::mem::take(&mut self.done)
-    }
-
-    /// Flushes the fleet: waits for every in-flight snapshot part, joins
-    /// the workers and returns the remaining merged snapshots.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<RateSnapshot> {
-        self.shutdown();
-        std::mem::take(&mut self.done)
-    }
-
-    /// Cold path on a route-cache miss: resolve, partition to a shard,
-    /// assign a dense slot, tell the shard, cache the route.
-    fn admit_report(&mut self, r: &TagReport) -> Route {
-        let route = match classify(&self.resolver, r) {
-            Some((user_id, tag_id)) => {
-                let (shard, slot) = match self.user_slots.get(&user_id) {
-                    Some(&assigned) => assigned,
-                    None => {
-                        let shard = shard_of_user(user_id, self.shards.len());
-                        let slot = self.assign_slot(shard);
-                        self.user_slots.insert(user_id, (shard, slot));
-                        let words = ShardMsg::Admit { slot, user_id }.encode();
-                        self.send_to(shard, &words);
-                        (shard, slot)
-                    }
-                };
-                Route::User {
-                    shard,
-                    slot,
-                    tag_id,
-                }
-            }
-            None => Route::Unknown,
-        };
-        self.routes
-            .admit_route(r.epc.user_id(), r.epc.tag_id(), route);
-        route
+            |env| Threaded::spawn(shards, env),
+        )
     }
 }
 
-impl<R> FleetEngine<R> {
-    fn assign_slot(&mut self, shard: u32) -> u32 {
-        match self.shards.get_mut(shard as usize) {
-            Some(link) => {
-                let slot = link.next_slot;
-                link.next_slot = link.next_slot.wrapping_add(1);
-                slot
-            }
-            None => 0,
+/// The threaded executor: one worker thread per shard, fed over an SPSC
+/// ring, answering snapshot requests over a results channel. Workers get
+/// clones of the recorder; a fleet takes no tracer, so theirs is the no-op
+/// one.
+#[derive(Debug)]
+pub struct Threaded {
+    /// One ring per shard, router side.
+    feeds: Vec<RingProducer>,
+    /// The running workers; emptied once they are joined.
+    workers: Vec<thread::JoinHandle<()>>,
+    /// Snapshot parts, each with the ring depth its worker saw.
+    results: mpsc::Receiver<(ShardPart, u64)>,
+}
+
+impl Threaded {
+    fn spawn(shards: usize, env: &ShardEnv) -> Threaded {
+        let (results_tx, results) = mpsc::channel();
+        let (mut feeds, mut workers) = (Vec::new(), Vec::new());
+        for shard in 0..u32::try_from(shards.max(1)).unwrap_or(u32::MAX) {
+            let (feed, consumer) = ring::channel(RING_SLOTS);
+            let (env, out) = (env.clone(), results_tx.clone());
+            feeds.push(feed);
+            workers.push(thread::spawn(move || {
+                shard_worker(shard, consumer, &env, &out);
+            }));
+        }
+        Threaded {
+            feeds,
+            workers,
+            results,
         }
     }
+}
 
-    /// Broadcasts a snapshot request for every due cadence point. The
-    /// request carries the current watermark (shards evict to it first)
-    /// and a monotonically increasing epoch for ordered merging.
-    fn request_due_snapshots(&mut self) {
-        while self.watermark_s >= self.next_update_s {
-            let words = ShardMsg::Snapshot {
-                watermark_s: self.watermark_s,
-                time_s: self.next_update_s,
-                epoch: self.next_epoch,
-            }
-            .encode();
-            self.broadcast(&words);
-            if self.recording {
-                self.epoch_started.insert(self.next_epoch, Instant::now());
-            }
-            self.next_epoch += 1;
-            self.last_evict_s = self.watermark_s;
-            self.next_update_s += self.update_every_s;
-        }
-        self.drain_results();
+impl Executor for Threaded {
+    const RINGS: bool = true;
+
+    fn shard_count(&self) -> usize {
+        self.feeds.len()
     }
 
     /// Blocking ring send with stall accounting: a full ring applies
     /// bounded backpressure to the router instead of shedding reports.
-    fn send_to(&mut self, shard: u32, words: &[u64; SLOT_WORDS]) {
-        let Some(link) = self.shards.get_mut(shard as usize) else {
-            return;
-        };
+    fn send(&mut self, shard: u32, msg: ShardMsg, env: &ShardEnv) -> Option<ShardPart> {
+        let feed = self.feeds.get_mut(shard as usize)?;
+        let words = msg.encode();
         let mut stalls = 0u64;
-        while !link.feed.try_push(words) {
+        while !feed.try_push(&words) {
             stalls += 1;
             thread::yield_now();
         }
-        if stalls > 0 && self.recording {
-            self.recorder.add(
-                metrics::FLEET_RING_STALLS,
-                Some(Label::shard(shard)),
-                stalls,
-            );
+        if env.recording {
+            if stalls > 0 {
+                let label = Some(Label::shard(shard));
+                env.recorder.add(metrics::FLEET_RING_STALLS, label, stalls);
+            }
+            if matches!(msg, ShardMsg::Report { .. }) {
+                env.recorder.count(metrics::FLEET_REPORTS_ROUTED, 1);
+            }
         }
+        None
     }
 
-    fn broadcast(&mut self, words: &[u64; SLOT_WORDS]) {
-        for shard in 0..u32::try_from(self.shards.len()).unwrap_or(0) {
-            self.send_to(shard, words);
-        }
-    }
-
-    fn drain_results(&mut self) {
-        while let Ok(part) = self.results.try_recv() {
-            self.absorb(part);
-        }
-    }
-
-    fn absorb(&mut self, mut part: ShardPart) {
-        if self.recording {
+    fn poll(&mut self, env: &ShardEnv) -> Option<ShardPart> {
+        let (part, ring_depth) = self.results.try_recv().ok()?;
+        if env.recording {
             let label = Some(Label::shard(part.shard));
-            self.recorder
-                .set_gauge(metrics::FLEET_RING_DEPTH, label, part.ring_depth as f64);
-            self.recorder
-                .set_gauge(metrics::FLEET_SHARD_USERS, label, part.occupancy as f64);
-            self.recorder.set_gauge(
-                metrics::FLEET_RESIDENT_BYTES,
-                label,
-                part.resident_bytes as f64,
-            );
+            env.recorder
+                .set_gauge(metrics::FLEET_RING_DEPTH, label, ring_depth as f64);
         }
-        let entry = self.pending.entry(part.epoch).or_default();
-        entry.time_s = part.time_s;
-        entry.parts += 1;
-        entry.rates_bpm.append(&mut part.rates_bpm);
-        entry.effort_rms.append(&mut part.effort_rms);
-        entry.occupancy += part.occupancy;
-        entry.state_cells += part.state_cells;
-        self.flush_ready();
+        Some(part)
     }
 
-    /// Emits every epoch whose parts have all arrived, in epoch order —
-    /// the "order-pinned merge" that makes fleet output deterministic.
-    fn flush_ready(&mut self) {
-        loop {
-            let complete = self
-                .pending
-                .get(&self.next_emit)
-                .is_some_and(|e| e.parts == self.shards.len());
-            if !complete {
-                return;
-            }
-            let Some(epoch) = self.pending.remove(&self.next_emit) else {
-                return;
-            };
-            if self.recording {
-                if let Some(lag) = self.lag_clock.lag(epoch.time_s) {
-                    self.recorder.observe(
-                        metrics::SNAPSHOT_LAG_NS,
-                        Some(Label::stage(Stage::ShardIngest.code())),
-                        duration_ns(lag),
-                    );
-                }
-                let rec = self.recorder.as_dyn();
-                if let Some(started) = self.epoch_started.remove(&self.next_emit) {
-                    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    rec.record(metrics::FLEET_HANDOFF_LATENCY_NS, ns);
-                    rec.observe(
-                        metrics::SNAPSHOT_LAG_NS,
-                        Some(Label::stage(Stage::EpochMerge.code())),
-                        ns,
-                    );
-                }
-                rec.count(metrics::SNAPSHOTS, 1);
-                rec.count(metrics::RATES_REPORTED, epoch.rates_bpm.len() as u64);
-                let failures = epoch.occupancy.saturating_sub(epoch.rates_bpm.len());
-                if failures > 0 {
-                    rec.count(metrics::ANALYSIS_FAILURES, failures as u64);
-                }
-                rec.gauge(metrics::USERS_TRACKED, epoch.occupancy as f64);
-                rec.gauge(metrics::STATE_CELLS, epoch.state_cells as f64);
-                self.link_quality.publish(rec);
-            }
-            self.done.push(RateSnapshot {
-                time_s: epoch.time_s,
-                rates_bpm: epoch.rates_bpm,
-                effort_rms: epoch.effort_rms,
-            });
-            self.next_emit += 1;
-        }
-    }
-
-    /// Idempotent teardown: broadcast `Finish`, join workers, absorb every
-    /// remaining part.
-    fn shutdown(&mut self) {
-        if self.finished {
+    /// Broadcasts `Finish` and joins the workers; the caller then polls the
+    /// remaining parts.
+    fn finish(&mut self) {
+        if self.workers.is_empty() {
             return;
         }
-        self.finished = true;
         let words = ShardMsg::Finish.encode();
-        for link in &mut self.shards {
-            while !link.feed.try_push(&words) {
+        for feed in &mut self.feeds {
+            while !feed.try_push(&words) {
                 thread::yield_now();
             }
         }
-        for link in &mut self.shards {
-            if let Some(worker) = link.worker.take() {
-                let _ = worker.join();
-            }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
-        self.drain_results();
     }
 }
 
-impl<R> Drop for FleetEngine<R> {
+impl Drop for Threaded {
     fn drop(&mut self) {
-        self.shutdown();
+        self.finish();
     }
 }
 
-/// A shard worker's event loop: decode ring messages, drive the core,
-/// publish snapshot parts. Runs until `Finish` (or a codec mismatch, which
-/// cannot happen with a same-version router).
+/// A shard worker's event loop: pop ring messages, apply them to the
+/// core, publish snapshot parts. Runs until `Finish` (or a codec mismatch,
+/// which cannot happen with a same-version router).
 fn shard_worker(
     shard: u32,
     mut feed: RingConsumer,
-    config: PipelineConfig,
-    window_s: f64,
-    recorder: &SharedRecorder,
-    out: &mpsc::Sender<ShardPart>,
+    env: &ShardEnv,
+    out: &mpsc::Sender<(ShardPart, u64)>,
 ) {
     let mut core = ShardCore::new();
-    let tracer = SharedTracer::noop();
     let mut idle: u32 = 0;
     loop {
         let Some(words) = feed.pop() else {
@@ -594,66 +273,14 @@ fn shard_worker(
             continue;
         };
         idle = 0;
-        match ShardMsg::decode(&words) {
-            Some(ShardMsg::Report {
-                slot,
-                tag_id,
-                antenna_port,
-                channel_index,
-                time_s,
-                phase_rad,
-                rssi_dbm,
-                doppler_hz,
-            }) => {
-                // The EPC was consumed by the router's interner; per-user
-                // operators only read the measurement fields.
-                let report = TagReport {
-                    time_s,
-                    epc: Epc96::monitor(0, 0),
-                    antenna_port,
-                    channel_index,
-                    phase_rad,
-                    rssi_dbm,
-                    doppler_hz,
-                };
-                core.ingest(
-                    slot,
-                    tag_id,
-                    &report,
-                    &config,
-                    recorder.as_dyn(),
-                    tracer.as_dyn(),
-                );
-            }
-            Some(ShardMsg::Admit { slot, user_id }) => core.admit_user_at(slot, user_id),
-            Some(ShardMsg::Evict { watermark_s }) => {
-                core.evict(watermark_s, window_s, &config, recorder.as_dyn());
-            }
-            Some(ShardMsg::Snapshot {
-                watermark_s,
-                time_s,
-                epoch,
-            }) => {
-                core.evict(watermark_s, window_s, &config, recorder.as_dyn());
-                let mut rates_bpm = BTreeMap::new();
-                let mut effort_rms = BTreeMap::new();
-                core.snapshot_into(&config, &mut rates_bpm, &mut effort_rms);
-                let part = ShardPart {
-                    shard,
-                    epoch,
-                    time_s,
-                    rates_bpm,
-                    effort_rms,
-                    occupancy: core.occupancy(),
-                    state_cells: core.state_cells(),
-                    resident_bytes: core.resident_bytes(),
-                    ring_depth: feed.depth_hint(),
-                };
-                if out.send(part).is_err() {
-                    return;
-                }
-            }
+        let msg = match ShardMsg::decode(&words) {
             Some(ShardMsg::Finish) | None => return,
+            Some(msg) => msg,
+        };
+        if let Some(part) = core.apply(shard, msg, env) {
+            if out.send((part, feed.depth_hint())).is_err() {
+                return;
+            }
         }
     }
 }
@@ -661,7 +288,9 @@ fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epcgen2::epc::Epc96;
     use epcgen2::mapping::EmbeddedIdentity;
+    use epcgen2::report::TagReport;
 
     fn report(user: u64, tag: u32, t: f64) -> TagReport {
         TagReport {

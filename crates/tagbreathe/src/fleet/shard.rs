@@ -1,13 +1,14 @@
-//! A shard's slab of per-user stream state.
+//! A shard's slab of per-user stream state, and the one step that applies
+//! a feed message to it.
 //!
 //! [`ShardCore`] owns the [`UserStreamState`]s of every user routed to one
-//! shard, addressed by the dense slot the interner assigned at admission.
-//! The same core drives both deployment shapes: [`StreamingMonitor`]
-//! (single shard, inline on the caller's thread) and the fleet engine's
-//! worker threads (one core per shard, fed over a ring). Keeping one
-//! implementation is what makes the sharded engine bit-identical to the
-//! single-threaded one: a report mutates exactly the same state machine
-//! either way.
+//! shard, addressed by the dense slot the router assigned at admission.
+//! Both executors of the streaming engine drive it through the same
+//! `ShardCore::apply`: the inline executor on the caller's thread, the
+//! threaded one in each shard worker after popping the message off its
+//! ring. Keeping one step is what makes the sharded engine bit-identical
+//! to the single-threaded one: a report mutates exactly the same state
+//! machine either way.
 //!
 //! # Synchronisation argument
 //!
@@ -20,16 +21,62 @@
 //! checks that no `pub` signature of a `[shard]`-rooted type leaks an
 //! undeclared atomic, and the `crates/syncmodel` bounded model checker
 //! explores the ring edge this argument leans on.
-//!
-//! [`StreamingMonitor`]: crate::pipeline::StreamingMonitor
 
+use super::msg::ShardMsg;
 use crate::config::PipelineConfig;
+use crate::metrics;
 use crate::monitor::analyze_displacement;
 use crate::operators::UserStreamState;
+use epcgen2::epc::Epc96;
 use epcgen2::report::TagReport;
-use obs::trace::{TraceEvent, Tracer};
-use obs::Recorder;
+use obs::freshness::duration_ns;
+use obs::trace::{SharedTracer, TraceEvent, TraceSpan};
+use obs::{Recorder, SharedRecorder};
 use std::collections::BTreeMap;
+use std::time::Instant;
+
+/// What every shard step reads besides its message: the pipeline
+/// configuration, the analysis window, and the observation sinks with
+/// their cached `enabled()` bits (so a disabled sink costs one boolean
+/// test per site).
+#[derive(Debug, Clone)]
+pub struct ShardEnv {
+    pub(crate) config: PipelineConfig,
+    pub(crate) window_s: f64,
+    pub(crate) recorder: SharedRecorder,
+    pub(crate) recording: bool,
+    pub(crate) tracer: SharedTracer,
+    pub(crate) tracing: bool,
+}
+
+impl ShardEnv {
+    pub(crate) fn new(config: PipelineConfig, window_s: f64, recorder: SharedRecorder) -> Self {
+        ShardEnv {
+            config,
+            window_s,
+            recording: recorder.enabled(),
+            recorder,
+            tracer: SharedTracer::noop(),
+            tracing: false,
+        }
+    }
+}
+
+/// One shard's answer to a `Snapshot` request: its users' rates and
+/// efforts (keyed by user ID, so parts from disjoint shards merge without
+/// collisions) plus the occupancy figures the router publishes. The
+/// router merges an epoch's parts into one of these.
+#[derive(Debug, Default)]
+pub struct ShardPart {
+    pub(crate) shard: u32,
+    pub(crate) epoch: u64,
+    pub(crate) time_s: f64,
+    pub(crate) rates_bpm: BTreeMap<u64, f64>,
+    pub(crate) effort_rms: BTreeMap<u64, f64>,
+    pub(crate) occupancy: usize,
+    pub(crate) state_cells: usize,
+    pub(crate) resident_bytes: u64,
+}
 
 /// Slab of user stream states owned by one shard.
 #[derive(Debug, Default)]
@@ -45,18 +92,78 @@ impl ShardCore {
         ShardCore::default()
     }
 
-    /// Binds `user_id` to the next dense slot and returns that slot. Cold:
-    /// called once per user at admission.
-    pub(crate) fn admit_user(&mut self, user_id: u64) -> u32 {
-        self.states.push(UserStreamState::default());
-        self.user_ids.push(user_id);
-        u32::try_from(self.user_ids.len().saturating_sub(1)).unwrap_or(u32::MAX)
+    /// Applies one feed message: the step both executors run. Returns the
+    /// part a `Snapshot` request produced (stamped with `shard`), `None`
+    /// for every other message.
+    pub(crate) fn apply(&mut self, shard: u32, msg: ShardMsg, env: &ShardEnv) -> Option<ShardPart> {
+        match msg {
+            ShardMsg::Report {
+                slot,
+                tag_id,
+                antenna_port,
+                channel_index,
+                time_s,
+                phase_rad,
+                rssi_dbm,
+                doppler_hz,
+            } => {
+                let at = slot as usize;
+                let user_id = self.user_ids.get(at).copied().unwrap_or(0);
+                let tracer = env.tracer.as_dyn();
+                // The per-read provenance event comes first, mirroring the
+                // pre-fleet demux ordering.
+                if tracer.enabled() {
+                    tracer.emit(TraceEvent::read(
+                        time_s,
+                        user_id,
+                        tag_id,
+                        antenna_port,
+                        channel_index,
+                        phase_rad,
+                        rssi_dbm,
+                    ));
+                }
+                // The EPC was consumed by the router's interner; per-user
+                // operators only read the measurement fields.
+                let report = TagReport {
+                    time_s,
+                    epc: Epc96::monitor(0, 0),
+                    antenna_port,
+                    channel_index,
+                    phase_rad,
+                    rssi_dbm,
+                    doppler_hz,
+                };
+                if let Some(state) = self.states.get_mut(at) {
+                    let rec = env.recorder.as_dyn();
+                    state.push_traced(user_id, tag_id, &report, &env.config, rec, tracer);
+                }
+                None
+            }
+            ShardMsg::Admit { slot, user_id } => {
+                self.admit_user_at(slot, user_id);
+                None
+            }
+            ShardMsg::Evict { watermark_s } => {
+                self.evict(watermark_s, env);
+                None
+            }
+            ShardMsg::Snapshot {
+                watermark_s,
+                time_s,
+                epoch,
+            } => {
+                self.evict(watermark_s, env);
+                Some(self.snapshot_part(shard, epoch, time_s, env))
+            }
+            ShardMsg::Finish => None,
+        }
     }
 
-    /// Binds `user_id` at an externally assigned `slot`, padding the slab if
-    /// the admit message for an earlier slot was addressed elsewhere. Used
-    /// by fleet workers replaying the router's admission order.
-    pub(crate) fn admit_user_at(&mut self, slot: u32, user_id: u64) {
+    /// Binds `user_id` at the router-assigned `slot`, padding the slab if
+    /// the admit message for an earlier slot was addressed elsewhere. Cold:
+    /// once per user.
+    fn admit_user_at(&mut self, slot: u32, user_id: u64) {
         let at = slot as usize;
         while self.states.len() <= at {
             self.states.push(UserStreamState::default());
@@ -67,72 +174,46 @@ impl ShardCore {
         }
     }
 
-    /// Hot path: routes one resolved report into the user state at `slot`.
-    /// Emits the per-read provenance event first, mirroring the pre-fleet
-    /// demux ordering.
-    pub(crate) fn ingest(
-        &mut self,
-        slot: u32,
-        tag_id: u32,
-        report: &TagReport,
-        config: &PipelineConfig,
-        rec: &dyn Recorder,
-        tracer: &dyn Tracer,
-    ) {
-        let at = slot as usize;
-        let user_id = self.user_ids.get(at).copied().unwrap_or(0);
-        if tracer.enabled() {
-            tracer.emit(TraceEvent::read(
-                report.time_s,
-                user_id,
-                tag_id,
-                report.antenna_port,
-                report.channel_index,
-                report.phase_rad,
-                report.rssi_dbm,
-            ));
-        }
-        if let Some(state) = self.states.get_mut(at) {
-            state.push_traced(user_id, tag_id, report, config, rec, tracer);
-        }
-    }
-
     /// Evicts samples older than the window on every occupied slot. A slot
     /// whose state empties is reset to a fresh default, releasing buffers
     /// exactly as the pre-fleet `BTreeMap::retain` dropped the entry.
-    pub(crate) fn evict(
-        &mut self,
-        watermark_s: f64,
-        window_s: f64,
-        config: &PipelineConfig,
-        rec: &dyn Recorder,
-    ) {
+    /// Cold: once per cadence point.
+    fn evict(&mut self, watermark_s: f64, env: &ShardEnv) {
+        let _span = TraceSpan::start(env.tracer.as_dyn(), "evict", watermark_s);
+        let started = env.recording.then(Instant::now);
         for state in &mut self.states {
             if state.is_empty() {
                 continue;
             }
-            state.evict_observed(watermark_s, window_s, config, rec);
+            state.evict_observed(
+                watermark_s,
+                env.window_s,
+                &env.config,
+                env.recorder.as_dyn(),
+            );
             if state.is_empty() {
                 *state = UserStreamState::default();
             }
         }
+        if let Some(started) = started {
+            env.recorder
+                .record(metrics::EVICT_LATENCY_NS, duration_ns(started.elapsed()));
+        }
     }
 
-    /// Analyzes every occupied slot into the per-user rate and effort maps.
-    /// Keys are user IDs, so parts from disjoint shards merge without
-    /// collisions.
-    pub(crate) fn snapshot_into(
-        &self,
-        config: &PipelineConfig,
-        rates_bpm: &mut BTreeMap<u64, f64>,
-        effort_rms: &mut BTreeMap<u64, f64>,
-    ) {
+    /// Analyzes every occupied slot into one snapshot part. Cold: once per
+    /// epoch part.
+    fn snapshot_part(&self, shard: u32, epoch: u64, time_s: f64, env: &ShardEnv) -> ShardPart {
+        let _span = TraceSpan::start(env.tracer.as_dyn(), "snapshot", time_s);
+        let started = env.recording.then(Instant::now);
+        let mut rates_bpm = BTreeMap::new();
+        let mut effort_rms = BTreeMap::new();
         for (state, &id) in self.states.iter().zip(&self.user_ids) {
-            let Some(snap) = state.snapshot(config) else {
+            let Some(snap) = state.snapshot(&env.config) else {
                 continue;
             };
             let Ok(analysis) = analyze_displacement(
-                config,
+                &env.config,
                 snap.antenna_port,
                 snap.report_count,
                 snap.displacement,
@@ -145,6 +226,27 @@ impl ShardCore {
             if let Some(effort) = dsp::stats::rms(analysis.breath_signal.values()) {
                 effort_rms.insert(id, effort);
             }
+        }
+        if let Some(started) = started {
+            env.recorder
+                .record(metrics::SNAPSHOT_LATENCY_NS, duration_ns(started.elapsed()));
+        }
+        // The occupancy figures feed only the router's metrics; a run
+        // without a recorder skips their passes over the slab.
+        let (occupancy, state_cells, resident_bytes) = if env.recording {
+            (self.occupancy(), self.state_cells(), self.resident_bytes())
+        } else {
+            (0, 0, 0)
+        };
+        ShardPart {
+            shard,
+            epoch,
+            time_s,
+            rates_bpm,
+            effort_rms,
+            occupancy,
+            state_cells,
+            resident_bytes,
         }
     }
 
@@ -184,14 +286,22 @@ impl ShardCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epcgen2::epc::Epc96;
 
-    fn report(user: u64, tag: u32, t: f64) -> TagReport {
-        TagReport {
-            time_s: t,
-            epc: Epc96::monitor(user, tag),
+    fn env(window_s: f64) -> ShardEnv {
+        ShardEnv::new(
+            PipelineConfig::paper_default(),
+            window_s,
+            SharedRecorder::noop(),
+        )
+    }
+
+    fn report(slot: u32, t: f64) -> ShardMsg {
+        ShardMsg::Report {
+            slot,
+            tag_id: 0,
             antenna_port: 1,
             channel_index: 0,
+            time_s: t,
             phase_rad: 1.0 + t.sin() * 0.05,
             rssi_dbm: -55.0,
             doppler_hz: 0.0,
@@ -199,31 +309,32 @@ mod tests {
     }
 
     #[test]
-    fn admits_are_dense_and_ordered() {
+    fn admits_pad_the_slab_to_the_assigned_slot() {
+        let env = env(1.0);
         let mut core = ShardCore::new();
-        assert_eq!(core.admit_user(10), 0);
-        assert_eq!(core.admit_user(20), 1);
-        core.admit_user_at(4, 50);
-        assert_eq!(core.admit_user(60), 5);
+        for (slot, user_id) in [(0, 10), (4, 50)] {
+            assert!(core
+                .apply(0, ShardMsg::Admit { slot, user_id }, &env)
+                .is_none());
+        }
+        assert_eq!(core.user_ids, [10, 0, 0, 0, 50]);
         assert_eq!(core.occupancy(), 0);
     }
 
     #[test]
     fn ingest_buffers_and_evict_resets() {
-        let cfg = PipelineConfig::paper_default();
-        let rec = obs::SharedRecorder::noop();
-        let tracer = obs::trace::SharedTracer::noop();
+        let env = env(1.0);
         let mut core = ShardCore::new();
-        let slot = core.admit_user(1);
+        core.apply(
+            0,
+            ShardMsg::Admit {
+                slot: 0,
+                user_id: 1,
+            },
+            &env,
+        );
         for i in 0..50 {
-            core.ingest(
-                slot,
-                0,
-                &report(1, 0, f64::from(i) * 0.03),
-                &cfg,
-                rec.as_dyn(),
-                tracer.as_dyn(),
-            );
+            core.apply(0, report(0, f64::from(i) * 0.03), &env);
         }
         assert_eq!(core.occupancy(), 1);
         assert!(core.state_cells() > 0);
@@ -233,7 +344,13 @@ mod tests {
             resident > core.state_cells() as u64 * 8,
             "resident estimate covers cells plus slab: {resident}"
         );
-        core.evict(1000.0, 1.0, &cfg, rec.as_dyn());
+        core.apply(
+            0,
+            ShardMsg::Evict {
+                watermark_s: 1000.0,
+            },
+            &env,
+        );
         assert_eq!(core.occupancy(), 0);
         assert_eq!(core.state_cells(), 0);
         assert!(
@@ -244,18 +361,8 @@ mod tests {
 
     #[test]
     fn out_of_range_slot_is_ignored() {
-        let cfg = PipelineConfig::paper_default();
-        let rec = obs::SharedRecorder::noop();
-        let tracer = obs::trace::SharedTracer::noop();
         let mut core = ShardCore::new();
-        core.ingest(
-            99,
-            0,
-            &report(1, 0, 0.0),
-            &cfg,
-            rec.as_dyn(),
-            tracer.as_dyn(),
-        );
+        core.apply(0, report(99, 0.0), &env(1.0));
         assert_eq!(core.occupancy(), 0);
     }
 }

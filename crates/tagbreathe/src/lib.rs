@@ -19,9 +19,11 @@
 //!
 //! Stages 2–3 are stateful incremental operators wired into one per-user
 //! graph ([`operators::UserStreamState`]); [`BreathMonitor`] (batch) and
-//! [`pipeline::StreamingMonitor`] (real time, plus the multi-threaded
-//! pipelined mode) are thin drivers over that same graph, so both paths
-//! share a single implementation of the paper's math.
+//! the real-time [`engine::Engine`] are thin drivers over that same graph,
+//! so both paths share a single implementation of the paper's math. The
+//! engine is one router over two executors: [`StreamingMonitor`] runs the
+//! graphs inline on the caller's thread, [`FleetEngine`] on per-shard
+//! worker threads, with bit-identical output.
 //! [`baseline`] holds the RSSI/Doppler comparison estimators, and
 //! [`flight`] turns the observability layer's flight recorder into
 //! anomaly-triggered, replayable diagnostic bundles.
@@ -54,6 +56,7 @@ pub mod apnea;
 pub mod baseline;
 pub mod config;
 pub mod demux;
+pub mod engine;
 pub mod enhancement;
 pub mod extract;
 pub mod fleet;

@@ -1,37 +1,26 @@
-//! Real-time operation: sliding-window streaming and the multi-threaded
-//! pipelined mode.
+//! Real-time operation: the sliding-window streaming monitor.
 //!
 //! The paper's prototype processes low-level data "in a pipelined manner"
-//! and visualises breathing in real time (Section V). Two modes are
-//! provided:
+//! and visualises breathing in real time (Section V). Both real-time
+//! shapes are one [`Engine`] — one router, two
+//! executors:
 //!
-//! * [`StreamingMonitor`] — single-threaded incremental: push reports as
+//! * [`StreamingMonitor`] — the inline executor: reports are pushed as
 //!   they arrive into the per-user operator graph
 //!   ([`crate::operators::UserStreamState`], the same graph the batch
-//!   [`crate::monitor::BreathMonitor`] drives); a sliding window (default
-//!   25 s, the paper's analysis window) is snapshotted at a fixed cadence.
-//!   Per-report cost is amortised O(1) — no window re-preprocessing — and
-//!   memory is bounded by window contents, not stream length;
-//! * [`spawn_pipelined`] — the ingest / analysis stages decoupled by
-//!   `std::sync::mpsc` channels onto a worker thread, so a slow analysis never
-//!   back-pressures the reader.
+//!   [`crate::monitor::BreathMonitor`] drives) on the caller's thread; a
+//!   sliding window (default 25 s, the paper's analysis window) is
+//!   snapshotted at a fixed cadence;
+//! * [`FleetEngine`](crate::fleet::FleetEngine) — the threaded executor:
+//!   the same router feeds per-shard worker threads over lock-free rings,
+//!   so a slow analysis never back-pressures the reader and many users
+//!   spread over many cores.
 
-use crate::config::PipelineConfig;
-use crate::demux::{classify, LinkQualityTracker};
-use crate::fleet::interner::{IdentityCache, Route};
-use crate::fleet::shard::ShardCore;
-use crate::metrics;
-use epcgen2::mapping::IdentityResolver;
-use epcgen2::report::TagReport;
-use obs::trace::{SharedTracer, TraceEvent, TraceSpan, Tracer};
-use obs::{Recorder, SharedRecorder};
+use crate::engine::{Engine, Inline};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::thread;
-use std::time::Instant;
 
 /// A point-in-time estimate of every monitored user's breathing rate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RateSnapshot {
     /// Stream time at which the snapshot was produced, seconds.
     pub time_s: f64,
@@ -44,7 +33,8 @@ pub struct RateSnapshot {
     pub effort_rms: BTreeMap<u64, f64>,
 }
 
-/// Single-threaded sliding-window streaming monitor.
+/// Single-threaded sliding-window streaming monitor: [`Engine`] over the
+/// [`Inline`] executor.
 ///
 /// # Examples
 ///
@@ -62,469 +52,16 @@ pub struct RateSnapshot {
 /// assert!(sm.push(None::<tagbreathe::TagReport>.into_iter()).is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct StreamingMonitor<R> {
-    config: PipelineConfig,
-    resolver: R,
-    /// Hot-path EPC → route cache; consulted before the resolver.
-    routes: IdentityCache,
-    /// Cold-path user → dense slot map, for users wearing several tags.
-    user_slots: BTreeMap<u64, u32>,
-    /// The single shard this inline monitor drives.
-    core: ShardCore,
-    /// Snapshots that became due but have not been returned yet.
-    pending: Vec<RateSnapshot>,
-    window_s: f64,
-    update_every_s: f64,
-    watermark_s: f64,
-    next_update_s: f64,
-    last_evict_s: f64,
-    recorder: SharedRecorder,
-    /// Cached `recorder.enabled()` so the per-report no-op path pays one
-    /// boolean test instead of a virtual call per metric site.
-    recording: bool,
-    link_quality: LinkQualityTracker,
-    tracer: SharedTracer,
-    /// Cached `tracer.enabled()`, same role as `recording`.
-    tracing: bool,
-}
-
-impl<R: IdentityResolver> StreamingMonitor<R> {
-    /// Creates a streaming monitor with an analysis window of `window_s`
-    /// seconds, snapshotted every `update_every_s` seconds of stream time.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid or the window /
-    /// cadence are not positive.
-    pub fn new(
-        config: PipelineConfig,
-        resolver: R,
-        window_s: f64,
-        update_every_s: f64,
-    ) -> Result<Self, crate::config::InvalidConfigError> {
-        config.validate()?;
-        // Reuse the config error type for the window constraints: they are
-        // configuration of the same pipeline.
-        if window_s.is_nan() || window_s <= 0.0 || update_every_s.is_nan() || update_every_s <= 0.0
-        {
-            return Err(validate_window_error());
-        }
-        Ok(StreamingMonitor {
-            config,
-            resolver,
-            routes: IdentityCache::new(),
-            user_slots: BTreeMap::new(),
-            core: ShardCore::new(),
-            pending: Vec::new(),
-            window_s,
-            update_every_s,
-            watermark_s: 0.0,
-            next_update_s: update_every_s,
-            last_evict_s: 0.0,
-            recorder: SharedRecorder::noop(),
-            recording: false,
-            link_quality: LinkQualityTracker::new(),
-            tracer: SharedTracer::noop(),
-            tracing: false,
-        })
-    }
-
-    /// Attaches a metric sink (builder style). With the default no-op
-    /// handle every instrumentation site reduces to one cached boolean
-    /// test, so streaming cost is unchanged; with a registry attached the
-    /// monitor emits the `tagbreathe_*` counters, gauges and latency
-    /// histograms listed in [`crate::metrics`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use obs::{Registry, SharedRecorder};
-    /// use tagbreathe::pipeline::StreamingMonitor;
-    /// use tagbreathe::PipelineConfig;
-    /// use epcgen2::mapping::EmbeddedIdentity;
-    ///
-    /// let registry = Arc::new(Registry::new());
-    /// let sm = StreamingMonitor::new(
-    ///     PipelineConfig::paper_default(),
-    ///     EmbeddedIdentity::new([1]),
-    ///     25.0,
-    ///     5.0,
-    /// )?
-    /// .with_recorder(SharedRecorder::new(registry.clone()));
-    /// # let _ = sm;
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: SharedRecorder) -> Self {
-        self.recording = recorder.enabled();
-        self.recorder = recorder;
-        self
-    }
-
-    /// The attached recorder handle (no-op by default).
-    pub fn recorder(&self) -> &SharedRecorder {
-        &self.recorder
-    }
-
-    /// Attaches a flight-recorder tracer (builder style). With the default
-    /// no-op handle every emit site reduces to one cached boolean test;
-    /// with a tracer attached the monitor emits per-read provenance
-    /// events, channel-hop / phase accept-reject instants, per-user rate
-    /// instants and snapshot / evict spans into the ring. The estimate
-    /// stream is bit-identical either way (pinned by
-    /// `tests/observability.rs`).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use obs::trace::{FlightRecorder, SharedTracer};
-    /// use tagbreathe::pipeline::StreamingMonitor;
-    /// use tagbreathe::PipelineConfig;
-    /// use epcgen2::mapping::EmbeddedIdentity;
-    ///
-    /// let ring = Arc::new(FlightRecorder::with_capacity(4096)?);
-    /// let sm = StreamingMonitor::new(
-    ///     PipelineConfig::paper_default(),
-    ///     EmbeddedIdentity::new([1]),
-    ///     25.0,
-    ///     5.0,
-    /// )?
-    /// .with_tracer(SharedTracer::new(ring.clone()));
-    /// # let _ = sm;
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: SharedTracer) -> Self {
-        self.tracing = tracer.enabled();
-        self.tracer = tracer;
-        self
-    }
-
-    /// The attached tracer handle (no-op by default).
-    pub fn tracer(&self) -> &SharedTracer {
-        &self.tracer
-    }
-
-    /// Per-antenna-port link statistics (populated only while a recorder
-    /// is attached).
-    pub fn link_quality(&self) -> &LinkQualityTracker {
-        &self.link_quality
-    }
-
-    /// Pushes a batch of reports (in time order) and returns any snapshots
-    /// that became due.
-    ///
-    /// Each report is routed straight into its user's operator graph —
-    /// amortised O(1) work per report; snapshots cost O(window), never
-    /// O(stream).
-    pub fn push<I>(&mut self, reports: I) -> Vec<RateSnapshot>
-    where
-        I: IntoIterator<Item = TagReport>,
-    {
-        for r in reports {
-            self.watermark_s = self.watermark_s.max(r.time_s);
-            if self.recording {
-                self.recorder.count(metrics::REPORTS_INGESTED, 1);
-            }
-            if self.recording || self.tracing {
-                let hop = self.link_quality.observe(&r);
-                if self.tracing {
-                    if let Some(hop) = hop {
-                        self.tracer.emit(
-                            TraceEvent::instant("channel_hop", r.time_s)
-                                .with_port(hop.port)
-                                .with_channel(hop.to)
-                                .with_values(f64::from(hop.from), f64::from(hop.to)),
-                        );
-                    }
-                }
-            }
-            let route = match self.routes.probe(r.epc.user_id(), r.epc.tag_id()) {
-                Some(route) => route,
-                None => self.admit_report(&r),
-            };
-            match route {
-                Route::User { slot, tag_id, .. } => {
-                    self.core.ingest(
-                        slot,
-                        tag_id,
-                        &r,
-                        &self.config,
-                        self.recorder.as_dyn(),
-                        self.tracer.as_dyn(),
-                    );
-                }
-                Route::Unknown => {
-                    if self.recording {
-                        self.recorder.count(metrics::REPORTS_UNKNOWN, 1);
-                    }
-                    if self.tracing {
-                        self.tracer.emit(
-                            TraceEvent::instant("unknown_report", r.time_s)
-                                .with_port(r.antenna_port)
-                                .with_channel(r.channel_index),
-                        );
-                    }
-                }
-            }
-            if self.watermark_s >= self.next_update_s {
-                self.emit_due();
-            }
-            // Keep state bounded even when the snapshot cadence is long
-            // relative to the window.
-            if self.watermark_s - self.last_evict_s >= self.window_s.min(self.update_every_s) {
-                self.evict();
-            }
-        }
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Cold path on a route-cache miss: resolve the EPC, intern the user
-    /// into the single inline shard, and cache the route (Unknown EPCs
-    /// are cached too, so item traffic stays O(1) per read).
-    fn admit_report(&mut self, r: &TagReport) -> Route {
-        let route = match classify(&self.resolver, r) {
-            Some((user_id, tag_id)) => {
-                let slot = match self.user_slots.get(&user_id) {
-                    Some(&slot) => slot,
-                    None => {
-                        let slot = self.core.admit_user(user_id);
-                        self.user_slots.insert(user_id, slot);
-                        slot
-                    }
-                };
-                Route::User {
-                    shard: 0,
-                    slot,
-                    tag_id,
-                }
-            }
-            None => Route::Unknown,
-        };
-        self.routes
-            .admit_route(r.epc.user_id(), r.epc.tag_id(), route);
-        route
-    }
-
-    /// Cold path at a cadence boundary: emits every due snapshot into the
-    /// pending buffer, advancing the update clock.
-    fn emit_due(&mut self) {
-        while self.watermark_s >= self.next_update_s {
-            self.evict();
-            let snap = self.snapshot_observed(self.next_update_s);
-            self.pending.push(snap);
-            self.next_update_s += self.update_every_s;
-        }
-    }
-
-    /// Forces an immediate snapshot over the current window.
-    pub fn snapshot_now(&mut self) -> RateSnapshot {
-        self.evict();
-        self.snapshot_observed(self.watermark_s)
-    }
-
-    /// Retained state cells across all users — tag slots, per-channel
-    /// phase references, buffered track samples and fusion bins. Bounded
-    /// by window contents (plus the gap horizon), not stream length.
-    pub fn buffered(&self) -> usize {
-        self.core.state_cells()
-    }
-
-    /// Number of users currently holding state.
-    pub fn tracked_users(&self) -> usize {
-        self.core.occupancy()
-    }
-
-    /// Number of `(antenna_port, tag_id)` slots currently holding state
-    /// across all users.
-    pub fn tracked_tags(&self) -> usize {
-        self.core.tag_count()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    fn evict(&mut self) {
-        // A cheap clone of the handle so the span guard's borrow does not
-        // conflict with the mutable sweep below.
-        let tracer = self.tracer.clone();
-        let _span = TraceSpan::start(tracer.as_dyn(), "evict", self.watermark_s);
-        let start = if self.recording {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        self.core.evict(
-            self.watermark_s,
-            self.window_s,
-            &self.config,
-            self.recorder.as_dyn(),
-        );
-        self.last_evict_s = self.watermark_s;
-        if let Some(start) = start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.recorder.record(metrics::EVICT_LATENCY_NS, ns);
-        }
-    }
-
-    /// [`StreamingMonitor::snapshot`] plus bookkeeping metrics and trace
-    /// events (a `snapshot` span and one `rate` instant per estimated
-    /// user). The snapshot computation itself is untouched, so recorded,
-    /// traced and no-op runs produce identical output streams.
-    fn snapshot_observed(&self, time_s: f64) -> RateSnapshot {
-        if !self.recording && !self.tracing {
-            return self.snapshot(time_s);
-        }
-        let snap = {
-            let _span = TraceSpan::start(self.tracer.as_dyn(), "snapshot", time_s);
-            if self.recording {
-                let start = Instant::now();
-                let snap = self.snapshot(time_s);
-                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let rec = self.recorder.as_dyn();
-                rec.record(metrics::SNAPSHOT_LATENCY_NS, ns);
-                rec.count(metrics::SNAPSHOTS, 1);
-                rec.count(metrics::RATES_REPORTED, snap.rates_bpm.len() as u64);
-                let failures = self.core.occupancy().saturating_sub(snap.rates_bpm.len());
-                if failures > 0 {
-                    rec.count(metrics::ANALYSIS_FAILURES, failures as u64);
-                }
-                rec.gauge(metrics::USERS_TRACKED, self.core.occupancy() as f64);
-                rec.gauge(metrics::STATE_CELLS, self.buffered() as f64);
-                self.link_quality.publish(rec);
-                snap
-            } else {
-                self.snapshot(time_s)
-            }
-        };
-        if self.tracing {
-            for (&user, &bpm) in &snap.rates_bpm {
-                let effort = snap.effort_rms.get(&user).copied().unwrap_or(0.0);
-                self.tracer.emit(
-                    TraceEvent::instant("rate", time_s)
-                        .with_user(user)
-                        .with_values(bpm, effort),
-                );
-            }
-        }
-        snap
-    }
-
-    fn snapshot(&self, time_s: f64) -> RateSnapshot {
-        let mut rates_bpm = BTreeMap::new();
-        let mut effort_rms = BTreeMap::new();
-        self.core
-            .snapshot_into(&self.config, &mut rates_bpm, &mut effort_rms);
-        RateSnapshot {
-            time_s,
-            rates_bpm,
-            effort_rms,
-        }
-    }
-}
-
-pub(crate) fn validate_window_error() -> crate::config::InvalidConfigError {
-    // Construct via the public validation path so the message is uniform.
-    let mut cfg = PipelineConfig::paper_default();
-    cfg.fusion_bin_s = -1.0;
-    cfg.validate().expect_err("intentionally invalid")
-}
-
-/// Handle to a pipelined monitor running on a worker thread.
-///
-/// Dropping the handle (or calling [`PipelinedHandle::finish`]) closes the
-/// ingest channel; the worker drains, emits a final snapshot and exits.
-#[derive(Debug)]
-pub struct PipelinedHandle {
-    ingest: Option<mpsc::Sender<TagReport>>,
-    snapshots: mpsc::Receiver<RateSnapshot>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl PipelinedHandle {
-    /// Sends one report into the pipeline.
-    ///
-    /// Returns `false` if the worker has already shut down.
-    pub fn send(&self, report: TagReport) -> bool {
-        self.ingest
-            .as_ref()
-            .map(|tx| tx.send(report).is_ok())
-            .unwrap_or(false)
-    }
-
-    /// Receives any snapshots produced so far without blocking.
-    pub fn poll_snapshots(&self) -> Vec<RateSnapshot> {
-        self.snapshots.try_iter().collect()
-    }
-
-    /// Closes ingest, waits for the worker, and returns all remaining
-    /// snapshots (including the final drain snapshot).
-    pub fn finish(mut self) -> Vec<RateSnapshot> {
-        self.ingest = None; // close channel
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-        self.snapshots.try_iter().collect()
-    }
-}
-
-impl Drop for PipelinedHandle {
-    fn drop(&mut self) {
-        self.ingest = None;
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Spawns the pipelined monitor: ingest on the returned handle, analysis on
-/// a dedicated worker thread.
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid (same rules as
-/// [`StreamingMonitor::new`]).
-pub fn spawn_pipelined<R>(
-    config: PipelineConfig,
-    resolver: R,
-    window_s: f64,
-    update_every_s: f64,
-) -> Result<PipelinedHandle, crate::config::InvalidConfigError>
-where
-    R: IdentityResolver + Send + 'static,
-{
-    let mut streaming = StreamingMonitor::new(config, resolver, window_s, update_every_s)?;
-    let (tx, rx) = mpsc::channel::<TagReport>();
-    let (out_tx, out_rx) = mpsc::channel::<RateSnapshot>();
-    let worker = thread::spawn(move || {
-        for report in rx.iter() {
-            for snap in streaming.push(std::iter::once(report)) {
-                if out_tx.send(snap).is_err() {
-                    return;
-                }
-            }
-        }
-        // Ingest closed: emit a final snapshot over the remaining window.
-        let _ = out_tx.send(streaming.snapshot_now());
-    });
-    Ok(PipelinedHandle {
-        ingest: Some(tx),
-        snapshots: out_rx,
-        worker: Some(worker),
-    })
-}
+pub type StreamingMonitor<R> = Engine<R, Inline>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineConfig;
     use breathing::{Scenario, Subject};
     use epcgen2::mapping::EmbeddedIdentity;
     use epcgen2::reader::Reader;
+    use epcgen2::report::TagReport;
     use epcgen2::world::ScenarioWorld;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
@@ -624,70 +161,6 @@ mod tests {
         )?;
         let snap = sm.snapshot_now();
         assert!(snap.rates_bpm.is_empty());
-        Ok(())
-    }
-
-    #[test]
-    fn invalid_window_rejected() {
-        assert!(StreamingMonitor::new(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            0.0,
-            5.0
-        )
-        .is_err());
-        assert!(StreamingMonitor::new(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            25.0,
-            -1.0
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn pipelined_mode_matches_streaming_results() -> TestResult {
-        let reports = capture(40.0);
-        let handle = spawn_pipelined(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            25.0,
-            10.0,
-        )?;
-        for r in &reports {
-            assert!(handle.send(*r));
-        }
-        let snaps = handle.finish();
-        assert!(!snaps.is_empty());
-        let last = snaps.last().ok_or("no snapshots")?;
-        let bpm = last
-            .rates_bpm
-            .get(&1)
-            .copied()
-            .ok_or("no rate in final snapshot")?;
-        assert!((bpm - 10.0).abs() < 1.5, "pipelined estimate {bpm}");
-        Ok(())
-    }
-
-    #[test]
-    fn pipelined_send_after_finish_is_false() -> TestResult {
-        let handle = spawn_pipelined(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            25.0,
-            10.0,
-        )?;
-        let report = capture(1.0)[0];
-        assert!(handle.send(report));
-        let _ = handle.finish();
-        // handle consumed; construct another and drop it to exercise Drop.
-        let h2 = spawn_pipelined(
-            PipelineConfig::paper_default(),
-            EmbeddedIdentity::new([1]),
-            25.0,
-            10.0,
-        )?;
-        drop(h2);
         Ok(())
     }
 }

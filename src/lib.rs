@@ -48,7 +48,8 @@ pub mod prelude {
     pub use rfchannel::antenna::Antenna;
     pub use rfchannel::geometry::Vec3;
     pub use rfchannel::link::{LinkBudget, LinkConfig};
-    pub use tagbreathe::pipeline::{spawn_pipelined, StreamingMonitor};
+    pub use tagbreathe::fleet::FleetEngine;
+    pub use tagbreathe::pipeline::StreamingMonitor;
     pub use tagbreathe::{
         AnalysisFailure, AntennaStrategy, BreathMonitor, FilterKind, PipelineConfig,
         PreprocessKind, RateSnapshot, TimeSeries, UserStreamState,

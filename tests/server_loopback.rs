@@ -50,16 +50,23 @@ fn http_get(handle: &ServerHandle, path: &str) -> (String, String) {
 
 fn feed_and_shutdown(handle: ServerHandle, streams: &[Vec<TagReport>]) -> Vec<RateSnapshot> {
     let ingest = handle.ingest_addr();
+    // The server opens a reader's merge lane before it acks the Hello, so
+    // once every reader holds its Ack all lanes are open, as in the inline
+    // reference; a reader streaming before another connected would be
+    // merged ahead of it.
+    let handshaken = std::sync::Arc::new(std::sync::Barrier::new(streams.len()));
     let feeders: Vec<_> = streams
         .iter()
         .enumerate()
         .map(|(idx, reports)| {
             let reports = reports.clone();
             let reader_id = idx as u32 + 1;
+            let handshaken = handshaken.clone();
             std::thread::spawn(move || {
                 let stream = TcpStream::connect(ingest).expect("connect");
                 let mut client =
                     epcgen2::client::ReaderClient::connect(stream, reader_id, 0).expect("hello");
+                handshaken.wait();
                 for chunk in reports.chunks(64) {
                     let clock = chunk.last().map_or(0.0, |r| r.time_s);
                     client.send_batch(chunk, clock).expect("batch");
@@ -239,5 +246,50 @@ fn latest_for_matches_final_snapshot() {
             .iter()
             .any(|s| s.rates_bpm.get(&1).map(|r| r.to_bits()) == Some(live.rate_bpm.to_bits())),
         "live view must match one of the emitted snapshots"
+    );
+}
+
+#[test]
+fn idle_session_still_publishes_the_crossing_snapshot() {
+    // End the input on the report that crosses the 10 s cadence point and
+    // keep the session open: no Goodbye, no heartbeat, no later batch. The
+    // shard parts of that last epoch finish after the push that requested
+    // them, so only the engine's own tick can publish it.
+    let cfg = test_config();
+    let mut reports = capture(1, 91, 15.0);
+    let crossing = reports
+        .iter()
+        .position(|r| r.time_s >= 10.0)
+        .expect("capture reaches the 10 s cadence point");
+    reports.truncate(crossing + 1);
+    let mut inline = StreamingMonitor::new(
+        PipelineConfig::paper_default(),
+        epcgen2::OpenAdmission,
+        cfg.window_s,
+        cfg.update_every_s,
+    )
+    .expect("inline engine");
+    let expected = inline.push(reports.clone()).len() as u64;
+    assert_eq!(expected, 4, "cadence points at 2.5, 5, 7.5 and 10 s");
+
+    let handle = start_server();
+    let registry = handle.registry();
+    let stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
+    let mut client = epcgen2::client::ReaderClient::connect(stream, 1, 0).expect("hello");
+    for chunk in reports.chunks(64) {
+        let clock = chunk.last().map_or(0.0, |r| r.time_s);
+        client.send_batch(chunk, clock).expect("batch");
+    }
+    let published = || registry.counter(server::metrics::SERVER_SNAPSHOTS_TOTAL);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while published() < expected && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let seen = published();
+    drop(client);
+    let _ = handle.shutdown();
+    assert_eq!(
+        seen, expected,
+        "an idle session must not hold back finished snapshots"
     );
 }

@@ -194,6 +194,8 @@ fn clock_skew_gauge_tracks_a_deliberately_skewed_reader() {
     })
     .join()
     .expect("feeder");
+    // Shutdown joins the session threads, so every frame has been seen.
+    let _ = handle.shutdown();
 
     let skew = registry.labeled_gauge(
         server::metrics::SERVER_READER_CLOCK_SKEW_S,
@@ -203,7 +205,6 @@ fn clock_skew_gauge_tracks_a_deliberately_skewed_reader() {
         skew.is_some_and(|s| s < -60.0),
         "skew gauge must reflect the injected offset, got {skew:?}"
     );
-    let _ = handle.shutdown();
 }
 
 #[test]

@@ -52,17 +52,19 @@ fn streaming_matches_batch_on_final_window() {
 #[test]
 fn pipelined_thread_produces_live_estimates() {
     let reports = capture(50.0, 2);
-    let handle = spawn_pipelined(
+    let mut fleet = FleetEngine::new(
         PipelineConfig::paper_default(),
         EmbeddedIdentity::new([1]),
         25.0,
         10.0,
+        2,
     )
     .unwrap();
+    let mut snaps = Vec::new();
     for r in &reports {
-        assert!(handle.send(*r));
+        snaps.extend(fleet.push([*r]));
     }
-    let snaps = handle.finish();
+    snaps.extend(fleet.finish());
     assert!(snaps.len() >= 3, "only {} snapshots", snaps.len());
     let with_rates = snaps
         .iter()
