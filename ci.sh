@@ -9,7 +9,7 @@
 #   4. test suite         cargo test -q
 #   5. rustdoc, zero-warn RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #   6. equivalence suite  cargo test -q --release --test equivalence
-#   7. server suites x6   cargo test -q --release --test server_loopback --test slo
+#   7. server suites x6   cargo test -q --release --test server_loopback --test slo --test idle_cpu
 #                         (5 passes, default threads; 1 pass, RUST_TEST_THREADS=1)
 #   8. bench smoke        cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace
 #   9. fleet bench smoke  cargo run --release -p tagbreathe-bench --bin stream_bench -- --fleet --smoke
@@ -23,12 +23,13 @@
 #
 # Step 5 keeps the API docs buildable (broken intra-doc links are
 # errors). Step 6 pins the batch/streaming agreement of the shared
-# operator graph (0.1 bpm). Step 7 repeats the two real-socket server
-# suites (loopback bit-identity, SLO/freshness) five times with the
-# default test threads and once with RUST_TEST_THREADS=1: they must
-# pass every time on any core count, so a timing-dependent wait or an
-# engine that sits on finished snapshots fails here instead of flaking
-# later (one pass is ~0.1 s of test time). Step 8 is the
+# operator graph (0.1 bpm). Step 7 repeats the three real-socket server
+# suites (loopback bit-identity, SLO/freshness, idle CPU) five times
+# with the default test threads and once with RUST_TEST_THREADS=1: they
+# must pass every time on any core count, so a timing-dependent wait, an
+# engine that sits on finished snapshots, or a worker or acceptor that
+# spins while idle fails here instead of flaking later (one pass is
+# ~0.6 s of test time, 0.5 s of it the idle-CPU measurement). Step 8 is the
 # streaming-vs-recompute microbench in its one-iteration smoke mode,
 # and also asserts the
 # instrumented metrics sidecar and the flight-recorder Chrome-trace
@@ -66,9 +67,10 @@
 # constants under `--cfg sync_mutant` MUST produce violations — if the
 # weakened orderings pass the gate, the analyzer has gone blind and CI
 # fails. Step 16 runs the bounded model checker (crates/syncmodel): the
-# declared ring/barrier/drain protocols must survive exhaustive
-# small-bound exploration AND seeded deep random walks, and each runtime
-# ordering mutant must fail with a counterexample trace. Steps 12-16
+# declared ring/barrier/drain/idle-wake protocols must survive
+# exhaustive small-bound exploration AND seeded deep random walks, and
+# each runtime mutant (weakened orderings, an unpark issued before its
+# batch is published) must fail with a counterexample trace. Steps 12-16
 # together must finish inside the lint wall-clock budget below — the
 # linter re-parses the workspace per invocation, so a runaway pass
 # shows up here before it slows every pre-commit hook.
@@ -96,9 +98,9 @@ cargo test -q --release --test equivalence
 echo "==> server suites: 5 passes with default threads, 1 with RUST_TEST_THREADS=1"
 for pass in 1 2 3 4 5; do
     echo "ci: server suites pass ${pass}/5"
-    cargo test -q --release --test server_loopback --test slo
+    cargo test -q --release --test server_loopback --test slo --test idle_cpu
 done
-RUST_TEST_THREADS=1 cargo test -q --release --test server_loopback --test slo
+RUST_TEST_THREADS=1 cargo test -q --release --test server_loopback --test slo --test idle_cpu
 
 echo "==> stream_bench --smoke --trace"
 cargo run -q --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace --out /tmp/BENCH_streaming_smoke.json

@@ -15,7 +15,10 @@
 //! queue for longer than `ENGINE_TICK`: when the queue stays quiet it
 //! pushes an empty batch, which drains the finished parts, and publishes
 //! what completed. An idle publisher therefore never sits on finished
-//! work.
+//! work. The shard workers sleep while their rings are empty, so the tick
+//! is the only periodic work an idle server does. Every publish notifies
+//! the store's condition variable, which `ServerHandle::wait_published`
+//! blocks on.
 
 use crate::merge::LaneMerger;
 use crate::metrics;
@@ -26,7 +29,7 @@ use obs::slo::{SloState, SloTable};
 use obs::trace::TraceEvent;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use tagbreathe::flight::{Anomaly, AnomalyKind, FlightDiagnostics};
 use tagbreathe::{FleetEngine, RateSnapshot, TagReport};
@@ -34,7 +37,8 @@ use tagbreathe::{FleetEngine, RateSnapshot, TagReport};
 use epcgen2::mapping::IdentityResolver;
 
 /// Longest wait for a session event before the engine drains the fleet's
-/// finished snapshot parts — the same order as the acceptor's 2 ms poll.
+/// finished snapshot parts. It bounds how long a finished snapshot can
+/// wait for publication, at the cost of one empty push per quiet tick.
 pub(crate) const ENGINE_TICK: Duration = Duration::from_millis(2);
 
 /// A unit of work for the engine thread.
@@ -79,6 +83,35 @@ pub struct UserSnapshot {
     pub effort_rms: f64,
 }
 
+/// The served snapshot state, shared by the engine thread, the HTTP
+/// surface and the server handle, with the condition variable every
+/// publish notifies.
+#[derive(Debug, Default)]
+pub(crate) struct SharedStore {
+    state: Mutex<SnapshotStore>,
+    published: Condvar,
+}
+
+impl SharedStore {
+    /// Locks the snapshot state.
+    pub fn lock(&self) -> LockResult<MutexGuard<'_, SnapshotStore>> {
+        self.state.lock()
+    }
+
+    /// Blocks until at least `snapshots` snapshots have been published or
+    /// `timeout` passes, and returns how many have been published.
+    pub fn wait_published(&self, snapshots: u64, timeout: Duration) -> u64 {
+        // Each publish leaves the state whole, so a panic elsewhere cannot
+        // corrupt the count.
+        let guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (guard, _) = self
+            .published
+            .wait_timeout_while(guard, timeout, |s| s.published() < snapshots)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.published()
+    }
+}
+
 /// Snapshot state shared between the engine thread and the HTTP surface.
 #[derive(Debug, Default)]
 pub(crate) struct SnapshotStore {
@@ -91,6 +124,13 @@ pub(crate) struct SnapshotStore {
     pub latest: BTreeMap<u64, UserSnapshot>,
     /// Rendered flight-recorder bundles (JSON), oldest first.
     pub bundles: Vec<String>,
+}
+
+impl SnapshotStore {
+    /// Snapshots published so far: the log plus those trimmed from it.
+    fn published(&self) -> u64 {
+        self.log.len() as u64 + self.trimmed
+    }
 }
 
 /// Everything the engine thread owns, bundled for [`run_engine`].
@@ -121,7 +161,7 @@ pub(crate) struct Publisher {
 pub(crate) fn run_engine<R: IdentityResolver>(
     rx: &Receiver<EngineEvent>,
     mut state: EngineState<R>,
-    store: &Mutex<SnapshotStore>,
+    store: &SharedStore,
 ) {
     let recording = state.publisher.recorder.as_dyn().enabled();
     let mut merger = LaneMerger::new();
@@ -222,7 +262,7 @@ fn observe_merge(
 
 fn feed<R: IdentityResolver>(
     state: &mut EngineState<R>,
-    store: &Mutex<SnapshotStore>,
+    store: &SharedStore,
     released: Vec<TagReport>,
 ) {
     if released.is_empty() {
@@ -258,7 +298,7 @@ impl Publisher {
     /// triggers, the `total` freshness stage, the SLO burn-rate machines
     /// (whose Burning transitions also capture a flight bundle), then the
     /// shared snapshot store.
-    pub(crate) fn publish(&mut self, store: &Mutex<SnapshotStore>, snap: RateSnapshot) {
+    pub(crate) fn publish(&mut self, store: &SharedStore, snap: RateSnapshot) {
         self.flight.scan(&snap, self.recorder.as_dyn());
         if self.recorder.as_dyn().enabled() {
             if let Some(lag) = self.total_clock.lag(snap.time_s) {
@@ -298,6 +338,8 @@ impl Publisher {
             guard.log.drain(..excess);
             guard.trimmed += excess as u64;
         }
+        drop(guard);
+        store.published.notify_all();
     }
 
     /// One tick of every SLO burn-rate machine against freshly measured

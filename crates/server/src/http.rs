@@ -19,15 +19,16 @@
 //! | `/snapshots`       | Full snapshot log with `f64::to_bits` fields  |
 //! | `/bundle`          | Latest flight-recorder bundle, JSON, or 404   |
 
-use crate::engine::SnapshotStore;
+use crate::engine::{SharedStore, SnapshotStore};
 use crate::metrics;
+use crate::server::accept_until_stopped;
 use obs::freshness::{duration_ns, Stage};
 use obs::recorder::{Label, Recorder};
 use obs::registry::Registry;
 use obs::slo::{render_rows_json, render_rows_text, SloTable};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -35,28 +36,20 @@ const MAX_REQUEST: usize = 8 * 1024;
 
 pub(crate) struct HttpState {
     pub registry: Arc<Registry>,
-    pub store: Arc<Mutex<SnapshotStore>>,
+    pub store: Arc<SharedStore>,
     pub slo: Arc<Mutex<SloTable>>,
     pub shards: usize,
 }
 
-/// Accept loop; returns when `stop` is set.
+/// Accept loop; returns once `stop` is set and the blocked `accept` is
+/// woken ([`ServerHandle::shutdown`](crate::ServerHandle::shutdown)).
 pub(crate) fn run_http(listener: &TcpListener, state: &HttpState, stop: &AtomicBool) {
-    let _ = listener.set_nonblocking(true);
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                state
-                    .registry
-                    .add(metrics::SERVER_HTTP_REQUESTS_TOTAL, None, 1);
-                serve_one(stream, state);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
+    accept_until_stopped(listener, stop, |stream| {
+        state
+            .registry
+            .add(metrics::SERVER_HTTP_REQUESTS_TOTAL, None, 1);
+        serve_one(stream, state);
+    });
 }
 
 fn serve_one(mut stream: TcpStream, state: &HttpState) {

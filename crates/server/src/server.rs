@@ -1,6 +1,6 @@
 //! Server lifecycle: listeners, threads, shutdown.
 
-use crate::engine::{run_engine, EngineEvent, EngineState, Publisher, SnapshotStore, UserSnapshot};
+use crate::engine::{run_engine, EngineEvent, EngineState, Publisher, SharedStore, UserSnapshot};
 use crate::http::{run_http, HttpState};
 use crate::metrics;
 use crate::session::{run_session, SessionLimits};
@@ -11,7 +11,7 @@ use obs::recorder::{Recorder, SharedRecorder};
 use obs::registry::Registry;
 use obs::slo::{SloRow, SloTable};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
@@ -78,7 +78,7 @@ pub struct ServerHandle {
     http_addr: SocketAddr,
     registry: Arc<Registry>,
     slo: Arc<Mutex<SloTable>>,
-    store: Arc<Mutex<SnapshotStore>>,
+    store: Arc<SharedStore>,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     engine: Option<JoinHandle<()>>,
@@ -119,6 +119,14 @@ impl ServerHandle {
             .and_then(|g| g.latest.get(&user).copied())
     }
 
+    /// Blocks until at least `snapshots` snapshots have been published
+    /// (including any since trimmed from the log) or `timeout` passes, and
+    /// returns how many have been published.
+    #[must_use]
+    pub fn wait_published(&self, snapshots: u64, timeout: Duration) -> u64 {
+        self.store.wait_published(snapshots, timeout)
+    }
+
     /// Stops accepting, drains open sessions and the merge lanes,
     /// finishes the fleet engine, and returns the full snapshot log in
     /// emission order (minus any trimmed by the log bound).
@@ -128,6 +136,10 @@ impl ServerHandle {
         // loops (declared in lint.toml `[atomics]`): whatever the caller
         // wrote before shutdown is visible to the loops' final laps.
         self.stop.store(true, Ordering::Release);
+        // Both acceptors block in `accept`: one connection each wakes them
+        // to see the flag.
+        wake_acceptor(self.ingest_addr);
+        wake_acceptor(self.http_addr);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -145,6 +157,43 @@ impl ServerHandle {
             .map(|mut g| std::mem::take(&mut g.log))
             .unwrap_or_default()
     }
+}
+
+/// Pause after a failed `accept` (e.g. `EMFILE`), so a persistent error
+/// cannot spin the acceptor.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
+
+/// Blocks in `accept` and hands each connection to `serve` until
+/// `accept_stop` is set. [`ServerHandle::shutdown`] sets it, then connects
+/// once ([`wake_acceptor`]) so the blocked call returns and sees it.
+pub(crate) fn accept_until_stopped(
+    listener: &TcpListener,
+    accept_stop: &AtomicBool,
+    mut serve: impl FnMut(TcpStream),
+) {
+    loop {
+        let accepted = listener.accept();
+        if accept_stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => serve(stream),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
+        }
+    }
+}
+
+/// Connects once to a listener's bound address to wake its blocked
+/// `accept`. A listener on an unspecified address (`0.0.0.0`, `[::]`) is
+/// reached through the loopback address of its family.
+fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// Starts a server admitting every embedded identity
@@ -190,7 +239,7 @@ where
     let ingest_addr = ingest.local_addr()?;
     let http_addr = http.local_addr()?;
 
-    let store = Arc::new(Mutex::new(SnapshotStore::default()));
+    let store = Arc::new(SharedStore::default());
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = sync_channel::<EngineEvent>(config.queue_depth.max(1));
 
@@ -225,38 +274,28 @@ where
     let accept_stop = stop.clone();
     let accept_recorder = recorder.clone();
     let acceptor = std::thread::spawn(move || {
-        let _ = ingest.set_nonblocking(true);
         let open = Arc::new(AtomicU64::new(0));
         let mut sessions: Vec<JoinHandle<()>> = Vec::new();
         let mut next_session: u32 = 1;
-        while !accept_stop.load(Ordering::Acquire) {
-            match ingest.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    accept_recorder.add(metrics::SERVER_CONNECTIONS_TOTAL, None, 1);
-                    let gauge = open.fetch_add(1, Ordering::Relaxed) + 1;
-                    accept_recorder.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, gauge as f64);
-                    let tx = tx.clone();
-                    let rec = accept_recorder.clone();
-                    let session_stop = accept_stop.clone();
-                    let session_open = open.clone();
-                    let session_id = next_session;
-                    next_session = next_session.wrapping_add(1);
-                    sessions.push(std::thread::spawn(move || {
-                        let _ = run_session(stream, &tx, &rec, limits, &session_stop, session_id);
-                        let left = session_open
-                            .fetch_sub(1, Ordering::Relaxed)
-                            .saturating_sub(1);
-                        rec.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, left as f64);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            }
+        accept_until_stopped(&ingest, &accept_stop, |stream| {
+            accept_recorder.add(metrics::SERVER_CONNECTIONS_TOTAL, None, 1);
+            let gauge = open.fetch_add(1, Ordering::Relaxed) + 1;
+            accept_recorder.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, gauge as f64);
+            let tx = tx.clone();
+            let rec = accept_recorder.clone();
+            let session_stop = accept_stop.clone();
+            let session_open = open.clone();
+            let session_id = next_session;
+            next_session = next_session.wrapping_add(1);
             sessions.retain(|h| !h.is_finished());
-        }
+            sessions.push(std::thread::spawn(move || {
+                let _ = run_session(stream, &tx, &rec, limits, &session_stop, session_id);
+                let left = session_open
+                    .fetch_sub(1, Ordering::Relaxed)
+                    .saturating_sub(1);
+                rec.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, left as f64);
+            }));
+        });
         // Drop our event sender before joining sessions; theirs hang up as
         // they observe the stop flag.
         drop(tx);
@@ -287,4 +326,32 @@ where
         engine: Some(engine),
         http: Some(http_thread),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn shutdown_wakes_acceptors_bound_to_unspecified_addresses() {
+        let config = ServerConfig {
+            ingest_addr: "0.0.0.0:0".into(),
+            http_addr: "0.0.0.0:0".into(),
+            ..ServerConfig::default()
+        };
+        let handle = start(config).expect("server must start");
+        assert!(handle.ingest_addr().ip().is_unspecified());
+        assert!(handle.http_addr().ip().is_unspecified());
+        // No client ever connects: only the shutdown wake can unblock the
+        // acceptors. A lost wake fails here instead of hanging the suite.
+        let (done_tx, done) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(handle.shutdown());
+        });
+        let snapshots = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown must return");
+        assert!(snapshots.is_empty());
+    }
 }

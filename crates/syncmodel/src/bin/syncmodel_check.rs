@@ -1,9 +1,10 @@
 //! CI entry point for the bounded model checker.
 //!
 //! Exhaustively verifies the declared fleet protocols (ring push/pop,
-//! epoch all-parts barrier, finish drain) and proves that the runtime
-//! reproductions of the `--cfg sync_mutant` ordering bugs are each
-//! caught with a minimal failing interleaving trace. Exits non-zero if
+//! epoch all-parts barrier, finish drain, idle wake) and proves that the
+//! runtime reproductions of the `--cfg sync_mutant` ordering bugs, and
+//! of an unpark issued before its batch is published, are each caught
+//! with a minimal failing interleaving trace. Exits non-zero if
 //! a declared protocol fails, a mutant slips through, or an exhaustive
 //! run is truncated by the state budget.
 //!
@@ -13,7 +14,9 @@
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use tagbreathe_syncmodel::explore::{explore, random_walks, Limits, Machine, Verdict};
-use tagbreathe_syncmodel::machines::{BarrierMachine, DrainMachine, RingMachine, RingProtocol};
+use tagbreathe_syncmodel::machines::{
+    BarrierMachine, DrainMachine, RingMachine, RingProtocol, WakeMachine,
+};
 
 /// One expectation: a machine that must pass, or must fail.
 fn expect<M: Machine>(name: &str, m: &M, must_pass: bool, failures: &mut u32) {
@@ -130,6 +133,21 @@ fn main() -> ExitCode {
         &mut failures,
     );
 
+    for (messages, batch) in [(2, 1), (3, 2)] {
+        expect(
+            &format!("wake n={messages} batch={batch} declared"),
+            &WakeMachine::declared(messages, batch),
+            !mutant_active,
+            &mut failures,
+        );
+        expect(
+            &format!("wake n={messages} batch={batch} early-unpark mutant"),
+            &WakeMachine::early_unpark_mutant(messages, batch),
+            false,
+            &mut failures,
+        );
+    }
+
     if deep {
         let big = RingMachine {
             capacity: 4,
@@ -166,6 +184,12 @@ fn main() -> ExitCode {
             println!("FAIL ring cap=4 n=8 relaxed-publish mutant: 300 walks found nothing");
             failures += 1;
         }
+        expect(
+            "wake n=8 batch=3 declared",
+            &WakeMachine::declared(8, 3),
+            !mutant_active,
+            &mut failures,
+        );
     }
 
     if failures == 0 {

@@ -39,13 +39,15 @@
 //!
 //! # Machines
 //!
-//! [`machines`] ports the three fleet protocols onto the model, spelled
-//! with the **same** `std::sync::atomic::Ordering` values the real code
-//! uses — [`machines::RingProtocol::declared`] reads the named constants
-//! from `tagbreathe::fleet::protocol`, so a `--cfg sync_mutant` build of
+//! [`machines`] ports the fleet protocols (ring, epoch barrier, finish
+//! drain, idle wake) onto the model, spelled with the **same**
+//! `std::sync::atomic::Ordering` values the real code uses —
+//! [`machines::RingProtocol::declared`] reads the named constants from
+//! `tagbreathe::fleet::protocol`, so a `--cfg sync_mutant` build of
 //! `tagbreathe` weakens the checked protocol with no change here, and
 //! the runtime mutant constructors let CI prove the seeded bugs are
-//! caught without a rebuild.
+//! caught without a rebuild. The idle wake also models std's park token,
+//! whose `Release` unpark and `Acquire` park are fixed by std.
 //!
 //! See `DESIGN.md` §15 for the full argument and `syncmodel_check` for
 //! the CI entry point.

@@ -7,7 +7,9 @@
 //! [`RingProtocol::declared`] reads `tagbreathe::fleet::protocol`, so
 //! the checked protocol is the shipped one by construction, and the
 //! `*_mutant` constructors reproduce the `--cfg sync_mutant` weakenings
-//! at runtime for CI to prove they are caught without a rebuild.
+//! at runtime for CI to prove they are caught without a rebuild;
+//! [`WakeMachine::early_unpark_mutant`] seeds a misplaced wake the same
+//! way.
 
 use crate::explore::{Machine, Succ};
 use crate::mem::{Loc, Mem, ModelAtomicU64};
@@ -861,6 +863,292 @@ impl Machine for DrainMachine {
                         self.messages
                     ));
                 }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Park-token location of the wake machine (after the head counter).
+const TOKEN: Loc = 1;
+/// Park-token value with no wake pending, as std's parker names it.
+const EMPTY: u64 = 0;
+/// Park-token value once `unpark` has run.
+const NOTIFIED: u64 = 1;
+
+/// The idle handshake between the router and a shard worker that sleeps
+/// on its empty ring (`fleet::Threaded`): the consumer pops until the
+/// ring is empty, then parks; the producer publishes its messages in
+/// batches and unparks the consumer after each batch.
+///
+/// std's park token is one location. `unpark` is a read-modify-write to
+/// `NOTIFIED` with `Release`; `park` is a read-modify-write to `EMPTY`
+/// with `Acquire` that returns at once if it read `NOTIFIED`, and
+/// otherwise leaves the thread parked until the token is `NOTIFIED`
+/// again. `final_check` fails on a lost wake: a terminal state whose
+/// consumer is parked with messages still in the ring.
+///
+/// The ring holds every message (the producer never waits on a full
+/// ring; the wake before that wait is pinned by the fleet's unit tests),
+/// so it has no tail counter.
+#[derive(Clone, Copy, Debug)]
+pub struct WakeMachine {
+    /// Messages pushed end to end.
+    pub messages: u64,
+    /// Messages per batch; the producer unparks after each batch.
+    pub batch: u64,
+    /// Ring ordering protocol.
+    pub ring: RingProtocol,
+    /// Unpark before the batch's last head publish instead of after it.
+    pub early_unpark: bool,
+}
+
+impl WakeMachine {
+    /// The shipped handshake: unpark once the batch is published.
+    #[must_use]
+    pub fn declared(messages: u64, batch: u64) -> Self {
+        WakeMachine {
+            messages,
+            batch,
+            ring: RingProtocol::declared(),
+            early_unpark: false,
+        }
+    }
+
+    /// The runtime mutant: the producer unparks before the batch's last
+    /// head publish, so the woken consumer can find the ring still empty,
+    /// park again, and never see the batch's last message.
+    #[must_use]
+    pub fn early_unpark_mutant(messages: u64, batch: u64) -> Self {
+        WakeMachine {
+            early_unpark: true,
+            ..WakeMachine::declared(messages, batch)
+        }
+    }
+
+    fn slot_loc(&self, seq: u64) -> Loc {
+        2 + seq as usize
+    }
+
+    /// Whether message `seq` (0-based) ends a batch.
+    fn ends_batch(&self, seq: u64) -> bool {
+        (seq + 1).is_multiple_of(self.batch) || seq + 1 == self.messages
+    }
+
+    /// Where the producer goes once message `seq` is published (and the
+    /// consumer woken, if its batch ends).
+    fn after_message(&self, seq: u64) -> WakeThread {
+        if seq + 1 == self.messages {
+            WakeThread::Done
+        } else {
+            WakeThread::Write { seq: seq + 1 }
+        }
+    }
+}
+
+/// A thread of the wake machine.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub enum WakeThread {
+    /// Producer writing the slot of message `seq` (0-based).
+    Write {
+        /// Message index.
+        seq: u64,
+    },
+    /// Producer publishing `head = seq + 1`.
+    Publish {
+        /// Message index.
+        seq: u64,
+    },
+    /// Producer unparking the consumer at the end of the batch holding
+    /// message `seq`.
+    Unpark {
+        /// Message index.
+        seq: u64,
+        /// Whether the message's head publish has happened.
+        published: bool,
+    },
+    /// Producer finished.
+    Done,
+    /// Consumer at the top of its loop: take the next slot if the cached
+    /// head is ahead, else refresh the head and park on a confirmed empty.
+    Poll {
+        /// Messages consumed so far.
+        got: u64,
+        /// Last observed producer head.
+        cached_head: u64,
+    },
+    /// Consumer reading slot `got`.
+    Take {
+        /// As in [`WakeThread::Poll`].
+        got: u64,
+        /// As in [`WakeThread::Poll`].
+        cached_head: u64,
+    },
+    /// Consumer found the ring empty and is about to park.
+    Park {
+        /// As in [`WakeThread::Poll`].
+        got: u64,
+    },
+    /// Consumer parked; steps again only once the token is `NOTIFIED`.
+    Parked {
+        /// As in [`WakeThread::Poll`].
+        got: u64,
+    },
+    /// A violated assertion, with its message.
+    Failed(String),
+}
+
+impl Machine for WakeMachine {
+    type Thread = WakeThread;
+
+    fn locs(&self) -> usize {
+        2 + self.messages as usize
+    }
+
+    fn init(&self) -> Vec<WakeThread> {
+        vec![
+            WakeThread::Write { seq: 0 },
+            WakeThread::Poll {
+                got: 0,
+                cached_head: 0,
+            },
+        ]
+    }
+
+    fn step(&self, tid: usize, thread: &WakeThread, mem: &Mem) -> Vec<Succ<WakeThread>> {
+        let unpark = |seq: u64, published: bool| WakeThread::Unpark { seq, published };
+        match *thread {
+            WakeThread::Write { seq } => vec![Succ {
+                thread: if self.early_unpark && self.ends_batch(seq) {
+                    unpark(seq, false)
+                } else {
+                    WakeThread::Publish { seq }
+                },
+                mem: mem.store(tid, self.slot_loc(seq), seq + 1, self.ring.slot),
+                label: format!("P: write slot[{seq}]={}", seq + 1),
+            }],
+            WakeThread::Publish { seq } => vec![Succ {
+                thread: if !self.early_unpark && self.ends_batch(seq) {
+                    unpark(seq, true)
+                } else {
+                    self.after_message(seq)
+                },
+                mem: mem.store(tid, HEAD, seq + 1, self.ring.publish),
+                label: format!("P: publish head={} ({:?})", seq + 1, self.ring.publish),
+            }],
+            WakeThread::Unpark { seq, published } => {
+                let (_, next) = mem.rmw(tid, TOKEN, |_| NOTIFIED, Ordering::Release);
+                vec![Succ {
+                    thread: if published {
+                        self.after_message(seq)
+                    } else {
+                        WakeThread::Publish { seq }
+                    },
+                    mem: next,
+                    label: "P: unpark, token=NOTIFIED (Release)".to_string(),
+                }]
+            }
+            WakeThread::Poll { got, cached_head } => {
+                if got != cached_head {
+                    return vec![Succ {
+                        thread: WakeThread::Take { got, cached_head },
+                        mem: mem.clone(),
+                        label: format!("C: slot {got} pending"),
+                    }];
+                }
+                mem.loads(tid, HEAD, self.ring.observe)
+                    .into_iter()
+                    .map(|(v, next)| Succ {
+                        thread: if v == got {
+                            WakeThread::Park { got }
+                        } else {
+                            WakeThread::Poll {
+                                got,
+                                cached_head: v,
+                            }
+                        },
+                        mem: next,
+                        label: format!("C: observe head={v} ({:?})", self.ring.observe),
+                    })
+                    .collect()
+            }
+            WakeThread::Take { got, cached_head } => {
+                let expected = got + 1;
+                mem.loads(tid, self.slot_loc(got), self.ring.slot)
+                    .into_iter()
+                    .map(|(v, next)| Succ {
+                        thread: if v == expected {
+                            WakeThread::Poll {
+                                got: got + 1,
+                                cached_head,
+                            }
+                        } else {
+                            WakeThread::Failed(format!(
+                                "stale slot: message {expected} read as {v}"
+                            ))
+                        },
+                        mem: next,
+                        label: format!("C: read slot[{got}] -> {v}"),
+                    })
+                    .collect()
+            }
+            WakeThread::Park { got } => {
+                let (token, next) = mem.rmw(tid, TOKEN, |_| EMPTY, Ordering::Acquire);
+                let (thread, label) = if token == NOTIFIED {
+                    let thread = WakeThread::Poll {
+                        got,
+                        cached_head: got,
+                    };
+                    (thread, "C: park, token was NOTIFIED: return (Acquire)")
+                } else {
+                    (
+                        WakeThread::Parked { got },
+                        "C: park, token was EMPTY: sleep",
+                    )
+                };
+                vec![Succ {
+                    thread,
+                    mem: next,
+                    label: label.to_string(),
+                }]
+            }
+            WakeThread::Parked { got } => {
+                let (token, next) = mem.rmw(tid, TOKEN, |_| EMPTY, Ordering::Acquire);
+                if token != NOTIFIED {
+                    return Vec::new();
+                }
+                vec![Succ {
+                    thread: WakeThread::Poll {
+                        got,
+                        cached_head: got,
+                    },
+                    mem: next,
+                    label: "C: woken, token=EMPTY (Acquire)".to_string(),
+                }]
+            }
+            WakeThread::Done | WakeThread::Failed(_) => Vec::new(),
+        }
+    }
+
+    fn failure(&self, threads: &[WakeThread]) -> Option<String> {
+        threads.iter().find_map(|t| match t {
+            WakeThread::Failed(msg) => Some(msg.clone()),
+            _ => None,
+        })
+    }
+
+    fn final_check(&self, threads: &[WakeThread], _mem: &Mem) -> Result<(), String> {
+        for t in threads {
+            match t {
+                WakeThread::Parked { got } if *got < self.messages => {
+                    return Err(format!(
+                        "lost wake: consumer parked with {} of {} messages still in the ring",
+                        self.messages - got,
+                        self.messages
+                    ));
+                }
+                WakeThread::Parked { .. } | WakeThread::Done => {}
+                other => return Err(format!("terminal state with a live thread: {other:?}")),
             }
         }
         Ok(())

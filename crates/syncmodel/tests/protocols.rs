@@ -9,7 +9,9 @@
 #![cfg(not(sync_mutant))]
 
 use tagbreathe_syncmodel::explore::{explore, random_walks, Limits, Verdict};
-use tagbreathe_syncmodel::machines::{BarrierMachine, DrainMachine, RingMachine, RingProtocol};
+use tagbreathe_syncmodel::machines::{
+    BarrierMachine, DrainMachine, RingMachine, RingProtocol, WakeMachine,
+};
 
 fn ring(capacity: u64, proto: RingProtocol) -> RingMachine {
     RingMachine {
@@ -102,6 +104,36 @@ fn finish_drain_declared_is_quiescent_and_relaxed_stop_loses_messages() {
         panic!("relaxed stop publish must allow an early drain exit: {verdict:?}");
     };
     assert!(message.contains("lost publication"), "{message}");
+}
+
+#[test]
+fn idle_wake_declared_loses_no_wake_and_early_unpark_does() {
+    for (messages, batch) in [(2, 1), (3, 2), (5, 2)] {
+        match explore(&WakeMachine::declared(messages, batch), &Limits::default()) {
+            Verdict::Pass { complete, states } => {
+                assert!(complete, "n={messages}: truncated at {states} states");
+            }
+            Verdict::Fail { message, trace, .. } => {
+                panic!("n={messages} batch={batch}: {message}\n{trace:#?}")
+            }
+        }
+    }
+    let verdict = explore(&WakeMachine::early_unpark_mutant(2, 1), &Limits::default());
+    let Verdict::Fail { message, trace, .. } = verdict else {
+        panic!("an unpark before the head publish must lose a wake: {verdict:?}");
+    };
+    assert!(message.contains("lost wake"), "{message}");
+    // The minimal counterexample: the producer writes, unparks and
+    // publishes both one-message batches (6 steps); the consumer reads a
+    // stale empty head, returns from park on the pending token and takes
+    // message 1 (5 steps), then finds head=1 again — all the last unpark
+    // carried — and parks for good (2 steps): 13 steps.
+    assert_eq!(trace.len(), 13, "{trace:#?}");
+    assert_eq!(
+        trace.last().map(String::as_str),
+        Some("C: park, token was EMPTY: sleep"),
+        "{trace:#?}"
+    );
 }
 
 #[test]

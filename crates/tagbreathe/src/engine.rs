@@ -55,6 +55,13 @@ pub trait Executor {
     /// off returns `None` and yields the part from [`Executor::poll`].
     fn send(&mut self, shard: u32, msg: ShardMsg, env: &ShardEnv) -> Option<ShardPart>;
 
+    /// Hands the messages sent so far to the shards; called once per
+    /// [`Engine::push`] and at each cadence point, before polling. A
+    /// threaded executor wakes here the workers that sleep on an empty
+    /// ring, so a wake costs one call per shard and batch, not one per
+    /// report. An executor that applies messages on send has nothing to do.
+    fn flush(&mut self) {}
+
     /// A snapshot part finished since the last call, without blocking.
     /// An executor that applies messages on the caller's thread has none.
     fn poll(&mut self, _env: &ShardEnv) -> Option<ShardPart> {
@@ -352,6 +359,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
     }
 
     fn drain(&mut self) {
+        self.exec.flush();
         while let Some(part) = self.exec.poll(&self.env) {
             self.absorb(part);
         }

@@ -28,7 +28,10 @@
 //! * Each **shard worker** owns the [`shard::ShardCore`] slab for its
 //!   users and applies each popped message with [`shard::ShardCore`]'s
 //!   one step; the ring is its only input, so no user state is ever
-//!   shared between threads.
+//!   shared between threads. A worker whose ring stays empty parks; the
+//!   router unparks it once per batch (`Executor::flush`), before waiting
+//!   on its full ring, and after `Finish`, so an idle fleet costs no CPU
+//!   and the per-report path gains only a plain flag store.
 //! * **Snapshots** use epoch/watermark handoff: the router broadcasts a
 //!   `Snapshot{watermark, time, epoch}` request in-stream, each shard
 //!   evicts to the watermark, analyses its users and sends one part back;
@@ -44,8 +47,9 @@
 //! enforced by the `atomics` pass of `tagbreathe-lint` against the
 //! `[atomics]` declarations in `lint.toml`, and dynamically explored by
 //! the bounded model checker in `crates/syncmodel`, which ports the ring
-//! push/pop, the epoch all-parts barrier and the `Finish` drain onto a
-//! store-buffer memory model (see `DESIGN.md` §15).
+//! push/pop, the epoch all-parts barrier, the `Finish` drain and the
+//! park/unpark wake onto a store-buffer memory model (see `DESIGN.md`
+//! §15).
 
 pub mod interner;
 pub mod msg;
@@ -69,6 +73,9 @@ use std::thread;
 /// shard: deep enough to ride out a snapshot pause, small enough to stay
 /// cache-resident.
 const RING_SLOTS: usize = 1024;
+
+/// Empty polls a shard worker spins through before it parks.
+const SPINS_BEFORE_PARK: u32 = 64;
 
 /// The multi-core streaming engine: [`Engine`] over the [`Threaded`]
 /// executor.
@@ -158,12 +165,48 @@ impl<R: IdentityResolver> Engine<R, Threaded> {
 /// one.
 #[derive(Debug)]
 pub struct Threaded {
-    /// One ring per shard, router side.
-    feeds: Vec<RingProducer>,
+    /// One ring per shard, router side, with its worker's wake state.
+    feeds: Vec<Feed>,
     /// The running workers; emptied once they are joined.
     workers: Vec<thread::JoinHandle<()>>,
     /// Snapshot parts, each with the ring depth its worker saw.
     results: mpsc::Receiver<(ShardPart, u64)>,
+}
+
+/// The router's end of one shard: the ring, and the worker to wake when
+/// it may be parked on that ring.
+#[derive(Debug)]
+struct Feed {
+    ring: RingProducer,
+    worker: thread::Thread,
+    /// Messages were pushed since the worker was last woken.
+    sent: bool,
+}
+
+impl Feed {
+    /// Pushes one encoded message and returns how often the ring was full.
+    /// A full ring first wakes the worker, which may be parked: it empties
+    /// the ring only once awake.
+    fn enqueue(&mut self, words: &[u64; ring::SLOT_WORDS]) -> u64 {
+        let mut stalls = 0u64;
+        while !self.ring.try_push(words) {
+            if stalls == 0 {
+                self.wake();
+            }
+            stalls += 1;
+            thread::yield_now();
+        }
+        self.sent = true;
+        stalls
+    }
+
+    /// Unparks the worker. std's park token turns a wake that lands before
+    /// the worker parks into an immediate return from that park, so no
+    /// wake is lost.
+    fn wake(&mut self) {
+        self.sent = false;
+        self.worker.unpark();
+    }
 }
 
 impl Threaded {
@@ -171,12 +214,17 @@ impl Threaded {
         let (results_tx, results) = mpsc::channel();
         let (mut feeds, mut workers) = (Vec::new(), Vec::new());
         for shard in 0..u32::try_from(shards.max(1)).unwrap_or(u32::MAX) {
-            let (feed, consumer) = ring::channel(RING_SLOTS);
+            let (ring, consumer) = ring::channel(RING_SLOTS);
             let (env, out) = (env.clone(), results_tx.clone());
-            feeds.push(feed);
-            workers.push(thread::spawn(move || {
+            let worker = thread::spawn(move || {
                 shard_worker(shard, consumer, &env, &out);
-            }));
+            });
+            feeds.push(Feed {
+                ring,
+                worker: worker.thread().clone(),
+                sent: false,
+            });
+            workers.push(worker);
         }
         Threaded {
             feeds,
@@ -195,14 +243,11 @@ impl Executor for Threaded {
 
     /// Blocking ring send with stall accounting: a full ring applies
     /// bounded backpressure to the router instead of shedding reports.
+    /// The worker is woken at the next [`Executor::flush`], or at once if
+    /// the ring fills.
     fn send(&mut self, shard: u32, msg: ShardMsg, env: &ShardEnv) -> Option<ShardPart> {
         let feed = self.feeds.get_mut(shard as usize)?;
-        let words = msg.encode();
-        let mut stalls = 0u64;
-        while !feed.try_push(&words) {
-            stalls += 1;
-            thread::yield_now();
-        }
+        let stalls = feed.enqueue(&msg.encode());
         if env.recording {
             if stalls > 0 {
                 let label = Some(Label::shard(shard));
@@ -215,6 +260,15 @@ impl Executor for Threaded {
         None
     }
 
+    /// Wakes every worker that was sent messages since its last wake.
+    fn flush(&mut self) {
+        for feed in &mut self.feeds {
+            if feed.sent {
+                feed.wake();
+            }
+        }
+    }
+
     fn poll(&mut self, env: &ShardEnv) -> Option<ShardPart> {
         let (part, ring_depth) = self.results.try_recv().ok()?;
         if env.recording {
@@ -225,17 +279,16 @@ impl Executor for Threaded {
         Some(part)
     }
 
-    /// Broadcasts `Finish` and joins the workers; the caller then polls the
-    /// remaining parts.
+    /// Broadcasts `Finish`, wakes and joins the workers; the caller then
+    /// polls the remaining parts.
     fn finish(&mut self) {
         if self.workers.is_empty() {
             return;
         }
         let words = ShardMsg::Finish.encode();
         for feed in &mut self.feeds {
-            while !feed.try_push(&words) {
-                thread::yield_now();
-            }
+            feed.enqueue(&words);
+            feed.wake();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -252,6 +305,10 @@ impl Drop for Threaded {
 /// A shard worker's event loop: pop ring messages, apply them to the
 /// core, publish snapshot parts. Runs until `Finish` (or a codec mismatch,
 /// which cannot happen with a same-version router).
+///
+/// On an empty ring the worker spins [`SPINS_BEFORE_PARK`] times for
+/// latency, then parks until the router wakes it ([`Feed::wake`]): an idle
+/// fleet costs no CPU.
 fn shard_worker(
     shard: u32,
     mut feed: RingConsumer,
@@ -262,11 +319,9 @@ fn shard_worker(
     let mut idle: u32 = 0;
     loop {
         let Some(words) = feed.pop() else {
-            // Spin briefly for latency, then yield so oversubscribed hosts
-            // (more shards than cores) still make progress.
             idle = idle.saturating_add(1);
-            if idle > 64 {
-                thread::yield_now();
+            if idle > SPINS_BEFORE_PARK {
+                thread::park();
             } else {
                 std::hint::spin_loop();
             }
@@ -353,6 +408,40 @@ mod tests {
         assert!(snaps.is_empty());
         assert_eq!(fleet.routed_users(), 0);
         assert!(fleet.finish().is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn full_ring_wakes_a_parked_worker() -> Result<(), &'static str> {
+        let config = PipelineConfig::paper_default;
+        let mut fleet = FleetEngine::new(config(), EmbeddedIdentity::new([1]), 10.0, 5.0, 2)
+            .map_err(|_| "construction failed")?;
+        let mut inline =
+            crate::pipeline::StreamingMonitor::new(config(), EmbeddedIdentity::new([1]), 10.0, 5.0)
+                .map_err(|_| "construction failed")?;
+        // One user, so one shard gets every report: three rings' worth,
+        // with no cadence point (whose request also wakes the workers)
+        // before the 2500th.
+        let reports: Vec<TagReport> = (0..3 * RING_SLOTS)
+            .map(|i| report(1, 0, f64::from(u32::try_from(i).unwrap_or(0)) * 0.002))
+            .collect();
+        // Let the idle workers park. The assertions hold either way; only
+        // a parked worker exercises the wake before the router waits on a
+        // full ring (without it, this push never returns).
+        thread::sleep(std::time::Duration::from_millis(50));
+        let (done_tx, done) = mpsc::channel();
+        let input = reports.clone();
+        thread::spawn(move || {
+            let mut snaps = fleet.push(input);
+            snaps.extend(fleet.finish());
+            let _ = done_tx.send(snaps);
+        });
+        let snaps = done
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .map_err(|_| "a full ring must wake its parked worker")?;
+        let times: Vec<f64> = snaps.iter().map(|s| s.time_s).collect();
+        assert_eq!(times, [5.0]);
+        assert_eq!(snaps, inline.push(reports));
         Ok(())
     }
 

@@ -104,7 +104,7 @@ pub const QUALITY_BAND_SNR_MILLI: &str = "tagbreathe_quality_band_snr_milli";
 pub const FLEET_REPORTS_ROUTED: &str = "tagbreathe_fleet_reports_routed_total";
 
 /// Counter, labelled `shard`: router stalls on a full shard ring — each
-/// stall is one bounded-backpressure spin that would have been a shed
+/// stall is one bounded-backpressure yield that would have been a shed
 /// report in a lossy design.
 pub const FLEET_RING_STALLS: &str = "tagbreathe_fleet_ring_stalls_total";
 

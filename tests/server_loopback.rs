@@ -7,6 +7,7 @@
 use server::{LaneMerger, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 use tagbreathe_suite::prelude::*;
 
 fn capture(user: u64, seed: u64, secs: f64) -> Vec<TagReport> {
@@ -46,6 +47,20 @@ fn http_get(handle: &ServerHandle, path: &str) -> (String, String) {
     let (head, body) = response.split_once("\r\n\r\n").expect("http headers");
     let status = head.lines().next().unwrap_or("").to_string();
     (status, body.to_string())
+}
+
+/// Snapshots the inline engine emits for `reports` — what the server
+/// publishes once it has served them all.
+fn inline_snapshot_count(reports: &[TagReport]) -> u64 {
+    let cfg = test_config();
+    let mut inline = StreamingMonitor::new(
+        PipelineConfig::paper_default(),
+        epcgen2::OpenAdmission,
+        cfg.window_s,
+        cfg.update_every_s,
+    )
+    .expect("inline engine");
+    inline.push(reports.to_vec()).len() as u64
 }
 
 fn feed_and_shutdown(handle: ServerHandle, streams: &[Vec<TagReport>]) -> Vec<RateSnapshot> {
@@ -154,14 +169,13 @@ fn http_surface_serves_metrics_snapshots_and_health() {
     });
     feeder.join().expect("feeder");
 
-    // Wait until the engine has emitted an analysable snapshot for the
-    // user, so the HTTP surface has something substantive to serve.
-    for _ in 0..200 {
-        if handle.latest_for(1).is_some() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    // Wait until the engine has published every snapshot of the capture,
+    // so the HTTP surface has something substantive to serve.
+    let expected = inline_snapshot_count(&streams[0]);
+    assert!(
+        handle.wait_published(expected, Duration::from_secs(10)) >= expected,
+        "every snapshot of the capture must be published"
+    );
     assert!(
         handle.latest_for(1).is_some(),
         "user 1 must be analysed live"
@@ -226,14 +240,12 @@ fn latest_for_matches_final_snapshot() {
     .join()
     .expect("feeder");
     // The live per-user view fills in as the engine catches up.
-    let mut live = None;
-    for _ in 0..100 {
-        live = handle.latest_for(1);
-        if live.is_some() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    let expected = inline_snapshot_count(&streams[0]);
+    assert!(
+        handle.wait_published(expected, Duration::from_secs(5)) >= expected,
+        "every snapshot of the capture must be published"
+    );
+    let live = handle.latest_for(1);
     let snapshots = handle.shutdown();
     let last_rate = snapshots
         .iter()
@@ -255,37 +267,23 @@ fn idle_session_still_publishes_the_crossing_snapshot() {
     // keep the session open: no Goodbye, no heartbeat, no later batch. The
     // shard parts of that last epoch finish after the push that requested
     // them, so only the engine's own tick can publish it.
-    let cfg = test_config();
     let mut reports = capture(1, 91, 15.0);
     let crossing = reports
         .iter()
         .position(|r| r.time_s >= 10.0)
         .expect("capture reaches the 10 s cadence point");
     reports.truncate(crossing + 1);
-    let mut inline = StreamingMonitor::new(
-        PipelineConfig::paper_default(),
-        epcgen2::OpenAdmission,
-        cfg.window_s,
-        cfg.update_every_s,
-    )
-    .expect("inline engine");
-    let expected = inline.push(reports.clone()).len() as u64;
+    let expected = inline_snapshot_count(&reports);
     assert_eq!(expected, 4, "cadence points at 2.5, 5, 7.5 and 10 s");
 
     let handle = start_server();
-    let registry = handle.registry();
     let stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
     let mut client = epcgen2::client::ReaderClient::connect(stream, 1, 0).expect("hello");
     for chunk in reports.chunks(64) {
         let clock = chunk.last().map_or(0.0, |r| r.time_s);
         client.send_batch(chunk, clock).expect("batch");
     }
-    let published = || registry.counter(server::metrics::SERVER_SNAPSHOTS_TOTAL);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while published() < expected && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let seen = published();
+    let seen = handle.wait_published(expected, Duration::from_secs(5));
     drop(client);
     let _ = handle.shutdown();
     assert_eq!(

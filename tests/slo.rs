@@ -49,9 +49,19 @@ fn http_get(handle: &ServerHandle, path: &str) -> (String, String) {
     (status, body.to_string())
 }
 
-/// Streams `reports` as reader 1 and blocks until the engine has an
-/// analysable snapshot for `user`.
+/// Streams `reports` as reader 1, blocks until the server has published
+/// every snapshot the inline engine emits for them, and checks that
+/// `user` was analysed.
 fn feed_and_wait(handle: &ServerHandle, reports: &[TagReport], user: u64) {
+    let cfg = test_config();
+    let mut inline = StreamingMonitor::new(
+        PipelineConfig::paper_default(),
+        epcgen2::OpenAdmission,
+        cfg.window_s,
+        cfg.update_every_s,
+    )
+    .expect("inline engine");
+    let expected = inline.push(reports.to_vec()).len() as u64;
     let ingest = handle.ingest_addr();
     let reports = reports.to_vec();
     std::thread::spawn(move || {
@@ -65,13 +75,14 @@ fn feed_and_wait(handle: &ServerHandle, reports: &[TagReport], user: u64) {
     })
     .join()
     .expect("feeder");
-    for _ in 0..200 {
-        if handle.latest_for(user).is_some() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    panic!("user {user} was never analysed");
+    assert!(
+        handle.wait_published(expected, std::time::Duration::from_secs(10)) >= expected,
+        "every snapshot of the capture must be published"
+    );
+    assert!(
+        handle.latest_for(user).is_some(),
+        "user {user} was never analysed"
+    );
 }
 
 fn stage_count(registry: &Registry, stage: Stage) -> u64 {
