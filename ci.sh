@@ -20,10 +20,12 @@
 #  14. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
 #  15. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
 #  16. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
+#  17. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 #
 # Step 5 keeps the API docs buildable (broken intra-doc links are
 # errors). Step 6 pins the batch/streaming agreement of the shared
-# operator graph (0.1 bpm). Step 7 repeats the three real-socket server
+# operator graph: bit-identical rates on time-ordered traces, within
+# 0.1 bpm when timestamps arrive out of order. Step 7 repeats the three real-socket server
 # suites (loopback bit-identity, SLO/freshness, idle CPU) five times
 # with the default test threads and once with RUST_TEST_THREADS=1: they
 # must pass every time on any core count, so a timing-dependent wait, an
@@ -73,7 +75,10 @@
 # batch is published) must fail with a counterexample trace. Steps 12-16
 # together must finish inside the lint wall-clock budget below — the
 # linter re-parses the workspace per invocation, so a runaway pass
-# shows up here before it slows every pre-commit hook.
+# shows up here before it slows every pre-commit hook. Step 17 builds
+# the end-to-end benchmark (perfbench/, a package of its own with path
+# dependencies on crates/*) and runs its self-tests, so a workspace API
+# change that would break the benchmark fails here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -183,5 +188,8 @@ if [ "$lint_elapsed_s" -gt 60 ]; then
     exit 1
 fi
 echo "ci: lint passes took ${lint_elapsed_s}s (budget 60 s)"
+
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "ci: all green"

@@ -122,8 +122,10 @@ pub(crate) struct SnapshotStore {
     pub trimmed: u64,
     /// Latest per-user analysis.
     pub latest: BTreeMap<u64, UserSnapshot>,
-    /// Rendered flight-recorder bundles (JSON), oldest first.
-    pub bundles: Vec<String>,
+    /// The newest flight-recorder bundle, rendered as JSON. Only the
+    /// newest is kept: `/bundle` serves nothing else, and each one is
+    /// large.
+    pub bundle: Option<String>,
 }
 
 impl SnapshotStore {
@@ -310,12 +312,7 @@ impl Publisher {
             }
             self.evaluate_slos(snap.time_s);
         }
-        let fresh: Vec<String> = self
-            .flight
-            .take_bundles()
-            .iter()
-            .map(|b| b.to_json())
-            .collect();
+        let fresh = self.flight.take_bundles().last().map(|b| b.to_json());
         self.recorder.add(metrics::SERVER_SNAPSHOTS_TOTAL, None, 1);
         let Ok(mut guard) = store.lock() else {
             return;
@@ -331,7 +328,9 @@ impl Publisher {
                 },
             );
         }
-        guard.bundles.extend(fresh);
+        if fresh.is_some() {
+            guard.bundle = fresh;
+        }
         guard.log.push(snap);
         if guard.log.len() > self.log_cap.max(1) {
             let excess = guard.log.len() - self.log_cap.max(1);

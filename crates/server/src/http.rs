@@ -127,7 +127,7 @@ fn route(request_line: &str, state: &HttpState) -> (&'static str, &'static str, 
         "/status" => ("200 OK", "text/plain", render_status(state)),
         "/status.html" => ("200 OK", "text/html", render_status_html(state)),
         "/bundle" => match state.store.lock() {
-            Ok(guard) => match guard.bundles.last() {
+            Ok(guard) => match &guard.bundle {
                 Some(bundle) => ("200 OK", "application/json", bundle.clone()),
                 None => (
                     "404 Not Found",
@@ -340,4 +340,60 @@ fn render_snapshots(store: &SnapshotStore) -> String {
     }
     out.push_str("]}");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Publisher;
+    use crate::slo::{build_table, SloConfig};
+    use obs::freshness::WatermarkClock;
+    use obs::recorder::SharedRecorder;
+    use std::collections::BTreeMap;
+    use tagbreathe::flight::{FlightDiagnostics, TriggerConfig};
+    use tagbreathe::RateSnapshot;
+
+    #[test]
+    fn store_keeps_and_serves_only_the_newest_bundle() {
+        let registry = Arc::new(Registry::new());
+        let slo = Arc::new(Mutex::new(build_table(&SloConfig::default())));
+        let mut triggers = TriggerConfig::default_config();
+        triggers.rate_jump_bpm = 1.0;
+        let mut publisher = Publisher {
+            flight: FlightDiagnostics::new(64, triggers).expect("valid triggers"),
+            recorder: SharedRecorder::noop(),
+            registry: registry.clone(),
+            slo: slo.clone(),
+            shards: 1,
+            log_cap: 16,
+            total_clock: WatermarkClock::new(16, 1.0),
+        };
+        let store = Arc::new(SharedStore::default());
+        // The rate alternates 10 ↔ 20 bpm, so every publish after the
+        // first captures a rate-jump bundle: four captures in all.
+        for t in 1..=5u32 {
+            let bpm = if t % 2 == 0 { 20.0 } else { 10.0 };
+            let snap = RateSnapshot {
+                time_s: f64::from(t),
+                rates_bpm: BTreeMap::from([(1, bpm)]),
+                effort_rms: BTreeMap::new(),
+            };
+            publisher.publish(&store, snap);
+        }
+        let state = HttpState {
+            registry,
+            store: store.clone(),
+            slo,
+            shards: 1,
+        };
+        let (status, _, body) = route("GET /bundle HTTP/1.1", &state);
+        assert_eq!(status, "200 OK");
+        assert!(
+            body.contains("\"kind\": \"rate_jump\", \"user\": 1, \"time_s\": 5,"),
+            "not the newest bundle: {}",
+            body.lines().nth(1).unwrap_or_default()
+        );
+        let guard = store.lock().expect("store lock");
+        assert_eq!(guard.bundle.as_deref(), Some(body.as_str()));
+    }
 }

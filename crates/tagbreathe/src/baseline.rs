@@ -16,15 +16,17 @@
 //! out.
 
 use crate::config::PipelineConfig;
-use crate::demux::demux;
+use crate::demux::classify;
 use crate::extract::extract_breath_signal;
 use crate::fusion::fuse_rates_median;
+use crate::operators::{best_port, TagStat};
 use crate::rate::estimate_rate_fft_peak;
 use crate::series::TimeSeries;
 use dsp::resample::{resample_linear, Sample};
 use epcgen2::mapping::IdentityResolver;
 use epcgen2::report::TagReport;
 use rfchannel::units::Hertz;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
 /// Estimates per-user breathing rates from RSSI streams alone.
@@ -94,8 +96,11 @@ fn mid_band_wavelength(config: &PipelineConfig) -> f64 {
     )
 }
 
-/// Shared machinery: split every tag stream of the best antenna into
-/// sub-streams, rate each, and take the per-user median.
+/// Shared machinery: group each user's reports into time-ordered
+/// `(antenna_port, tag_id)` streams, pick the user's antenna with the
+/// operator graph's quality rule over the streams' [`TagStat`]s, split
+/// every stream of that antenna into sub-streams, rate each, and take the
+/// per-user median.
 fn per_user_rates<R, F>(
     reports: &[TagReport],
     resolver: &R,
@@ -106,17 +111,34 @@ where
     R: IdentityResolver,
     F: Fn(&[TagReport]) -> Vec<Vec<Sample>>,
 {
-    let (users, _) = demux(reports, resolver);
+    let mut users: BTreeMap<u64, BTreeMap<(u8, u32), Vec<TagReport>>> = BTreeMap::new();
+    for r in reports {
+        if let Some((user_id, tag_id)) = classify(resolver, r) {
+            users
+                .entry(user_id)
+                .or_default()
+                .entry((r.antenna_port, tag_id))
+                .or_default()
+                .push(*r);
+        }
+    }
     users
         .into_iter()
-        .map(|(id, streams)| {
-            let rate = streams.best_antenna().and_then(|port| {
-                let mut candidates: Vec<Option<f64>> = Vec::new();
-                for stream in streams.streams_for_antenna(port).values() {
-                    for sub in to_substreams(stream.reports()) {
-                        candidates.push(rate_of_substream(&sub, config));
-                    }
-                }
+        .map(|(id, mut streams)| {
+            let mut stats = Vec::with_capacity(streams.len());
+            for (&(port, _), stream) in &mut streams {
+                stream.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).unwrap_or(Ordering::Equal));
+                let mut stat = TagStat::default();
+                stream.iter().for_each(|r| stat.observe(r));
+                stats.push((port, stat));
+            }
+            let rate = best_port(stats.iter().map(|(port, stat)| (*port, stat))).and_then(|port| {
+                let candidates: Vec<Option<f64>> = streams
+                    .iter()
+                    .filter(|(&(p, _), _)| p == port)
+                    .flat_map(|(_, stream)| to_substreams(stream))
+                    .map(|sub| rate_of_substream(&sub, config))
+                    .collect();
                 fuse_rates_median(&candidates)
             });
             (id, rate)

@@ -1,10 +1,11 @@
-//! Report demultiplexing: the raw report stream → per-user, per-tag,
-//! per-antenna streams.
+//! Report demultiplexing: classifying each read by identity, and the
+//! per-antenna link statistics of the raw stream.
 //!
 //! TagBreathe classifies every read by the user ID and tag ID carried in
-//! the overwritten EPC (Section IV-C), and — because antennas are
-//! geographically distributed — keeps per-antenna streams so the best
-//! antenna can be selected per user (Section IV-D.3).
+//! the overwritten EPC (Section IV-C); [`classify`] is that rule. The
+//! per-user, per-antenna streams it feeds live in the operator graph
+//! ([`crate::operators::UserStreamState`]), which also selects the best
+//! antenna per user (Section IV-D.3).
 
 use crate::metrics;
 use epcgen2::mapping::{IdentityResolver, TagIdentity};
@@ -12,155 +13,15 @@ use epcgen2::report::TagReport;
 use obs::{Label, Recorder};
 use std::collections::BTreeMap;
 
-/// Reports of one tag seen by one antenna, in time order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TagStream {
-    reports: Vec<TagReport>,
-}
-
-impl TagStream {
-    /// The reports in time order.
-    pub fn reports(&self) -> &[TagReport] {
-        &self.reports
-    }
-
-    /// Number of reports.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// Whether the stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
-    }
-
-    /// Mean sampling rate in Hz (None for < 2 reports).
-    pub fn mean_rate_hz(&self) -> Option<f64> {
-        if self.reports.len() < 2 {
-            return None;
-        }
-        let span = self.reports.last()?.time_s - self.reports.first()?.time_s;
-        if span <= 0.0 {
-            return None;
-        }
-        Some((self.reports.len() - 1) as f64 / span)
-    }
-
-    /// Mean RSSI in dBm (None for an empty stream).
-    pub fn mean_rssi_dbm(&self) -> Option<f64> {
-        if self.reports.is_empty() {
-            return None;
-        }
-        Some(self.reports.iter().map(|r| r.rssi_dbm).sum::<f64>() / self.reports.len() as f64)
-    }
-}
-
-/// All streams of one user, keyed by `(antenna_port, tag_id)`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct UserStreams {
-    streams: BTreeMap<(u8, u32), TagStream>,
-}
-
-impl UserStreams {
-    /// Iterates `(antenna_port, tag_id) → stream`.
-    pub fn iter(&self) -> impl Iterator<Item = (&(u8, u32), &TagStream)> {
-        self.streams.iter()
-    }
-
-    /// Antenna ports that saw this user.
-    pub fn antenna_ports(&self) -> Vec<u8> {
-        let mut ports: Vec<u8> = self.streams.keys().map(|&(p, _)| p).collect();
-        ports.sort_unstable();
-        ports.dedup();
-        ports
-    }
-
-    /// Streams of one antenna, keyed by tag ID.
-    pub fn streams_for_antenna(&self, port: u8) -> BTreeMap<u32, &TagStream> {
-        self.streams
-            .iter()
-            .filter(|&(&(p, _), _)| p == port)
-            .map(|(&(_, tag), s)| (tag, s))
-            .collect()
-    }
-
-    /// Data-quality score of an antenna for this user: the paper evaluates
-    /// antennas "in terms of received signal strength and data sampling
-    /// rate" (Section IV-D.3). We score by aggregate read rate, breaking
-    /// ties by mean RSSI.
-    pub fn antenna_quality(&self, port: u8) -> (f64, f64) {
-        let streams = self.streams_for_antenna(port);
-        let rate: f64 = streams.values().filter_map(|s| s.mean_rate_hz()).sum();
-        let rssis: Vec<f64> = streams.values().filter_map(|s| s.mean_rssi_dbm()).collect();
-        let rssi = if rssis.is_empty() {
-            f64::NEG_INFINITY
-        } else {
-            rssis.iter().sum::<f64>() / rssis.len() as f64
-        };
-        (rate, rssi)
-    }
-
-    /// The optimal antenna for this user per the paper's quality rule.
-    pub fn best_antenna(&self) -> Option<u8> {
-        self.antenna_ports().into_iter().max_by(|&a, &b| {
-            let qa = self.antenna_quality(a);
-            let qb = self.antenna_quality(b);
-            qa.partial_cmp(&qb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-
-    /// Total reports across all streams.
-    pub fn report_count(&self) -> usize {
-        self.streams.values().map(TagStream::len).sum()
-    }
-}
-
 /// Resolves one report to its monitored `(user_id, tag_id)` identity, or
 /// `None` for unrelated tags — the single classification rule shared by the
-/// batch [`demux`] and the streaming engine's admission path.
+/// batch [`BreathMonitor`](crate::monitor::BreathMonitor), the RSSI/Doppler
+/// [`baseline`](crate::baseline)s and the streaming engine's admission path.
 pub fn classify<R: IdentityResolver>(resolver: &R, report: &TagReport) -> Option<(u64, u32)> {
     match resolver.resolve(report.epc) {
         TagIdentity::Monitor { user_id, tag_id } => Some((user_id, tag_id)),
         TagIdentity::Unknown => None,
     }
-}
-
-/// Demultiplexes a report stream by resolved identity.
-///
-/// Reports resolving to [`TagIdentity::Unknown`] (item tags, other users'
-/// equipment) are counted but not grouped. Input need not be sorted;
-/// streams are sorted by time on output.
-pub fn demux<R: IdentityResolver>(
-    reports: &[TagReport],
-    resolver: &R,
-) -> (BTreeMap<u64, UserStreams>, usize) {
-    let mut users: BTreeMap<u64, UserStreams> = BTreeMap::new();
-    let mut unknown = 0usize;
-    for r in reports {
-        match classify(resolver, r) {
-            Some((user_id, tag_id)) => {
-                users
-                    .entry(user_id)
-                    .or_default()
-                    .streams
-                    .entry((r.antenna_port, tag_id))
-                    .or_default()
-                    .reports
-                    .push(*r);
-            }
-            None => unknown += 1,
-        }
-    }
-    for streams in users.values_mut() {
-        for s in streams.streams.values_mut() {
-            s.reports.sort_by(|a, b| {
-                a.time_s
-                    .partial_cmp(&b.time_s)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-        }
-    }
-    (users, unknown)
 }
 
 /// EWMA smoothing factor of [`LinkQualityTracker`]: heavy smoothing so the
@@ -297,7 +158,6 @@ impl LinkQualityTracker {
 mod tests {
     use super::*;
     use epcgen2::epc::Epc96;
-    use epcgen2::mapping::EmbeddedIdentity;
 
     fn report(t: f64, user: u64, tag: u32, port: u8, rssi: f64) -> TagReport {
         TagReport {
@@ -309,80 +169,6 @@ mod tests {
             rssi_dbm: rssi,
             doppler_hz: 0.0,
         }
-    }
-
-    #[test]
-    fn groups_by_user_tag_antenna() {
-        let reports = vec![
-            report(0.0, 1, 0, 1, -50.0),
-            report(0.1, 1, 1, 1, -50.0),
-            report(0.2, 2, 0, 1, -55.0),
-            report(0.3, 1, 0, 2, -60.0),
-            report(0.4, 99, 0, 1, -50.0), // unknown user
-        ];
-        let resolver = EmbeddedIdentity::new([1, 2]);
-        let (users, unknown) = demux(&reports, &resolver);
-        assert_eq!(unknown, 1);
-        assert_eq!(users.len(), 2);
-        assert_eq!(users[&1].report_count(), 3);
-        assert_eq!(users[&1].antenna_ports(), vec![1, 2]);
-        assert_eq!(users[&2].report_count(), 1);
-    }
-
-    #[test]
-    fn streams_are_time_sorted() {
-        let reports = vec![
-            report(0.5, 1, 0, 1, -50.0),
-            report(0.1, 1, 0, 1, -50.0),
-            report(0.3, 1, 0, 1, -50.0),
-        ];
-        let (users, _) = demux(&reports, &EmbeddedIdentity::new([1]));
-        let stream = &users[&1].streams_for_antenna(1)[&0];
-        let times: Vec<f64> = stream.reports().iter().map(|r| r.time_s).collect();
-        assert_eq!(times, vec![0.1, 0.3, 0.5]);
-    }
-
-    #[test]
-    fn stream_statistics() {
-        let reports = vec![
-            report(0.0, 1, 0, 1, -50.0),
-            report(1.0, 1, 0, 1, -52.0),
-            report(2.0, 1, 0, 1, -54.0),
-        ];
-        let (users, _) = demux(&reports, &EmbeddedIdentity::new([1]));
-        let s = &users[&1].streams_for_antenna(1)[&0];
-        assert_eq!(s.mean_rate_hz(), Some(1.0));
-        assert_eq!(s.mean_rssi_dbm(), Some(-52.0));
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn empty_stream_statistics_are_none() {
-        let s = TagStream::default();
-        assert!(s.mean_rate_hz().is_none());
-        assert!(s.mean_rssi_dbm().is_none());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn best_antenna_prefers_higher_read_rate() {
-        // Port 1 sees 10 reports over 1 s; port 2 sees 3 over the same
-        // second with stronger RSSI — the rate-first rule picks port 1.
-        let mut reports = Vec::new();
-        for i in 0..10 {
-            reports.push(report(i as f64 * 0.1, 1, 0, 1, -60.0));
-        }
-        for i in 0..3 {
-            reports.push(report(i as f64 * 0.45, 1, 0, 2, -40.0));
-        }
-        let (users, _) = demux(&reports, &EmbeddedIdentity::new([1]));
-        assert_eq!(users[&1].best_antenna(), Some(1));
-    }
-
-    #[test]
-    fn best_antenna_none_for_unseen_user() {
-        let (users, _) = demux(&[], &EmbeddedIdentity::new([1]));
-        assert!(users.is_empty());
     }
 
     #[test]
@@ -434,14 +220,5 @@ mod tests {
         assert_eq!(rssi, Some(-42.0));
         let rate = registry.labeled_gauge(metrics::PORT_READ_RATE_HZ, Some(Label::port(3)));
         assert_eq!(rate, Some(2.0));
-    }
-
-    #[test]
-    fn antenna_quality_of_absent_port() {
-        let reports = vec![report(0.0, 1, 0, 1, -50.0)];
-        let (users, _) = demux(&reports, &EmbeddedIdentity::new([1]));
-        let (rate, rssi) = users[&1].antenna_quality(3);
-        assert_eq!(rate, 0.0);
-        assert_eq!(rssi, f64::NEG_INFINITY);
     }
 }

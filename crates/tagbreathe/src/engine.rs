@@ -178,7 +178,9 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
     }
 
     /// Routes a batch of time-ordered reports and returns every merged
-    /// snapshot that completed. The inline executor completes a cadence
+    /// snapshot that completed. Reports with a non-finite timestamp are
+    /// dropped unseen (the batch [`BreathMonitor`](crate::BreathMonitor)
+    /// drops them too). The inline executor completes a cadence
     /// point within the `push` that crosses it; with the threaded one a
     /// snapshot may surface in a later `push` (an empty one will do) or in
     /// [`Engine::finish`]. Snapshots always come back in epoch order.
@@ -191,6 +193,12 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
         let handoff_started = (X::RINGS && self.env.recording).then(Instant::now);
         let mut routed_any = false;
         for r in reports {
+            // A report that cannot be placed in stream time is dropped
+            // before it can move the watermark: a `+inf` one would leave
+            // the cadence clock unable to ever catch up.
+            if !r.time_s.is_finite() {
+                continue;
+            }
             routed_any = true;
             self.watermark_s = self.watermark_s.max(r.time_s);
             if self.env.recording || self.env.tracing {

@@ -6,8 +6,8 @@
 //!
 //! The pipeline (paper Figure 10):
 //!
-//! 1. **Demultiplex** ([`demux`]) the report stream by the user-ID / tag-ID
-//!    carried in overwritten EPCs, per antenna port;
+//! 1. **Classify** ([`demux`]) every report by the user-ID / tag-ID carried
+//!    in overwritten EPCs;
 //! 2. **Preprocess** ([`preprocess`]) each tag's phase stream into
 //!    hop-immune displacement increments (Eqs. 3–4);
 //! 3. **Fuse** ([`fusion`]) each user's tags at the raw-data level
@@ -18,9 +18,10 @@
 //!    (Eq. 5, M = 7).
 //!
 //! Stages 2–3 are stateful incremental operators wired into one per-user
-//! graph ([`operators::UserStreamState`]); [`BreathMonitor`] (batch) and
-//! the real-time [`engine::Engine`] are thin drivers over that same graph,
-//! so both paths share a single implementation of the paper's math. The
+//! graph ([`operators::UserStreamState`]), which also picks each user's
+//! best antenna (Section IV-D.3); [`BreathMonitor`] (batch) and the
+//! real-time [`engine::Engine`] are thin drivers over that same graph, so
+//! both paths share a single implementation of the paper's math. The
 //! engine is one router over two executors: [`StreamingMonitor`] runs the
 //! graphs inline on the caller's thread, [`FleetEngine`] on per-shard
 //! worker threads, with bit-identical output.
@@ -86,8 +87,6 @@ pub use monitor::{AnalysisFailure, AnalysisReport, BreathMonitor, UserAnalysis};
 pub use operators::{UserSnapshot, UserStreamState};
 pub use patterns::{analyze_pattern, Breath, PatternAnalysis, PatternClass};
 pub use pipeline::{RateSnapshot, StreamingMonitor};
-pub use quality::{
-    assess, assess_observed, assess_traced, Confidence, QualityReport, QualityThresholds,
-};
+pub use quality::{assess, assess_observed, Confidence, QualityReport, QualityThresholds};
 pub use rate::{RateEstimate, RatePoint};
 pub use series::TimeSeries;

@@ -9,12 +9,12 @@
 //! Naming follows Prometheus conventions: counters end in `_total`,
 //! histograms carry their unit suffix (`_ns`, `_milli`), gauges are bare.
 
-/// Counter: reports accepted by the streaming ingest (after watermark
-/// admission, before demux).
+/// Counter: reports with a finite timestamp taken in by the engine's
+/// `push` or the batch `analyze_observed`, before classification.
 pub const REPORTS_INGESTED: &str = "tagbreathe_reports_ingested_total";
 
 /// Counter: reports whose EPC did not decode as a monitor tag and were
-/// dropped by the demultiplexer.
+/// dropped at classification.
 pub const REPORTS_UNKNOWN: &str = "tagbreathe_reports_unknown_total";
 
 /// Counter: reports pushed into a per-user operator graph.
@@ -58,14 +58,17 @@ pub const SNAPSHOT_LATENCY_NS: &str = "tagbreathe_snapshot_latency_ns";
 /// Histogram (ns): wall time of one opportunistic eviction sweep.
 pub const EVICT_LATENCY_NS: &str = "tagbreathe_evict_latency_ns";
 
-/// Histogram (ns): batch-path stage timer around demultiplexing.
+/// Histogram (ns): batch-path stage timer around classifying and ordering
+/// the reports.
 pub const STAGE_DEMUX_NS: &str = "tagbreathe_stage_demux_ns";
 
-/// Histogram (ns): batch-path stage timer around the operator-graph fold.
+/// Histogram (ns): batch-path stage timer around folding every monitored
+/// report into its user's operator graph.
 pub const STAGE_FOLD_NS: &str = "tagbreathe_stage_fold_ns";
 
-/// Histogram (ns): batch-path stage timer around the analysis tail
-/// (despike → gross-motion gate → extraction → rate).
+/// Histogram (ns): batch-path stage timer around one user's displacement
+/// snapshot and analysis tail (despike → gross-motion gate → extraction →
+/// rate).
 pub const STAGE_ANALYZE_NS: &str = "tagbreathe_stage_analyze_ns";
 
 /// Gauge: users currently holding operator-graph state.

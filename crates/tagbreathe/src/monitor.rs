@@ -1,14 +1,14 @@
 //! The top-level batch API: reports in, per-user breathing estimates out.
 //!
-//! This composes the full TagBreathe workflow of Figure 10: demultiplex the
-//! low-level data by user ID (Section IV-C), select the best antenna per
-//! user (Section IV-D.3), preprocess each tag's phase stream into
-//! displacement increments (Eqs. 3–4), fuse the user's tags (Eqs. 6–7),
-//! extract the breath signal (low-pass, Section IV-B) and estimate rates
-//! (Eq. 5).
+//! This composes the full TagBreathe workflow of Figure 10: classify the
+//! low-level data by user ID (Section IV-C), fold each user's reports into
+//! the per-user operator graph the streaming engine also runs
+//! ([`UserStreamState`]: Eq. 3–4 preprocessing and Eq. 6–7 fusion), select
+//! the best antenna per user (Section IV-D.3), extract the breath signal
+//! (low-pass, Section IV-B) and estimate rates (Eq. 5).
 
 use crate::config::PipelineConfig;
-use crate::demux::demux;
+use crate::demux::classify;
 use crate::extract::{extract_breath_signal, ExtractError};
 use crate::metrics;
 use crate::operators::UserStreamState;
@@ -18,13 +18,12 @@ use epcgen2::mapping::IdentityResolver;
 use epcgen2::report::TagReport;
 use obs::trace::{NoopTracer, TraceEvent, TraceSpan, Tracer};
 use obs::{NoopRecorder, Recorder, StageTimer};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Why a user could not be analysed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisFailure {
-    /// No reports resolved to this user at all.
-    NoData,
     /// Too few usable readings to extract a signal (e.g. blocked
     /// line-of-sight, Section VI-B.4: TagBreathe "does not report"
     /// in such cases rather than guessing).
@@ -42,7 +41,6 @@ pub enum AnalysisFailure {
 impl std::fmt::Display for AnalysisFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AnalysisFailure::NoData => write!(f, "no reports for this user"),
             AnalysisFailure::InsufficientData(what) => {
                 write!(f, "insufficient data: {what}")
             }
@@ -183,27 +181,21 @@ impl BreathMonitor {
         reports: &[TagReport],
         resolver: &R,
     ) -> AnalysisReport {
-        self.analyze_observed(reports, resolver, &NoopRecorder)
+        self.analyze_observed(reports, resolver, &NoopRecorder, &NoopTracer)
     }
 
-    /// [`BreathMonitor::analyze`] with per-stage metrics: demux / fold /
-    /// analysis-tail stage timers plus ingest, failure and rate counters.
-    /// Output is identical to `analyze` — the recorder only observes.
+    /// [`BreathMonitor::analyze`] with metrics and flight-recorder events:
+    /// `demux` / `fold` / `analyze` stage timers and spans, ingest,
+    /// failure and rate counters, the operator graph's per-report events
+    /// and one `rate` instant per estimated user. Output is identical to
+    /// `analyze` — recorder and tracer only observe.
+    ///
+    /// Each report is classified once; the monitored ones are stable-sorted
+    /// by `(time_s, antenna_port, tag_id)` and folded into one
+    /// [`UserStreamState`] per user, the graph the streaming engine runs.
+    /// Like the engine, the batch drops reports whose timestamp is not
+    /// finite.
     pub fn analyze_observed<R: IdentityResolver>(
-        &self,
-        reports: &[TagReport],
-        resolver: &R,
-        rec: &dyn Recorder,
-    ) -> AnalysisReport {
-        self.analyze_traced(reports, resolver, rec, &NoopTracer)
-    }
-
-    /// [`BreathMonitor::analyze_observed`] plus flight-recorder events:
-    /// `demux` / `fold` / `analyze` spans, per-report phase accept /
-    /// reject instants from the operator graph, and one `rate` instant
-    /// per estimated user. Output is identical to `analyze` — recorder
-    /// and tracer only observe.
-    pub fn analyze_traced<R: IdentityResolver>(
         &self,
         reports: &[TagReport],
         resolver: &R,
@@ -211,26 +203,57 @@ impl BreathMonitor {
         tracer: &dyn Tracer,
     ) -> AnalysisReport {
         let on = rec.enabled();
-        let tracing = tracer.enabled();
-        let watermark = if tracing {
-            reports.iter().fold(0.0f64, |m, r| m.max(r.time_s))
+        let watermark = if tracer.enabled() {
+            reports
+                .iter()
+                .map(|r| r.time_s)
+                .filter(|t| t.is_finite())
+                .fold(0.0f64, f64::max)
         } else {
             0.0
         };
-        if on {
-            rec.count(metrics::REPORTS_INGESTED, reports.len() as u64);
-        }
-        let (users, unknown_reports) = {
+        let (ordered, unknown_reports) = {
             let _timer = StageTimer::start(rec, metrics::STAGE_DEMUX_NS);
             let _span = TraceSpan::start(tracer, "demux", watermark);
-            demux(reports, resolver)
+            let mut unknown = 0usize;
+            let mut ordered: Vec<(u64, u32, &TagReport)> = Vec::with_capacity(reports.len());
+            for r in reports.iter().filter(|r| r.time_s.is_finite()) {
+                match classify(resolver, r) {
+                    Some((user_id, tag_id)) => ordered.push((user_id, tag_id, r)),
+                    None => unknown += 1,
+                }
+            }
+            ordered.sort_by(|a, b| {
+                a.2.time_s
+                    .partial_cmp(&b.2.time_s)
+                    .unwrap_or(Ordering::Equal)
+                    .then(a.2.antenna_port.cmp(&b.2.antenna_port))
+                    .then(a.1.cmp(&b.1))
+            });
+            (ordered, unknown)
         };
-        if on && unknown_reports > 0 {
-            rec.count(metrics::REPORTS_UNKNOWN, unknown_reports as u64);
+        if on {
+            rec.count(
+                metrics::REPORTS_INGESTED,
+                (ordered.len() + unknown_reports) as u64,
+            );
+            if unknown_reports > 0 {
+                rec.count(metrics::REPORTS_UNKNOWN, unknown_reports as u64);
+            }
         }
-        let analysed: BTreeMap<u64, Result<UserAnalysis, AnalysisFailure>> = users
-            .into_iter()
-            .map(|(id, streams)| (id, self.analyze_user(id, &streams, rec, tracer)))
+        let states = {
+            let _timer = StageTimer::start(rec, metrics::STAGE_FOLD_NS);
+            let _span = TraceSpan::start(tracer, "fold", watermark);
+            let mut states: BTreeMap<u64, UserStreamState> = BTreeMap::new();
+            for (user_id, tag_id, report) in ordered {
+                let state = states.entry(user_id).or_default();
+                state.push_traced(user_id, tag_id, report, &self.config, rec, tracer);
+            }
+            states
+        };
+        let analysed: BTreeMap<u64, Result<UserAnalysis, AnalysisFailure>> = states
+            .iter()
+            .map(|(&id, state)| (id, self.analyze_user(state, rec, tracer)))
             .collect();
         if on {
             let failures = analysed.values().filter(|r| r.is_err()).count();
@@ -245,7 +268,7 @@ impl BreathMonitor {
                 rec.count(metrics::RATES_REPORTED, rates as u64);
             }
         }
-        if tracing {
+        if tracer.enabled() {
             for (&id, result) in &analysed {
                 if let Ok(a) = result {
                     if let Some(bpm) = a.mean_rate_bpm() {
@@ -265,41 +288,17 @@ impl BreathMonitor {
         }
     }
 
-    /// Batch driver over the shared operator graph: fold the user's
-    /// reports, in global time order, through a [`UserStreamState`] and
-    /// analyse its single snapshot.
+    /// Snapshots one user's folded graph and runs the analysis tail on it.
     fn analyze_user(
         &self,
-        user_id: u64,
-        streams: &crate::demux::UserStreams,
+        state: &UserStreamState,
         rec: &dyn Recorder,
         tracer: &dyn Tracer,
     ) -> Result<UserAnalysis, AnalysisFailure> {
-        let snap = {
-            let _timer = StageTimer::start(rec, metrics::STAGE_FOLD_NS);
-            let mut ordered: Vec<(u32, &TagReport)> = streams
-                .iter()
-                .flat_map(|(&(_, tag), s)| s.reports().iter().map(move |r| (tag, r)))
-                .collect();
-            ordered.sort_by(|a, b| {
-                a.1.time_s
-                    .partial_cmp(&b.1.time_s)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let fold_t = ordered.last().map_or(0.0, |(_, r)| r.time_s);
-            let _span = TraceSpan::start(tracer, "fold", fold_t);
-            let mut state = UserStreamState::new();
-            for (tag, report) in ordered {
-                state.push_traced(user_id, tag, report, &self.config, rec, tracer);
-            }
-            if state.is_empty() {
-                return Err(AnalysisFailure::NoData);
-            }
-            state
-                .snapshot(&self.config)
-                .ok_or_else(|| AnalysisFailure::InsufficientData("no displacement data".into()))?
-        };
         let _timer = StageTimer::start(rec, metrics::STAGE_ANALYZE_NS);
+        let snap = state
+            .snapshot(&self.config)
+            .ok_or_else(|| AnalysisFailure::InsufficientData("no displacement data".into()))?;
         let analyze_t = if snap.displacement.is_empty() {
             0.0
         } else {
@@ -485,6 +484,33 @@ mod tests {
     }
 
     #[test]
+    fn input_order_does_not_change_the_analysis() {
+        // The fold orders reports by (time, port, tag) itself, so input
+        // order cannot change a fusion-bin sum, not even among exact-time
+        // ties: every read gets a twin on another tag at the same instant.
+        let scenario = Scenario::builder()
+            .subject(Subject::paper_default(1, 2.0))
+            .build();
+        let mut reports = capture(scenario, 30.0);
+        let twins: Vec<TagReport> = reports
+            .iter()
+            .map(|r| TagReport {
+                epc: epcgen2::epc::Epc96::monitor(1, r.epc.tag_id() ^ 8),
+                phase_rad: (r.phase_rad + 0.7) % std::f64::consts::TAU,
+                ..*r
+            })
+            .collect();
+        reports.extend(twins);
+        let reversed: Vec<TagReport> = reports.iter().rev().copied().collect();
+        let monitor = BreathMonitor::paper_default();
+        let resolver = EmbeddedIdentity::new([1]);
+        assert_eq!(
+            monitor.analyze(&reversed, &resolver),
+            monitor.analyze(&reports, &resolver)
+        );
+    }
+
+    #[test]
     fn empty_input_yields_empty_report() {
         let out = BreathMonitor::paper_default().analyze(&[], &EmbeddedIdentity::new([1]));
         assert!(out.users.is_empty());
@@ -500,7 +526,6 @@ mod tests {
 
     #[test]
     fn failure_display_strings() {
-        assert!(AnalysisFailure::NoData.to_string().contains("no reports"));
         assert!(AnalysisFailure::InsufficientData("x".into())
             .to_string()
             .contains("insufficient"));
@@ -536,12 +561,13 @@ mod summary_tests {
             users: std::collections::BTreeMap::new(),
             unknown_reports: 0,
         };
-        report.users.insert(9, Err(AnalysisFailure::NoData));
+        let insufficient = AnalysisFailure::InsufficientData("x".into());
+        report.users.insert(9, Err(insufficient));
         report
             .users
             .insert(10, Err(AnalysisFailure::GrossMotion { range_m: 5.0 }));
         let text = report.summary();
-        assert!(text.contains("user 9: no reports"), "{text}");
+        assert!(text.contains("user 9: insufficient data"), "{text}");
         assert!(text.contains("gross motion"), "{text}");
     }
 

@@ -14,7 +14,8 @@
 //! time-sorted slice through the graph, snapshot once) and
 //! [`StreamingMonitor`](crate::pipeline::StreamingMonitor) (real time: push
 //! reports as they arrive, snapshot at a cadence) are thin drivers over this
-//! type, so the Eq. (3)–(7) math exists exactly once.
+//! type, so the Eq. (3)–(7) math and the antenna-quality rule of
+//! Section IV-D.3 exist exactly once.
 //!
 //! State ownership and bounds: each `(antenna_port, tag_id)` key owns one
 //! O(1) [`TagStat`] plus per-channel preprocessor state; fused displacement
@@ -22,9 +23,11 @@
 //! everything behind the analysis window and drops tags silent past the
 //! phase gap, so memory is bounded by window contents — not stream length.
 //!
-//! Instrumentation: the `*_observed` variants take an [`obs::Recorder`]
-//! and count graph pushes, phase-unwrap accepts/rejects, fusion-bin churn
-//! and evictions; the plain methods delegate with a no-op recorder.
+//! Instrumentation: [`UserStreamState::push_traced`] takes an
+//! [`obs::Recorder`] and a [`Tracer`] and counts graph pushes,
+//! phase-unwrap accepts/rejects and fusion-bin churn (and traces each
+//! accept/reject); [`UserStreamState::evict_observed`] counts evictions.
+//! The plain methods delegate with no-op sinks.
 //!
 //! # Examples
 //!
@@ -73,9 +76,9 @@ type TagSlab = Vec<((u8, u32), TagState)>;
 /// Per-port fusion accumulators, sorted by port (a handful of entries).
 type PortSlab = Vec<(u8, FusionAccumulator)>;
 
-/// Running read statistics of one `(antenna_port, tag_id)` stream — the
-/// incremental counterpart of [`TagStream`](crate::demux::TagStream)'s
-/// statistics, used for the paper's antenna-quality rule (Section IV-D.3).
+/// Running read statistics of one `(antenna_port, tag_id)` stream: read
+/// count, mean sampling rate and mean RSSI, the inputs of the paper's
+/// antenna-quality rule (Section IV-D.3).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TagStat {
     count: usize,
@@ -103,8 +106,7 @@ impl TagStat {
         self.count
     }
 
-    /// Mean sampling rate in Hz (`None` for < 2 reports or a zero span) —
-    /// same rule as the batch stream statistic.
+    /// Mean sampling rate in Hz (`None` for < 2 reports or a zero span).
     pub fn mean_rate_hz(&self) -> Option<f64> {
         if self.count < 2 {
             return None;
@@ -179,10 +181,10 @@ pub struct UserSnapshot {
 /// amortised-O(window) [`UserStreamState::snapshot`] at any moment;
 /// [`UserStreamState::evict`] keeps state bounded on endless streams.
 ///
-/// **Equivalence invariant** (covered by `tests/equivalence.rs`): pushing a
-/// time-sorted trace through this graph and snapshotting once yields the
-/// same displacement the batch pipeline computes from the same reports, up
-/// to floating-point summation order inside fusion bins.
+/// **Equivalence invariant** (covered by `tests/equivalence.rs`): the batch
+/// pipeline is this graph folded over the time-sorted trace and snapshotted
+/// once, so streaming the same time-ordered reports yields bit-identical
+/// rates.
 #[derive(Debug, Clone, Default)]
 pub struct UserStreamState {
     tags: TagSlab,
@@ -206,6 +208,38 @@ fn admit_port(per_port: &mut PortSlab, at: usize, port: u8, bin_s: f64) {
     per_port.insert(at, (port, FusionAccumulator::new(bin_s)));
 }
 
+/// The paper's antenna-quality rule (Section IV-D.3): antennas are judged
+/// "in terms of received signal strength and data sampling rate". Scores
+/// each port by the summed read rate of its tag streams, breaks ties by
+/// their mean RSSI, then by the higher port. `stats` yields one
+/// `(antenna_port, statistics)` pair per tag stream, in `(port, tag)`
+/// order so float sums are reproducible. `None` when there are no streams.
+pub(crate) fn best_port<'a>(stats: impl IntoIterator<Item = (u8, &'a TagStat)>) -> Option<u8> {
+    let mut ports: BTreeMap<u8, (f64, f64, usize)> = BTreeMap::new();
+    for (port, stat) in stats {
+        let entry = ports.entry(port).or_insert((0.0, 0.0, 0));
+        if let Some(rate) = stat.mean_rate_hz() {
+            entry.0 += rate;
+        }
+        if let Some(rssi) = stat.mean_rssi_dbm() {
+            entry.1 += rssi;
+            entry.2 += 1;
+        }
+    }
+    ports
+        .into_iter()
+        .map(|(port, (rate, rssi_sum, n))| {
+            let rssi = if n == 0 {
+                f64::NEG_INFINITY
+            } else {
+                rssi_sum / n as f64
+            };
+            (port, (rate, rssi))
+        })
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(port, _)| port)
+}
+
 impl UserStreamState {
     /// Creates an empty graph.
     #[must_use]
@@ -218,29 +252,16 @@ impl UserStreamState {
     /// Reports whose channel lies outside the configured plan still update
     /// the tag statistics but produce no displacement.
     pub fn push(&mut self, tag_id: u32, report: &TagReport, config: &PipelineConfig) {
-        self.push_observed(tag_id, report, config, &NoopRecorder);
+        self.push_traced(0, tag_id, report, config, &NoopRecorder, &NoopTracer);
     }
 
-    /// [`UserStreamState::push`] with per-stage metrics: graph reports,
+    /// [`UserStreamState::push`] with per-stage metrics (graph reports,
     /// Eq. (3) increments vs. rejects, track samples and newly-created
-    /// fusion bins. With a disabled recorder this is exactly `push` plus
-    /// one `enabled()` check.
-    pub fn push_observed(
-        &mut self,
-        tag_id: u32,
-        report: &TagReport,
-        config: &PipelineConfig,
-        rec: &dyn Recorder,
-    ) {
-        self.push_traced(0, tag_id, report, config, rec, &NoopTracer);
-    }
-
-    /// [`UserStreamState::push_observed`] plus flight-recorder events:
-    /// every phase accept / reject and track sample becomes an instant
-    /// [`TraceEvent`] keyed by `user_id` / `tag_id` / antenna port /
-    /// channel. `user_id` only labels the events (the graph itself is
-    /// already per-user); with a disabled tracer this is exactly
-    /// `push_observed` plus one `enabled()` check.
+    /// fusion bins) and flight-recorder events: every phase accept /
+    /// reject and track sample becomes an instant [`TraceEvent`] keyed by
+    /// `user_id` / `tag_id` / antenna port / channel. `user_id` only labels
+    /// the events (the graph itself is already per-user); a disabled sink
+    /// costs one `enabled()` check.
     pub fn push_traced(
         &mut self,
         user_id: u64,
@@ -352,33 +373,10 @@ impl UserStreamState {
     }
 
     /// The optimal antenna per the paper's quality rule (aggregate read
-    /// rate, ties broken by mean RSSI, then by higher port) — the
-    /// incremental twin of
-    /// [`UserStreams::best_antenna`](crate::demux::UserStreams::best_antenna).
+    /// rate, ties broken by mean RSSI, then by higher port) over the held
+    /// tag statistics.
     pub fn best_antenna(&self) -> Option<u8> {
-        let mut ports: BTreeMap<u8, (f64, f64, usize)> = BTreeMap::new();
-        for ((port, _), tag) in &self.tags {
-            let entry = ports.entry(*port).or_insert((0.0, 0.0, 0));
-            if let Some(rate) = tag.stat.mean_rate_hz() {
-                entry.0 += rate;
-            }
-            if let Some(rssi) = tag.stat.mean_rssi_dbm() {
-                entry.1 += rssi;
-                entry.2 += 1;
-            }
-        }
-        ports
-            .into_iter()
-            .map(|(port, (rate, rssi_sum, n))| {
-                let rssi = if n == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    rssi_sum / n as f64
-                };
-                (port, (rate, rssi))
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(port, _)| port)
+        best_port(self.tags.iter().map(|((port, _), tag)| (*port, &tag.stat)))
     }
 
     /// Snapshots the fused displacement of the currently-held state.
@@ -556,6 +554,24 @@ mod tests {
         }
         push_all(&mut state, &reports, &cfg);
         assert_eq!(state.best_antenna(), Some(1));
+    }
+
+    #[test]
+    fn best_antenna_breaks_rate_ties_by_rssi_then_port() {
+        // Both ports read the tag at the same instants, so their rates tie.
+        let cfg = PipelineConfig::paper_default();
+        let pick = |rssi_1: f64, rssi_2: f64| {
+            let mut state = UserStreamState::new();
+            for i in 0..5 {
+                let t = f64::from(i) * 0.1;
+                state.push(0, &report(t, 0, 1, 0, 0.0, rssi_1), &cfg);
+                state.push(0, &report(t, 0, 2, 0, 0.0, rssi_2), &cfg);
+            }
+            state.best_antenna()
+        };
+        assert_eq!(pick(-50.0, -60.0), Some(1));
+        assert_eq!(pick(-60.0, -50.0), Some(2));
+        assert_eq!(pick(-55.0, -55.0), Some(2), "full tie: higher port");
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn main() {
         reports.len() as f64 / 60.0
     );
 
-    // 3. Analyse: demux by user ID → displacement (Eqs. 3-4) → fusion
+    // 3. Analyse: classify by user ID → displacement (Eqs. 3-4) → fusion
     //    (Eqs. 6-7) → 0.67 Hz low-pass → zero-crossing rate (Eq. 5).
     let monitor = BreathMonitor::paper_default();
     let analysis = monitor.analyze(&reports, &EmbeddedIdentity::new([1]));

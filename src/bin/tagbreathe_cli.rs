@@ -243,6 +243,7 @@ fn analyze(args: &[String]) -> Result<(), String> {
 
 fn metrics(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
+    use tagbreathe_suite::obs::trace::NoopTracer;
     use tagbreathe_suite::obs::{Registry, SharedRecorder};
     use tagbreathe_suite::tagbreathe::quality::assess_observed;
 
@@ -289,12 +290,15 @@ fn metrics(args: &[String]) -> Result<(), String> {
         &reports,
         &EmbeddedIdentity::new(ids),
         registry.as_ref(),
+        &NoopTracer,
     );
-    for (_, user) in analysis.successes() {
+    for (id, user) in analysis.successes() {
         assess_observed(
+            id,
             user,
             &QualityThresholds::default_thresholds(),
             registry.as_ref(),
+            &NoopTracer,
         );
     }
 
@@ -310,7 +314,7 @@ fn trace(args: &[String]) -> Result<(), String> {
     use tagbreathe_suite::obs::{json, Registry};
     use tagbreathe_suite::tagbreathe::flight::{FlightDiagnostics, TriggerConfig};
     use tagbreathe_suite::tagbreathe::patterns::analyze_pattern_traced;
-    use tagbreathe_suite::tagbreathe::quality::{assess_traced, QualityThresholds};
+    use tagbreathe_suite::tagbreathe::quality::{assess_observed, QualityThresholds};
     use tagbreathe_suite::tagbreathe::{detect_apnea_traced, ApneaConfig};
 
     let (flags, _) = parse_flags(args)?;
@@ -371,7 +375,7 @@ fn trace(args: &[String]) -> Result<(), String> {
     let analysis =
         BreathMonitor::paper_default().analyze(&reports, &EmbeddedIdentity::new(ids.clone()));
     for (id, user) in analysis.successes() {
-        let quality = assess_traced(
+        let quality = assess_observed(
             id,
             user,
             &QualityThresholds::default_thresholds(),

@@ -2,15 +2,14 @@
 //!
 //! `BreathMonitor::analyze` (batch) and `StreamingMonitor::push` (real
 //! time) are both thin drivers over the same per-user operator graph
-//! (`tagbreathe::operators::UserStreamState`), so feeding the same
-//! `TagReport` trace through both paths must produce the same breathing
-//! rates — the refactor's central invariant. The tolerance of 0.1 bpm
-//! absorbs nothing but floating-point summation-order noise inside fusion
-//! bins; any structural divergence shows up orders of magnitude larger.
+//! (`tagbreathe::operators::UserStreamState`): the batch folds the
+//! time-sorted trace into it and snapshots once. Feeding the same
+//! time-ordered `TagReport` trace through both paths must therefore
+//! produce bit-identical breathing rates (`f64::to_bits` equality) — the
+//! refactor's central invariant. Only out-of-order input may differ, and
+//! only slightly: see `equivalence_with_out_of_order_timestamps`.
 
 use tagbreathe_suite::prelude::*;
-
-const EQUIV_TOL_BPM: f64 = 0.1;
 
 fn capture(secs: f64, seed: u64) -> Vec<TagReport> {
     let scenario = Scenario::builder()
@@ -53,8 +52,9 @@ fn stream_rate(cfg: &PipelineConfig, reports: &[TagReport], ids: &[u64], user: u
 fn assert_equivalent(cfg: &PipelineConfig, reports: &[TagReport], ids: &[u64], user: u64) {
     let batch = batch_rate(cfg, reports, ids, user).expect("batch produced no rate");
     let stream = stream_rate(cfg, reports, ids, user).expect("streaming produced no rate");
-    assert!(
-        (batch - stream).abs() < EQUIV_TOL_BPM,
+    assert_eq!(
+        batch.to_bits(),
+        stream.to_bits(),
         "batch {batch} bpm vs streaming {stream} bpm ({:?}/{:?})",
         cfg.preprocess,
         cfg.antenna,
@@ -133,13 +133,45 @@ fn hopping_trace() -> Vec<TagReport> {
 fn equivalence_across_channel_hop_seams() {
     let reports = hopping_trace();
     let cfg = PipelineConfig::paper_default();
+    assert_equivalent(&cfg, &reports, &[1], 1);
     let batch = batch_rate(&cfg, &reports, &[1], 1).expect("batch rate");
-    let stream = stream_rate(&cfg, &reports, &[1], 1).expect("streaming rate");
-    assert!(
-        (batch - stream).abs() < EQUIV_TOL_BPM,
-        "batch {batch} vs streaming {stream}"
-    );
     assert!((batch - 12.0).abs() < 1.0, "hop-seam estimate {batch} bpm");
+}
+
+#[test]
+fn equivalence_with_two_antennas_and_item_tags() {
+    // Two ports see the user (the batch orders exact-time ties by port,
+    // then tag), and item tags must be dropped alike by both paths.
+    let scenario = Scenario::builder()
+        .subject(Subject::paper_default(1, 3.0))
+        .contending_items(5)
+        .build();
+    let side = Antenna::new(
+        Vec3::new(0.0, -1.5, 1.0),
+        Vec3::new(1.0, 0.5, 0.0),
+        8.5,
+        65.0,
+        25.0,
+    );
+    let reports = Reader::new(
+        ReaderConfig::paper_default().with_seed(15),
+        vec![Antenna::paper_default(Vec3::new(0.0, 0.0, 1.0)), side],
+    )
+    .unwrap()
+    .run(&ScenarioWorld::new(scenario), 60.0);
+    for port in [1, 2] {
+        assert!(
+            reports
+                .iter()
+                .any(|r| r.antenna_port == port && r.epc.user_id() == 1),
+            "port {port} never read the user — the test would be vacuous"
+        );
+    }
+    for antenna in [AntennaStrategy::BestPort, AntennaStrategy::MergeAll] {
+        let mut cfg = PipelineConfig::paper_default();
+        cfg.antenna = antenna;
+        assert_equivalent(&cfg, &reports, &[1], 1);
+    }
 }
 
 #[test]
@@ -147,14 +179,51 @@ fn equivalence_with_out_of_order_timestamps() {
     // Perturb the trace: swap adjacent reports at regular intervals. The
     // batch path re-sorts; the incremental preprocessor must absorb the
     // reversed pairs (dropping the affected increments, never panicking)
-    // without moving the estimate.
+    // without moving the estimate. The two paths therefore consume
+    // slightly different increments, so this is the one comparison held
+    // to a tolerance (0.1 bpm) rather than to bit identity.
     let mut reports = capture(60.0, 14);
     let mut i = 0;
     while i + 1 < reports.len() {
         reports.swap(i, i + 1);
         i += 50;
     }
-    assert_equivalent(&PipelineConfig::paper_default(), &reports, &[1], 1);
+    let cfg = PipelineConfig::paper_default();
+    let batch = batch_rate(&cfg, &reports, &[1], 1).expect("batch rate");
+    let stream = stream_rate(&cfg, &reports, &[1], 1).expect("streaming rate");
+    assert!(
+        (batch - stream).abs() < 0.1,
+        "batch {batch} vs streaming {stream}"
+    );
+}
+
+#[test]
+fn equivalence_with_non_finite_timestamps() {
+    // Reports stamped NaN or ±inf cannot be placed in stream time: the
+    // batch drops them as the engine does, so the spliced trace analyses
+    // exactly like the clean one (the engine side is pinned by
+    // `tests/fleet_equivalence.rs`).
+    let clean = capture(60.0, 16);
+    let mut spliced = clean.clone();
+    for (at, time_s) in [
+        (10, f64::INFINITY),
+        (500, f64::NAN),
+        (1200, f64::NEG_INFINITY),
+    ] {
+        let mut bad = spliced[at];
+        bad.time_s = time_s;
+        spliced.insert(at, bad);
+    }
+    let cfg = PipelineConfig::paper_default();
+    let analyze = |reports: &[TagReport]| {
+        BreathMonitor::new(cfg.clone())
+            .unwrap()
+            .analyze(reports, &EmbeddedIdentity::new([1]))
+    };
+    assert_eq!(analyze(&spliced), analyze(&clean));
+    let batch = batch_rate(&cfg, &spliced, &[1], 1).expect("batch rate");
+    let stream = stream_rate(&cfg, &clean, &[1], 1).expect("streaming rate");
+    assert_eq!(batch.to_bits(), stream.to_bits());
 }
 
 #[test]

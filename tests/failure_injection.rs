@@ -383,6 +383,33 @@ mod wire_abuse {
     }
 
     #[test]
+    fn infinite_timestamp_does_not_wedge_the_server() {
+        // TBIP/1 carries floats as raw bits, so a reader can send a +inf
+        // timestamp. The engine must drop it instead of chasing it with
+        // its cadence clock; otherwise the engine thread never returns and
+        // neither does `shutdown`, which joins it. Shutdown runs on a
+        // helper thread so a wedged engine fails the test, not the suite.
+        let handle = start_server();
+        let mut reports = super::capture(20.0, 5);
+        let mut bad = reports[reports.len() / 2];
+        bad.time_s = f64::INFINITY;
+        reports.insert(reports.len() / 2, bad);
+        let stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
+        let mut client = epcgen2::client::ReaderClient::connect(stream, 5, 0).expect("hello");
+        client.send_batch(&reports, 20.0).expect("send batch");
+        client.goodbye().expect("goodbye");
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(handle.shutdown());
+        });
+        let snapshots = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown must return despite a +inf timestamp");
+        assert!(!snapshots.is_empty(), "the finite reports still publish");
+        assert!(snapshots.iter().all(|s| s.time_s.is_finite()));
+    }
+
+    #[test]
     fn oversized_batch_count_is_rejected_cleanly() {
         // A frame whose Batch body claims more reports than it carries.
         let handle = start_server();

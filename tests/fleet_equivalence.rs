@@ -166,3 +166,39 @@ fn fleet_snapshots_drain_on_finish_even_mid_cadence() {
     let fleet = sharded(&reports, &ids, 4);
     assert_bit_identical(&reference, &fleet, "mid-cadence finish");
 }
+
+#[test]
+fn non_finite_timestamps_are_dropped_by_both_executors() {
+    // NaN and ±inf timestamps (a corrupt reader, or raw TBIP/1 float
+    // bits) must neither wedge the cadence clock nor perturb the
+    // estimates: every snapshot matches the same trace without them.
+    let (clean, ids) = capture_multi_user(30.0);
+    let mut spliced = clean.clone();
+    for (at, time_s) in [
+        (7, f64::INFINITY),
+        (300, f64::NAN),
+        (900, f64::NEG_INFINITY),
+        (1500, f64::INFINITY),
+    ] {
+        let mut bad = spliced[at];
+        bad.time_s = time_s;
+        spliced.insert(at, bad);
+    }
+    let reference = single_thread(&clean, &ids);
+    assert!(
+        reference.iter().any(|s| !s.rates_bpm.is_empty()),
+        "reference run produced no rates — test would be vacuous"
+    );
+    // A `+inf` report that reaches the cadence clock makes `push` loop
+    // forever, so the pushes run on a helper thread: such a build fails
+    // here instead of hanging the suite.
+    let (done_tx, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send((single_thread(&spliced, &ids), sharded(&spliced, &ids, 2)));
+    });
+    let (inline, threaded) = done
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("pushes must return despite non-finite timestamps");
+    assert_bit_identical(&reference, &inline, "inline");
+    assert_bit_identical(&reference, &threaded, "2 shards");
+}

@@ -129,7 +129,7 @@ fn overflowed_ring_still_exports_a_valid_trace_and_counts_drops() {
 
 #[test]
 fn quality_and_apnea_scans_capture_bundles_end_to_end() {
-    use tagbreathe_suite::tagbreathe::quality::{assess_traced, QualityThresholds};
+    use tagbreathe_suite::tagbreathe::quality::{assess_observed, QualityThresholds};
     use tagbreathe_suite::tagbreathe::{detect_apnea_traced, ApneaConfig};
 
     let reports = apnea_capture();
@@ -140,7 +140,7 @@ fn quality_and_apnea_scans_capture_bundles_end_to_end() {
 
     let analysis = BreathMonitor::paper_default().analyze(&reports, &EmbeddedIdentity::new([1]));
     let user = analysis.users[&1].as_ref().expect("analysable");
-    let quality = assess_traced(
+    let quality = assess_observed(
         1,
         user,
         &QualityThresholds::default_thresholds(),

@@ -12,6 +12,7 @@
 //!    observability on can never change a breathing estimate.
 
 use std::sync::Arc;
+use tagbreathe_suite::obs::trace::NoopTracer;
 use tagbreathe_suite::obs::{Registry, SharedRecorder};
 use tagbreathe_suite::prelude::*;
 use tagbreathe_suite::tagbreathe::quality::{assess, assess_observed, QualityThresholds};
@@ -61,12 +62,15 @@ fn replayed_scenario_populates_every_instrumented_stage() {
         &reports,
         &EmbeddedIdentity::new(ids),
         registry.as_ref(),
+        &NoopTracer,
     );
-    for (_, user) in analysis.successes() {
+    for (id, user) in analysis.successes() {
         assess_observed(
+            id,
             user,
             &QualityThresholds::default_thresholds(),
             registry.as_ref(),
+            &NoopTracer,
         );
     }
 
@@ -160,12 +164,18 @@ fn recording_never_perturbs_batch_or_reader_output() {
     let resolver = EmbeddedIdentity::new([1]);
     let monitor = BreathMonitor::paper_default();
     let plain = monitor.analyze(&plain_reports, &resolver);
-    let observed = monitor.analyze_observed(&plain_reports, &resolver, &registry);
+    let observed = monitor.analyze_observed(&plain_reports, &resolver, &registry, &NoopTracer);
     assert_eq!(plain, observed);
 
     let user = plain.users[&1].as_ref().expect("analysable");
     let q_plain = assess(user, &QualityThresholds::default_thresholds());
-    let q_observed = assess_observed(user, &QualityThresholds::default_thresholds(), &registry);
+    let q_observed = assess_observed(
+        1,
+        user,
+        &QualityThresholds::default_thresholds(),
+        &registry,
+        &NoopTracer,
+    );
     assert_eq!(q_plain, q_observed);
 }
 
