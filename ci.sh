@@ -5,8 +5,8 @@
 # Steps (fail-fast, in order):
 #   1. formatting         cargo fmt --check
 #   2. clippy, zero-warn  cargo clippy --workspace --all-targets -- -D warnings
-#   3. release build      cargo build --release
-#   4. test suite         cargo test -q
+#   3. release build      cargo build --release               (every crate)
+#   4. test suite         cargo test -q                       (every crate)
 #   5. rustdoc, zero-warn RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #   6. equivalence suite  cargo test -q --release --test equivalence
 #   7. server suites x6   cargo test -q --release --test server_loopback --test slo --test idle_cpu
@@ -22,8 +22,12 @@
 #  16. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
 #  17. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 #
-# Step 5 keeps the API docs buildable (broken intra-doc links are
-# errors). Step 6 pins the batch/streaming agreement of the shared
+# Steps 3 and 4 cover the whole workspace: the root manifest's
+# `default-members` lists the suite package and every crate, so plain
+# `cargo test -q` runs each crate's unit tests, integration tests (the
+# fleet ring stress, the model-checker protocols, the lint golden
+# corpus) and doctests, not only the suite's. Step 5 keeps the API docs
+# buildable (broken intra-doc links are errors). Step 6 pins the batch/streaming agreement of the shared
 # operator graph: bit-identical rates on time-ordered traces, within
 # 0.1 bpm when timestamps arrive out of order. Step 7 repeats the three real-socket server
 # suites (loopback bit-identity, SLO/freshness, idle CPU) five times

@@ -284,18 +284,38 @@ impl Message {
     }
 }
 
+/// The reflected CRC-32/ISO-HDLC polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Byte-at-a-time table for [`crc32`], built at compile time: entry `i`
+/// is the register after shifting byte `i` through the eight bitwise
+/// polynomial steps.
+static CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0u32;
+    while byte < 256 {
+        let mut crc = byte;
+        let mut step = 0;
+        while step < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            step += 1;
+        }
+        table[byte as usize] = crc;
+        byte += 1;
+    }
+    table
+};
+
 /// CRC-32/ISO-HDLC (the zlib `crc32`): reflected polynomial
-/// `0xEDB88320`, init and xorout `0xFFFF_FFFF`. Computed bitwise — the
-/// ingest path is batch-granular, so table-free is fast enough.
+/// `0xEDB88320`, init and xorout `0xFFFF_FFFF`. Table-driven, one lookup
+/// per byte; the frames are identical to the bitwise definition's.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        let at = ((crc ^ u32::from(b)) & 0xFF) as usize;
+        crc = (crc >> 8) ^ CRC32_TABLE.get(at).copied().unwrap_or(0);
     }
     !crc
 }
@@ -593,11 +613,37 @@ mod tests {
         }
     }
 
+    /// The bitwise definition the table is built from: eight polynomial
+    /// steps per byte.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_reference_vector() {
         // The canonical CRC-32/ISO-HDLC check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise_definition_at_every_length() {
+        use prng::{Rng, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from_u64(0x00C0_FFEE);
+        let bytes: Vec<u8> = (0..300).map(|_| (rng.next_u64() >> 56) as u8).collect();
+        for len in 0..=300 {
+            let data = bytes.get(..len).unwrap_or(&[]);
+            assert_eq!(crc32(data), crc32_bitwise(data), "length {len}");
+        }
     }
 
     #[test]

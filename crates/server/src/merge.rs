@@ -27,6 +27,15 @@ struct Lane {
     closed: bool,
 }
 
+impl Lane {
+    /// Raises the watermark to `time_s` if that is finite and ahead.
+    fn advance(&mut self, time_s: f64) {
+        if time_s.is_finite() && time_s > self.watermark_s {
+            self.watermark_s = time_s;
+        }
+    }
+}
+
 /// Watermark-driven k-way merge over per-reader lanes.
 #[derive(Debug, Default)]
 pub struct LaneMerger {
@@ -51,9 +60,11 @@ impl LaneMerger {
     }
 
     /// Appends a batch to `reader`'s lane and advances its watermark to
-    /// `max(old, reader_clock_s, last report time)`. Reports with NaN
-    /// timestamps are dropped (they cannot be ordered); the count of
-    /// dropped reports is returned.
+    /// `max(old, reader_clock_s, last report time)`. Reports whose
+    /// timestamp is not finite are dropped (NaN cannot be ordered, and
+    /// `±inf` would pin the lane's watermark so that it no longer holds
+    /// back the merge); the count of dropped reports is returned. A
+    /// non-finite reader clock is ignored.
     pub fn push(&mut self, reader: u32, reports: Vec<TagReport>, reader_clock_s: f64) -> usize {
         self.open(reader);
         let Some(lane) = self.lanes.get_mut(&reader) else {
@@ -61,28 +72,23 @@ impl LaneMerger {
         };
         let mut dropped = 0;
         for r in reports {
-            if r.time_s.is_nan() {
+            if !r.time_s.is_finite() {
                 dropped += 1;
                 continue;
             }
-            if r.time_s > lane.watermark_s {
-                lane.watermark_s = r.time_s;
-            }
+            lane.advance(r.time_s);
             lane.queue.push_back(r);
         }
-        if reader_clock_s > lane.watermark_s {
-            lane.watermark_s = reader_clock_s;
-        }
+        lane.advance(reader_clock_s);
         dropped
     }
 
-    /// Advances `reader`'s watermark from a heartbeat.
+    /// Advances `reader`'s watermark from a heartbeat; a non-finite clock
+    /// is ignored.
     pub fn heartbeat(&mut self, reader: u32, reader_clock_s: f64) {
         self.open(reader);
         if let Some(lane) = self.lanes.get_mut(&reader) {
-            if reader_clock_s > lane.watermark_s {
-                lane.watermark_s = reader_clock_s;
-            }
+            lane.advance(reader_clock_s);
         }
     }
 
@@ -249,6 +255,28 @@ mod tests {
         m.close(2);
         assert_eq!(times(&m.release()), vec![5.0]);
         assert_eq!(m.pending(), 0);
+    }
+
+    #[test]
+    fn infinite_times_and_clocks_leave_the_watermark_finite() {
+        let mut m = LaneMerger::new();
+        let mut out = Vec::new();
+        let dropped = m.push(1, vec![report(1, 1.0), report(1, f64::INFINITY)], 1.0);
+        assert_eq!(dropped, 1);
+        m.heartbeat(1, f64::INFINITY);
+        m.push(2, vec![report(2, 5.0)], f64::INFINITY);
+        out.extend(m.release());
+        assert_eq!(m.lane_watermarks(), vec![(1, 1.0), (2, 5.0)]);
+        m.push(1, vec![report(1, 3.0)], 3.0);
+        out.extend(m.release());
+        assert_eq!(m.lane_watermarks(), vec![(1, 3.0), (2, 5.0)]);
+        out.extend(m.drain_all());
+        let order: Vec<(f64, u64)> = out.iter().map(|r| (r.time_s, r.epc.user_id())).collect();
+        assert!(
+            order.windows(2).all(|w| w[0] <= w[1]),
+            "release order {order:?}"
+        );
+        assert_eq!(times(&out), vec![1.0, 3.0, 5.0]);
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! stream is bit-identical across executors and shard counts (pinned by
 //! `tests/fleet_equivalence.rs`).
 //!
+//! Metrics stay off the per-report path. The router, the executor and
+//! each shard count into plain blocks they own; the router alone folds
+//! them into its recorder: a shard's block with each snapshot part, and
+//! its own and the executor's once per [`Engine::push`] and in
+//! [`Engine::finish`].
+//!
 //! [`StreamingMonitor`]: crate::pipeline::StreamingMonitor
 //! [`FleetEngine`]: crate::fleet::FleetEngine
 //! [`Threaded`]: crate::fleet::Threaded
@@ -64,13 +70,18 @@ pub trait Executor {
 
     /// A snapshot part finished since the last call, without blocking.
     /// An executor that applies messages on the caller's thread has none.
-    fn poll(&mut self, _env: &ShardEnv) -> Option<ShardPart> {
+    fn poll(&mut self) -> Option<ShardPart> {
         None
     }
 
     /// Stops the shards once every message sent so far has been applied.
     /// Idempotent; an inline executor has nothing to stop.
     fn finish(&mut self) {}
+
+    /// Folds into `rec` the counts the executor made since the last call
+    /// that no snapshot part carried home. Called by the router once per
+    /// [`Engine::push`] and in [`Engine::finish`].
+    fn fold(&mut self, rec: &dyn Recorder);
 }
 
 /// The inline executor: one [`ShardCore`] driven on the caller's thread.
@@ -88,6 +99,26 @@ impl Executor for Inline {
 
     fn send(&mut self, _shard: u32, msg: ShardMsg, env: &ShardEnv) -> Option<ShardPart> {
         self.core.apply(0, msg, env)
+    }
+
+    /// Folds the core's block, so an inline engine's counters are exact
+    /// after every push.
+    fn fold(&mut self, rec: &dyn Recorder) {
+        self.core.take_counts().fold(rec);
+    }
+}
+
+/// The router's own count block since its last fold.
+#[derive(Debug, Clone, Copy, Default)]
+struct RouterCounts {
+    reports_ingested: u64,
+    reports_unknown: u64,
+}
+
+impl RouterCounts {
+    fn fold(self, rec: &dyn Recorder) {
+        metrics::fold_count(rec, metrics::REPORTS_INGESTED, None, self.reports_ingested);
+        metrics::fold_count(rec, metrics::REPORTS_UNKNOWN, None, self.reports_unknown);
     }
 }
 
@@ -107,6 +138,10 @@ pub struct Engine<R, X> {
     resolver: R,
     env: ShardEnv,
     exec: X,
+    recorder: SharedRecorder,
+    /// Cached `recorder.enabled()`.
+    recording: bool,
+    counts: RouterCounts,
     /// Hot-path EPC → route cache; consulted before the resolver.
     routes: IdentityCache,
     /// Cold-path user → (shard, slot) assignments, for users wearing
@@ -154,10 +189,13 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
                 what: "snapshot cadence must be positive",
             });
         }
-        let env = ShardEnv::new(config, window_s, recorder);
+        let env = ShardEnv::new(config, window_s);
         let exec = executor(&env);
         Ok(Engine {
             resolver,
+            recording: recorder.enabled(),
+            recorder,
+            counts: RouterCounts::default(),
             routes: IdentityCache::new(),
             user_slots: BTreeMap::new(),
             next_slot: vec![0; exec.shard_count()],
@@ -190,7 +228,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
     {
         // One clock pair per push call (not per report), ring executors
         // only: the ring-handoff stage is the router-side cost of a batch.
-        let handoff_started = (X::RINGS && self.env.recording).then(Instant::now);
+        let handoff_started = (X::RINGS && self.recording).then(Instant::now);
         let mut routed_any = false;
         for r in reports {
             // A report that cannot be placed in stream time is dropped
@@ -200,8 +238,9 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
                 continue;
             }
             routed_any = true;
+            self.counts.reports_ingested += 1;
             self.watermark_s = self.watermark_s.max(r.time_s);
-            if self.env.recording || self.env.tracing {
+            if self.recording || self.env.tracing {
                 self.observe(&r);
             }
             let route = match self.routes.probe(r.epc.user_id(), r.epc.tag_id()) {
@@ -227,9 +266,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
                     },
                 ),
                 Route::Unknown => {
-                    if self.env.recording {
-                        self.env.recorder.count(metrics::REPORTS_UNKNOWN, 1);
-                    }
+                    self.counts.reports_unknown += 1;
                     if self.env.tracing {
                         self.env.tracer.emit(
                             TraceEvent::instant("unknown_report", r.time_s)
@@ -252,30 +289,46 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
             }
         }
         if let (Some(started), true) = (handoff_started, routed_any) {
-            self.env.recorder.observe(
+            self.recorder.observe(
                 metrics::SNAPSHOT_LAG_NS,
                 Some(Label::stage(Stage::RingHandoff.code())),
                 duration_ns(started.elapsed()),
             );
         }
         self.drain();
+        self.fold(routed_any);
         std::mem::take(&mut self.done)
     }
 
     /// Flushes the engine: waits for every in-flight snapshot part, stops
-    /// the executor and returns the remaining merged snapshots.
+    /// the executor, folds the last counts and returns the remaining
+    /// merged snapshots.
     #[must_use]
     pub fn finish(mut self) -> Vec<RateSnapshot> {
         self.exec.finish();
         self.drain();
+        self.fold(true);
         std::mem::take(&mut self.done)
     }
 
-    /// Recorder and tracer bookkeeping for one report: ingest count, lag
-    /// stamp, link quality and the channel-hop trace.
+    /// Folds the counts made since the last fold that no snapshot part
+    /// carried home — the router's and the executor's — into the
+    /// recorder, and publishes the port link gauges when `routed`. With
+    /// nothing counted this makes no recorder call, so an empty push takes
+    /// no lock.
+    fn fold(&mut self, routed: bool) {
+        let rec = self.recorder.as_dyn();
+        std::mem::take(&mut self.counts).fold(rec);
+        self.exec.fold(rec);
+        if routed {
+            self.link_quality.publish(rec);
+        }
+    }
+
+    /// Recorder and tracer bookkeeping for one report: lag stamp, link
+    /// quality and the channel-hop trace.
     fn observe(&mut self, r: &TagReport) {
-        if self.env.recording {
-            self.env.recorder.count(metrics::REPORTS_INGESTED, 1);
+        if self.recording {
             self.lag_clock.stamp(r.time_s);
         }
         let hop = self.link_quality.observe(r);
@@ -345,7 +398,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
             time_s,
             epoch: self.next_epoch,
         });
-        if X::RINGS && self.env.recording {
+        if X::RINGS && self.recording {
             self.epoch_started.insert(self.next_epoch, Instant::now());
         }
         self.next_epoch += 1;
@@ -368,16 +421,17 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
 
     fn drain(&mut self) {
         self.exec.flush();
-        while let Some(part) = self.exec.poll(&self.env) {
+        while let Some(part) = self.exec.poll() {
             self.absorb(part);
         }
     }
 
-    /// Folds one shard's part into its epoch, then emits every complete
+    /// Folds one shard's part into its epoch, and its count block and
+    /// occupancy gauges into the recorder, then emits every complete
     /// epoch. Cold: once per epoch part.
     fn absorb(&mut self, mut part: ShardPart) {
-        if self.env.recording {
-            let rec = self.env.recorder.as_dyn();
+        if self.recording {
+            let rec = self.recorder.as_dyn();
             let label = Some(Label::shard(part.shard));
             rec.set_gauge(metrics::FLEET_SHARD_USERS, label, part.occupancy as f64);
             rec.set_gauge(
@@ -385,6 +439,10 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
                 label,
                 part.resident_bytes as f64,
             );
+            if X::RINGS {
+                rec.set_gauge(metrics::FLEET_RING_DEPTH, label, part.ring_depth as f64);
+            }
+            part.counts.fold(rec);
         }
         let (parts, merged) = self.pending.entry(part.epoch).or_default();
         *parts += 1;
@@ -408,7 +466,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
             let Some((_, epoch)) = self.pending.remove(&self.next_emit) else {
                 return;
             };
-            if self.env.recording {
+            if self.recording {
                 self.record_epoch(&epoch);
             }
             if self.env.tracing {
@@ -432,7 +490,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
 
     /// Snapshot bookkeeping metrics of one merged epoch.
     fn record_epoch(&mut self, epoch: &ShardPart) {
-        let rec = self.env.recorder.as_dyn();
+        let rec = self.recorder.as_dyn();
         if let Some(lag) = self.lag_clock.lag(epoch.time_s) {
             rec.observe(
                 metrics::SNAPSHOT_LAG_NS,
@@ -457,7 +515,6 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
         }
         rec.gauge(metrics::USERS_TRACKED, epoch.occupancy as f64);
         rec.gauge(metrics::STATE_CELLS, epoch.state_cells as f64);
-        self.link_quality.publish(rec);
     }
 }
 
@@ -471,7 +528,7 @@ impl<R, X: Executor> Engine<R, X> {
     /// The attached recorder handle (no-op by default).
     #[must_use]
     pub fn recorder(&self) -> &SharedRecorder {
-        &self.env.recorder
+        &self.recorder
     }
 
     /// Per-antenna-port link statistics (populated only while a recorder
@@ -548,8 +605,8 @@ impl<R: IdentityResolver> Engine<R, Inline> {
     /// ```
     #[must_use]
     pub fn with_recorder(mut self, recorder: SharedRecorder) -> Self {
-        self.env.recording = recorder.enabled();
-        self.env.recorder = recorder;
+        self.recording = recorder.enabled();
+        self.recorder = recorder;
         self
     }
 

@@ -36,6 +36,12 @@
 //!   `Snapshot{watermark, time, epoch}` request in-stream, each shard
 //!   evicts to the watermark, analyses its users and sends one part back;
 //!   the router merges the disjoint per-user maps in epoch order.
+//! * **Metrics** never cross threads per report. Each worker counts into
+//!   its core's plain block, which rides home in its snapshot parts (and,
+//!   for the counts after the last part, in the worker's join value); the
+//!   router counts routed reports and ring stalls in plain fields. The
+//!   router folds all of them into its recorder, so only it takes the
+//!   registry lock, once per push and once per epoch part.
 //!
 //! Bit-identity holds because control messages are broadcast *in stream
 //! order* on every ring: each shard observes exactly the interleaving of
@@ -61,6 +67,7 @@ pub use ring::protocol;
 use crate::config::{InvalidConfigError, PipelineConfig};
 use crate::engine::{Engine, Executor};
 use crate::metrics;
+use crate::operators::OperatorCounts;
 use epcgen2::mapping::IdentityResolver;
 use msg::ShardMsg;
 use obs::{Label, Recorder, SharedRecorder};
@@ -132,9 +139,10 @@ impl<R: IdentityResolver> Engine<R, Threaded> {
         )
     }
 
-    /// Creates a fleet with `shards` worker threads, routing per-shard and
-    /// per-user metrics through `recorder` (workers get clones of the
-    /// handle, so counters aggregate across threads).
+    /// Creates a fleet with `shards` worker threads, recording its metrics
+    /// into `recorder`. Workers never touch the recorder: the router folds
+    /// their counts in as their snapshot parts arrive and at
+    /// [`Engine::finish`].
     ///
     /// # Errors
     ///
@@ -160,17 +168,21 @@ impl<R: IdentityResolver> Engine<R, Threaded> {
 }
 
 /// The threaded executor: one worker thread per shard, fed over an SPSC
-/// ring, answering snapshot requests over a results channel. Workers get
-/// clones of the recorder; a fleet takes no tracer, so theirs is the no-op
-/// one.
+/// ring, answering snapshot requests over a results channel. Workers hold
+/// no recorder; a fleet takes no tracer, so theirs is the no-op one.
 #[derive(Debug)]
 pub struct Threaded {
     /// One ring per shard, router side, with its worker's wake state.
     feeds: Vec<Feed>,
-    /// The running workers; emptied once they are joined.
-    workers: Vec<thread::JoinHandle<()>>,
-    /// Snapshot parts, each with the ring depth its worker saw.
-    results: mpsc::Receiver<(ShardPart, u64)>,
+    /// The running workers, each returning its last count block; emptied
+    /// once they are joined.
+    workers: Vec<thread::JoinHandle<OperatorCounts>>,
+    /// Snapshot parts.
+    results: mpsc::Receiver<ShardPart>,
+    /// Reports pushed onto the rings since the last fold.
+    reports_routed: u64,
+    /// The joined workers' last count blocks, not yet folded.
+    last_counts: Vec<OperatorCounts>,
 }
 
 /// The router's end of one shard: the ring, and the worker to wake when
@@ -181,13 +193,15 @@ struct Feed {
     worker: thread::Thread,
     /// Messages were pushed since the worker was last woken.
     sent: bool,
+    /// Full-ring yields since the last fold.
+    ring_stalls: u64,
 }
 
 impl Feed {
-    /// Pushes one encoded message and returns how often the ring was full.
+    /// Pushes one encoded message, counting every yield on a full ring.
     /// A full ring first wakes the worker, which may be parked: it empties
     /// the ring only once awake.
-    fn enqueue(&mut self, words: &[u64; ring::SLOT_WORDS]) -> u64 {
+    fn enqueue(&mut self, words: &[u64; ring::SLOT_WORDS]) {
         let mut stalls = 0u64;
         while !self.ring.try_push(words) {
             if stalls == 0 {
@@ -196,8 +210,8 @@ impl Feed {
             stalls += 1;
             thread::yield_now();
         }
+        self.ring_stalls += stalls;
         self.sent = true;
-        stalls
     }
 
     /// Unparks the worker. std's park token turns a wake that lands before
@@ -216,13 +230,12 @@ impl Threaded {
         for shard in 0..u32::try_from(shards.max(1)).unwrap_or(u32::MAX) {
             let (ring, consumer) = ring::channel(RING_SLOTS);
             let (env, out) = (env.clone(), results_tx.clone());
-            let worker = thread::spawn(move || {
-                shard_worker(shard, consumer, &env, &out);
-            });
+            let worker = thread::spawn(move || shard_worker(shard, consumer, &env, &out));
             feeds.push(Feed {
                 ring,
                 worker: worker.thread().clone(),
                 sent: false,
+                ring_stalls: 0,
             });
             workers.push(worker);
         }
@@ -230,6 +243,8 @@ impl Threaded {
             feeds,
             workers,
             results,
+            reports_routed: 0,
+            last_counts: Vec::new(),
         }
     }
 }
@@ -245,17 +260,11 @@ impl Executor for Threaded {
     /// bounded backpressure to the router instead of shedding reports.
     /// The worker is woken at the next [`Executor::flush`], or at once if
     /// the ring fills.
-    fn send(&mut self, shard: u32, msg: ShardMsg, env: &ShardEnv) -> Option<ShardPart> {
+    fn send(&mut self, shard: u32, msg: ShardMsg, _env: &ShardEnv) -> Option<ShardPart> {
         let feed = self.feeds.get_mut(shard as usize)?;
-        let stalls = feed.enqueue(&msg.encode());
-        if env.recording {
-            if stalls > 0 {
-                let label = Some(Label::shard(shard));
-                env.recorder.add(metrics::FLEET_RING_STALLS, label, stalls);
-            }
-            if matches!(msg, ShardMsg::Report { .. }) {
-                env.recorder.count(metrics::FLEET_REPORTS_ROUTED, 1);
-            }
+        feed.enqueue(&msg.encode());
+        if matches!(msg, ShardMsg::Report { .. }) {
+            self.reports_routed += 1;
         }
         None
     }
@@ -269,18 +278,13 @@ impl Executor for Threaded {
         }
     }
 
-    fn poll(&mut self, env: &ShardEnv) -> Option<ShardPart> {
-        let (part, ring_depth) = self.results.try_recv().ok()?;
-        if env.recording {
-            let label = Some(Label::shard(part.shard));
-            env.recorder
-                .set_gauge(metrics::FLEET_RING_DEPTH, label, ring_depth as f64);
-        }
-        Some(part)
+    fn poll(&mut self) -> Option<ShardPart> {
+        self.results.try_recv().ok()
     }
 
-    /// Broadcasts `Finish`, wakes and joins the workers; the caller then
-    /// polls the remaining parts.
+    /// Broadcasts `Finish`, wakes and joins the workers, keeping each
+    /// one's last count block for the next fold; the caller then polls
+    /// the remaining parts.
     fn finish(&mut self) {
         if self.workers.is_empty() {
             return;
@@ -290,8 +294,22 @@ impl Executor for Threaded {
             feed.enqueue(&words);
             feed.wake();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        let joined = self.workers.drain(..).filter_map(|w| w.join().ok());
+        self.last_counts.extend(joined);
+    }
+
+    /// Folds the routed reports, each shard's ring stalls and the joined
+    /// workers' last blocks.
+    fn fold(&mut self, rec: &dyn Recorder) {
+        let routed = std::mem::take(&mut self.reports_routed);
+        metrics::fold_count(rec, metrics::FLEET_REPORTS_ROUTED, None, routed);
+        for (shard, feed) in (0u32..).zip(&mut self.feeds) {
+            let stalls = std::mem::take(&mut feed.ring_stalls);
+            let label = Some(Label::shard(shard));
+            metrics::fold_count(rec, metrics::FLEET_RING_STALLS, label, stalls);
+        }
+        for counts in self.last_counts.drain(..) {
+            counts.fold(rec);
         }
     }
 }
@@ -304,7 +322,8 @@ impl Drop for Threaded {
 
 /// A shard worker's event loop: pop ring messages, apply them to the
 /// core, publish snapshot parts. Runs until `Finish` (or a codec mismatch,
-/// which cannot happen with a same-version router).
+/// which cannot happen with a same-version router), then returns the
+/// counts made since its last part.
 ///
 /// On an empty ring the worker spins [`SPINS_BEFORE_PARK`] times for
 /// latency, then parks until the router wakes it ([`Feed::wake`]): an idle
@@ -313,8 +332,8 @@ fn shard_worker(
     shard: u32,
     mut feed: RingConsumer,
     env: &ShardEnv,
-    out: &mpsc::Sender<(ShardPart, u64)>,
-) {
+    out: &mpsc::Sender<ShardPart>,
+) -> OperatorCounts {
     let mut core = ShardCore::new();
     let mut idle: u32 = 0;
     loop {
@@ -329,12 +348,13 @@ fn shard_worker(
         };
         idle = 0;
         let msg = match ShardMsg::decode(&words) {
-            Some(ShardMsg::Finish) | None => return,
+            Some(ShardMsg::Finish) | None => return core.take_counts(),
             Some(msg) => msg,
         };
-        if let Some(part) = core.apply(shard, msg, env) {
-            if out.send((part, feed.depth_hint())).is_err() {
-                return;
+        if let Some(mut part) = core.apply(shard, msg, env) {
+            part.ring_depth = feed.depth_hint();
+            if out.send(part).is_err() {
+                return core.take_counts();
             }
         }
     }

@@ -24,38 +24,33 @@
 
 use super::msg::ShardMsg;
 use crate::config::PipelineConfig;
-use crate::metrics;
 use crate::monitor::analyze_displacement;
-use crate::operators::UserStreamState;
+use crate::operators::{OperatorCounts, UserStreamState};
 use epcgen2::epc::Epc96;
 use epcgen2::report::TagReport;
 use obs::freshness::duration_ns;
 use obs::trace::{SharedTracer, TraceEvent, TraceSpan};
-use obs::{Recorder, SharedRecorder};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// What every shard step reads besides its message: the pipeline
-/// configuration, the analysis window, and the observation sinks with
-/// their cached `enabled()` bits (so a disabled sink costs one boolean
-/// test per site).
+/// configuration, the analysis window, and the tracer with its cached
+/// `enabled()` bit (so a disabled tracer costs one boolean test per
+/// site). A shard holds no metric sink: it counts into its own
+/// `OperatorCounts` block, which its snapshot parts carry home.
 #[derive(Debug, Clone)]
 pub struct ShardEnv {
     pub(crate) config: PipelineConfig,
     pub(crate) window_s: f64,
-    pub(crate) recorder: SharedRecorder,
-    pub(crate) recording: bool,
     pub(crate) tracer: SharedTracer,
     pub(crate) tracing: bool,
 }
 
 impl ShardEnv {
-    pub(crate) fn new(config: PipelineConfig, window_s: f64, recorder: SharedRecorder) -> Self {
+    pub(crate) fn new(config: PipelineConfig, window_s: f64) -> Self {
         ShardEnv {
             config,
             window_s,
-            recording: recorder.enabled(),
-            recorder,
             tracer: SharedTracer::noop(),
             tracing: false,
         }
@@ -64,8 +59,9 @@ impl ShardEnv {
 
 /// One shard's answer to a `Snapshot` request: its users' rates and
 /// efforts (keyed by user ID, so parts from disjoint shards merge without
-/// collisions) plus the occupancy figures the router publishes. The
-/// router merges an epoch's parts into one of these.
+/// collisions), the occupancy figures the router publishes, and the
+/// shard's count block since its previous part. The router merges an
+/// epoch's parts into one of these.
 #[derive(Debug, Default)]
 pub struct ShardPart {
     pub(crate) shard: u32,
@@ -76,6 +72,9 @@ pub struct ShardPart {
     pub(crate) occupancy: usize,
     pub(crate) state_cells: usize,
     pub(crate) resident_bytes: u64,
+    /// Ring slots still queued behind the request (threaded executor).
+    pub(crate) ring_depth: u64,
+    pub(crate) counts: OperatorCounts,
 }
 
 /// Slab of user stream states owned by one shard.
@@ -83,6 +82,8 @@ pub struct ShardPart {
 pub struct ShardCore {
     states: Vec<UserStreamState>,
     user_ids: Vec<u64>,
+    /// What the shard's graphs did since the block was last taken.
+    counts: OperatorCounts,
 }
 
 impl ShardCore {
@@ -93,8 +94,8 @@ impl ShardCore {
     }
 
     /// Applies one feed message: the step both executors run. Returns the
-    /// part a `Snapshot` request produced (stamped with `shard`), `None`
-    /// for every other message.
+    /// part a `Snapshot` request produced (stamped with `shard`, carrying
+    /// the shard's count block), `None` for every other message.
     pub(crate) fn apply(&mut self, shard: u32, msg: ShardMsg, env: &ShardEnv) -> Option<ShardPart> {
         match msg {
             ShardMsg::Report {
@@ -112,7 +113,7 @@ impl ShardCore {
                 let tracer = env.tracer.as_dyn();
                 // The per-read provenance event comes first, mirroring the
                 // pre-fleet demux ordering.
-                if tracer.enabled() {
+                if env.tracing {
                     tracer.emit(TraceEvent::read(
                         time_s,
                         user_id,
@@ -135,8 +136,11 @@ impl ShardCore {
                     doppler_hz,
                 };
                 if let Some(state) = self.states.get_mut(at) {
-                    let rec = env.recorder.as_dyn();
-                    state.push_traced(user_id, tag_id, &report, &env.config, rec, tracer);
+                    let outcome = state.push(tag_id, &report, &env.config);
+                    self.counts.count_push(outcome);
+                    if env.tracing {
+                        tracer.emit(outcome.trace_event(user_id, tag_id, &report));
+                    }
                 }
                 None
             }
@@ -174,41 +178,50 @@ impl ShardCore {
         }
     }
 
+    /// Takes the count block: what the shard's graphs did since it was
+    /// last taken.
+    pub(crate) fn take_counts(&mut self) -> OperatorCounts {
+        std::mem::take(&mut self.counts)
+    }
+
     /// Evicts samples older than the window on every occupied slot. A slot
     /// whose state empties is reset to a fresh default, releasing buffers
     /// exactly as the pre-fleet `BTreeMap::retain` dropped the entry.
-    /// Cold: once per cadence point.
+    /// Cold: once per sweep.
     fn evict(&mut self, watermark_s: f64, env: &ShardEnv) {
         let _span = TraceSpan::start(env.tracer.as_dyn(), "evict", watermark_s);
-        let started = env.recording.then(Instant::now);
+        let started = Instant::now();
         for state in &mut self.states {
             if state.is_empty() {
                 continue;
             }
-            state.evict_observed(
-                watermark_s,
-                env.window_s,
-                &env.config,
-                env.recorder.as_dyn(),
-            );
+            let evicted = state.evict(watermark_s, env.window_s, &env.config);
+            self.counts.count_evict(evicted);
             if state.is_empty() {
                 *state = UserStreamState::default();
             }
         }
-        if let Some(started) = started {
-            env.recorder
-                .record(metrics::EVICT_LATENCY_NS, duration_ns(started.elapsed()));
-        }
+        self.counts.evict_ns.push(duration_ns(started.elapsed()));
     }
 
-    /// Analyzes every occupied slot into one snapshot part. Cold: once per
-    /// epoch part.
-    fn snapshot_part(&self, shard: u32, epoch: u64, time_s: f64, env: &ShardEnv) -> ShardPart {
+    /// Analyzes every occupied slot into one snapshot part, summing the
+    /// occupancy figures in the same pass, and hands the part the count
+    /// block. Cold: once per epoch part.
+    fn snapshot_part(&mut self, shard: u32, epoch: u64, time_s: f64, env: &ShardEnv) -> ShardPart {
         let _span = TraceSpan::start(env.tracer.as_dyn(), "snapshot", time_s);
-        let started = env.recording.then(Instant::now);
-        let mut rates_bpm = BTreeMap::new();
-        let mut effort_rms = BTreeMap::new();
+        let started = Instant::now();
+        let mut part = ShardPart {
+            shard,
+            epoch,
+            time_s,
+            ..ShardPart::default()
+        };
         for (state, &id) in self.states.iter().zip(&self.user_ids) {
+            part.state_cells += state.state_cells();
+            if state.is_empty() {
+                continue;
+            }
+            part.occupancy += 1;
             let Some(snap) = state.snapshot(&env.config) else {
                 continue;
             };
@@ -221,33 +234,16 @@ impl ShardCore {
                 continue;
             };
             if let Some(bpm) = analysis.mean_rate_bpm() {
-                rates_bpm.insert(id, bpm);
+                part.rates_bpm.insert(id, bpm);
             }
             if let Some(effort) = dsp::stats::rms(analysis.breath_signal.values()) {
-                effort_rms.insert(id, effort);
+                part.effort_rms.insert(id, effort);
             }
         }
-        if let Some(started) = started {
-            env.recorder
-                .record(metrics::SNAPSHOT_LATENCY_NS, duration_ns(started.elapsed()));
-        }
-        // The occupancy figures feed only the router's metrics; a run
-        // without a recorder skips their passes over the slab.
-        let (occupancy, state_cells, resident_bytes) = if env.recording {
-            (self.occupancy(), self.state_cells(), self.resident_bytes())
-        } else {
-            (0, 0, 0)
-        };
-        ShardPart {
-            shard,
-            epoch,
-            time_s,
-            rates_bpm,
-            effort_rms,
-            occupancy,
-            state_cells,
-            resident_bytes,
-        }
+        part.resident_bytes = self.resident_bytes(part.state_cells);
+        self.counts.snapshot_ns = Some(duration_ns(started.elapsed()));
+        part.counts = self.take_counts();
+        part
     }
 
     /// Number of slots currently holding buffered samples. Matches the
@@ -270,16 +266,16 @@ impl ShardCore {
         self.states.iter().map(UserStreamState::tag_count).sum()
     }
 
-    /// Estimated resident bytes of this shard's stream state: the slab
-    /// itself plus 8 bytes per buffered cell (samples, bins, tracks are
-    /// all `f64`-sized). An estimate, not an allocator measurement — it
-    /// tracks the bounded-memory quantity the eviction policy controls,
-    /// which is what the bytes/resident-user SLO budgets.
-    #[must_use]
-    pub fn resident_bytes(&self) -> u64 {
+    /// Estimated resident bytes of this shard's stream state holding
+    /// `state_cells` cells: the slab itself plus 8 bytes per buffered cell
+    /// (samples, bins, tracks are all `f64`-sized). An estimate, not an
+    /// allocator measurement — it tracks the bounded-memory quantity the
+    /// eviction policy controls, which is what the bytes/resident-user SLO
+    /// budgets.
+    fn resident_bytes(&self, state_cells: usize) -> u64 {
         let slab = self.states.len() * std::mem::size_of::<UserStreamState>()
             + self.user_ids.len() * std::mem::size_of::<u64>();
-        (slab + self.state_cells() * std::mem::size_of::<f64>()) as u64
+        (slab + state_cells * std::mem::size_of::<f64>()) as u64
     }
 }
 
@@ -288,11 +284,7 @@ mod tests {
     use super::*;
 
     fn env(window_s: f64) -> ShardEnv {
-        ShardEnv::new(
-            PipelineConfig::paper_default(),
-            window_s,
-            SharedRecorder::noop(),
-        )
+        ShardEnv::new(PipelineConfig::paper_default(), window_s)
     }
 
     fn report(slot: u32, t: f64) -> ShardMsg {
@@ -339,7 +331,7 @@ mod tests {
         assert_eq!(core.occupancy(), 1);
         assert!(core.state_cells() > 0);
         assert_eq!(core.tag_count(), 1);
-        let resident = core.resident_bytes();
+        let resident = core.resident_bytes(core.state_cells());
         assert!(
             resident > core.state_cells() as u64 * 8,
             "resident estimate covers cells plus slab: {resident}"
@@ -354,9 +346,42 @@ mod tests {
         assert_eq!(core.occupancy(), 0);
         assert_eq!(core.state_cells(), 0);
         assert!(
-            core.resident_bytes() < resident,
+            core.resident_bytes(core.state_cells()) < resident,
             "eviction shrinks the estimate"
         );
+    }
+
+    #[test]
+    fn snapshot_part_carries_occupancy_and_the_count_block() {
+        let env = env(10.0);
+        let mut core = ShardCore::new();
+        for (slot, user_id) in [(0, 1), (2, 3)] {
+            core.apply(0, ShardMsg::Admit { slot, user_id }, &env);
+        }
+        for i in 0..50 {
+            core.apply(0, report(0, f64::from(i) * 0.03), &env);
+        }
+        let snapshot = |epoch| ShardMsg::Snapshot {
+            watermark_s: 1.5,
+            time_s: 1.5,
+            epoch,
+        };
+        let part = core.apply(1, snapshot(0), &env).unwrap_or_default();
+        assert_eq!((part.shard, part.epoch), (1, 0));
+        assert_eq!(part.occupancy, core.occupancy());
+        assert_eq!(part.state_cells, core.state_cells());
+        assert_eq!(part.resident_bytes, core.resident_bytes(core.state_cells()));
+        let registry = obs::Registry::new();
+        part.counts.fold(&registry);
+        assert_eq!(registry.counter(crate::metrics::GRAPH_REPORTS), 50);
+        let latency = |name| registry.histogram(name).map(|h| h.count());
+        assert_eq!(latency(crate::metrics::EVICT_LATENCY_NS), Some(1));
+        assert_eq!(latency(crate::metrics::SNAPSHOT_LATENCY_NS), Some(1));
+        // The block went home with the part: the next one starts empty.
+        let next = core.apply(1, snapshot(1), &env).unwrap_or_default();
+        let registry = obs::Registry::new();
+        next.counts.fold(&registry);
+        assert_eq!(registry.counter(crate::metrics::GRAPH_REPORTS), 0);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! Naming follows Prometheus conventions: counters end in `_total`,
 //! histograms carry their unit suffix (`_ns`, `_milli`), gauges are bare.
 
+use obs::{Label, Recorder};
+
 /// Counter: reports with a finite timestamp taken in by the engine's
 /// `push` or the batch `analyze_observed`, before classification.
 pub const REPORTS_INGESTED: &str = "tagbreathe_reports_ingested_total";
@@ -134,6 +136,16 @@ pub const SNAPSHOT_LAG_NS: &str = "tagbreathe_snapshot_lag_ns";
 /// state on the shard at its last snapshot part (slab plus an 8-byte
 /// estimate per buffered cell).
 pub const FLEET_RESIDENT_BYTES: &str = "tagbreathe_fleet_resident_bytes";
+
+/// Adds `delta` to the counter `name` unless it is zero. The engine and
+/// the batch fold count per-report work in plain blocks and fold each
+/// field through this, so an untouched block makes no recorder call (and
+/// takes no lock).
+pub(crate) fn fold_count(rec: &dyn Recorder, name: &'static str, label: Option<Label>, delta: u64) {
+    if delta > 0 {
+        rec.add(name, label, delta);
+    }
+}
 
 /// Every metric name this crate can emit, for the docs drift guard
 /// (`tests/metrics_docs.rs` cross-checks this list against

@@ -11,7 +11,7 @@ use crate::config::PipelineConfig;
 use crate::demux::classify;
 use crate::extract::{extract_breath_signal, ExtractError};
 use crate::metrics;
-use crate::operators::UserStreamState;
+use crate::operators::{OperatorCounts, UserStreamState};
 use crate::rate::{estimate_rate, RateEstimate};
 use crate::series::TimeSeries;
 use epcgen2::mapping::IdentityResolver;
@@ -244,10 +244,19 @@ impl BreathMonitor {
         let states = {
             let _timer = StageTimer::start(rec, metrics::STAGE_FOLD_NS);
             let _span = TraceSpan::start(tracer, "fold", watermark);
+            let tracing = tracer.enabled();
             let mut states: BTreeMap<u64, UserStreamState> = BTreeMap::new();
+            let mut counts = OperatorCounts::default();
             for (user_id, tag_id, report) in ordered {
                 let state = states.entry(user_id).or_default();
-                state.push_traced(user_id, tag_id, report, &self.config, rec, tracer);
+                let outcome = state.push(tag_id, report, &self.config);
+                counts.count_push(outcome);
+                if tracing {
+                    tracer.emit(outcome.trace_event(user_id, tag_id, report));
+                }
+            }
+            if on {
+                counts.fold(rec);
             }
             states
         };

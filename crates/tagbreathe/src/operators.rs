@@ -23,11 +23,13 @@
 //! everything behind the analysis window and drops tags silent past the
 //! phase gap, so memory is bounded by window contents — not stream length.
 //!
-//! Instrumentation: [`UserStreamState::push_traced`] takes an
-//! [`obs::Recorder`] and a [`Tracer`] and counts graph pushes,
-//! phase-unwrap accepts/rejects and fusion-bin churn (and traces each
-//! accept/reject); [`UserStreamState::evict_observed`] counts evictions.
-//! The plain methods delegate with no-op sinks.
+//! Instrumentation: the graph holds no metric or trace sink.
+//! [`UserStreamState::push`] returns a [`PushOutcome`] and
+//! [`UserStreamState::evict`] an [`Evicted`]; each caller counts them into
+//! a plain `OperatorCounts` block it owns, folds that block into its
+//! recorder at points it already has (a shard's snapshot part, the end of
+//! a batch fold), and traces the outcomes itself. The per-report path
+//! therefore takes no lock.
 //!
 //! # Examples
 //!
@@ -62,8 +64,8 @@ use crate::metrics;
 use crate::preprocess::{PhaseUnwrapper, TrackAccumulator};
 use crate::series::TimeSeries;
 use epcgen2::report::TagReport;
-use obs::trace::{NoopTracer, TraceEvent, Tracer};
-use obs::{NoopRecorder, Recorder};
+use obs::trace::TraceEvent;
+use obs::Recorder;
 use std::collections::BTreeMap;
 
 /// The per-tag slab: slots sorted by `(antenna_port, tag_id)` so
@@ -175,6 +177,116 @@ pub struct UserSnapshot {
     pub displacement: TimeSeries,
 }
 
+/// What one [`UserStreamState::push`] did with its report, for the caller
+/// to count and trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PushOutcome {
+    /// The Eq. (3) unwrapper emitted an increment, which was accumulated
+    /// into a fusion accumulator.
+    Increment {
+        /// Value of the increment sample.
+        value: f64,
+        /// Δt fusion bins the accumulation newly created.
+        bins_created: usize,
+    },
+    /// The unwrapper consumed the report without emitting an increment
+    /// (out-of-plan channel, first read of a reference, or a gap restart).
+    Reject,
+    /// The `ChannelTrackMerge` preprocessor buffered a level-track sample.
+    TrackSample,
+}
+
+impl PushOutcome {
+    /// The flight-recorder instant for this outcome: `phase_accept`
+    /// (increment value, bins created), `phase_reject` or `track_sample`
+    /// (raw phase), keyed by `user_id`, `tag_id` and the report's antenna
+    /// port and channel.
+    pub(crate) fn trace_event(self, user_id: u64, tag_id: u32, report: &TagReport) -> TraceEvent {
+        let (name, a, b) = match self {
+            PushOutcome::Increment {
+                value,
+                bins_created,
+            } => ("phase_accept", value, bins_created as f64),
+            PushOutcome::Reject => ("phase_reject", report.phase_rad, 0.0),
+            PushOutcome::TrackSample => ("track_sample", report.phase_rad, 0.0),
+        };
+        TraceEvent::instant(name, report.time_s)
+            .with_user(user_id)
+            .with_tag(tag_id)
+            .with_port(report.antenna_port)
+            .with_channel(report.channel_index)
+            .with_values(a, b)
+    }
+}
+
+/// What one [`UserStreamState::evict`] dropped, for the caller to count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evicted {
+    /// Δt fusion bins dropped behind the window.
+    pub bins: usize,
+    /// `(antenna_port, tag_id)` slots dropped after falling silent.
+    pub tags: usize,
+}
+
+/// The operator graph's count block: what pushes, evictions and snapshot
+/// passes did since the block was last taken. Plain fields owned by one
+/// thread (a shard, or the batch fold), folded into a recorder by
+/// [`OperatorCounts::fold`] at points the owner already has.
+#[derive(Debug, Default)]
+pub(crate) struct OperatorCounts {
+    graph_reports: u64,
+    phase_increments: u64,
+    phase_rejects: u64,
+    track_samples: u64,
+    fusion_bins_created: u64,
+    fusion_bins_evicted: u64,
+    tags_evicted: u64,
+    /// Wall time of each eviction sweep, ns.
+    pub(crate) evict_ns: Vec<u64>,
+    /// Wall time of the snapshot pass, ns.
+    pub(crate) snapshot_ns: Option<u64>,
+}
+
+impl OperatorCounts {
+    /// Counts one pushed report and what it did.
+    pub(crate) fn count_push(&mut self, outcome: PushOutcome) {
+        self.graph_reports += 1;
+        match outcome {
+            PushOutcome::Increment { bins_created, .. } => {
+                self.phase_increments += 1;
+                self.fusion_bins_created += bins_created as u64;
+            }
+            PushOutcome::Reject => self.phase_rejects += 1,
+            PushOutcome::TrackSample => self.track_samples += 1,
+        }
+    }
+
+    /// Counts what one user's eviction dropped.
+    pub(crate) fn count_evict(&mut self, evicted: Evicted) {
+        self.fusion_bins_evicted += evicted.bins as u64;
+        self.tags_evicted += evicted.tags as u64;
+    }
+
+    /// Adds the block to `rec`: each non-zero count to its counter and
+    /// each latency sample to its histogram. An empty block makes no call.
+    pub(crate) fn fold(&self, rec: &dyn Recorder) {
+        let add = |name: &'static str, delta: u64| metrics::fold_count(rec, name, None, delta);
+        add(metrics::GRAPH_REPORTS, self.graph_reports);
+        add(metrics::PHASE_INCREMENTS, self.phase_increments);
+        add(metrics::PHASE_REJECTS, self.phase_rejects);
+        add(metrics::TRACK_SAMPLES, self.track_samples);
+        add(metrics::FUSION_BINS_CREATED, self.fusion_bins_created);
+        add(metrics::FUSION_BINS_EVICTED, self.fusion_bins_evicted);
+        add(metrics::TAGS_EVICTED, self.tags_evicted);
+        for &ns in &self.evict_ns {
+            rec.record(metrics::EVICT_LATENCY_NS, ns);
+        }
+        if let Some(ns) = self.snapshot_ns {
+            rec.record(metrics::SNAPSHOT_LATENCY_NS, ns);
+        }
+    }
+}
+
 /// The full incremental operator graph for one user.
 ///
 /// Push reports in time order with [`UserStreamState::push`]; take an
@@ -188,7 +300,7 @@ pub struct UserSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct UserStreamState {
     tags: TagSlab,
-    /// Hint: slab index of the last slot touched by `push_traced`.
+    /// Hint: slab index of the last slot touched by `push`.
     last_tag: usize,
     /// Per-port fusion accumulators (the `BestPort` layout).
     per_port: PortSlab,
@@ -247,43 +359,18 @@ impl UserStreamState {
         Self::default()
     }
 
-    /// Pushes one report through the graph.
+    /// Pushes one report through the graph and returns what it did: an
+    /// Eq. (3) increment (with the fusion bins it created), a reject, or a
+    /// buffered track sample. The caller counts and traces the outcome.
     ///
     /// Reports whose channel lies outside the configured plan still update
     /// the tag statistics but produce no displacement.
-    pub fn push(&mut self, tag_id: u32, report: &TagReport, config: &PipelineConfig) {
-        self.push_traced(0, tag_id, report, config, &NoopRecorder, &NoopTracer);
-    }
-
-    /// [`UserStreamState::push`] with per-stage metrics (graph reports,
-    /// Eq. (3) increments vs. rejects, track samples and newly-created
-    /// fusion bins) and flight-recorder events: every phase accept /
-    /// reject and track sample becomes an instant [`TraceEvent`] keyed by
-    /// `user_id` / `tag_id` / antenna port / channel. `user_id` only labels
-    /// the events (the graph itself is already per-user); a disabled sink
-    /// costs one `enabled()` check.
-    pub fn push_traced(
+    pub fn push(
         &mut self,
-        user_id: u64,
         tag_id: u32,
         report: &TagReport,
         config: &PipelineConfig,
-        rec: &dyn Recorder,
-        tracer: &dyn Tracer,
-    ) {
-        let on = rec.enabled();
-        let tracing = tracer.enabled();
-        let event = |name: &'static str, a: f64, b: f64| {
-            TraceEvent::instant(name, report.time_s)
-                .with_user(user_id)
-                .with_tag(tag_id)
-                .with_port(report.antenna_port)
-                .with_channel(report.channel_index)
-                .with_values(a, b)
-        };
-        if on {
-            rec.count(metrics::GRAPH_REPORTS, 1);
-        }
+    ) -> PushOutcome {
         // Hot slot lookup: last-hit hint, then its successor (readers
         // interrogate a user's tags in bursts or round-robin, and
         // round-robin walks the sorted slab in order), then the search.
@@ -303,71 +390,51 @@ impl UserStreamState {
             }
         }
         let Some((_, state)) = self.tags.get_mut(self.last_tag) else {
-            return; // unreachable: the slot above was just found or admitted
+            return PushOutcome::Reject; // unreachable: the slot above was just found or admitted
         };
         state.stat.observe(report);
         match &mut state.pre {
             Preprocessor::Increments(unwrapper) => {
-                if let Some(sample) = unwrapper.push(report, &config.plan, config.max_phase_gap_s) {
-                    let acc = match config.antenna {
-                        AntennaStrategy::BestPort => {
-                            let at = match self
-                                .per_port
-                                .binary_search_by_key(&report.antenna_port, |slot| slot.0)
-                            {
-                                Ok(i) => i,
-                                Err(i) => {
-                                    admit_port(
-                                        &mut self.per_port,
-                                        i,
-                                        report.antenna_port,
-                                        config.fusion_bin_s,
-                                    );
-                                    i
-                                }
-                            };
-                            let Some((_, acc)) = self.per_port.get_mut(at) else {
-                                return; // unreachable: admitted above
-                            };
-                            acc
-                        }
-                        AntennaStrategy::MergeAll => self
-                            .merged
-                            .get_or_insert_with(|| FusionAccumulator::new(config.fusion_bin_s)),
-                    };
-                    if on || tracing {
-                        let bins_before = acc.len();
-                        acc.push(sample);
-                        let created = acc.len().saturating_sub(bins_before);
-                        if on {
-                            rec.count(metrics::PHASE_INCREMENTS, 1);
-                            if created > 0 {
-                                rec.count(metrics::FUSION_BINS_CREATED, created as u64);
+                let Some(sample) = unwrapper.push(report, &config.plan, config.max_phase_gap_s)
+                else {
+                    return PushOutcome::Reject;
+                };
+                let acc = match config.antenna {
+                    AntennaStrategy::BestPort => {
+                        let at = match self
+                            .per_port
+                            .binary_search_by_key(&report.antenna_port, |slot| slot.0)
+                        {
+                            Ok(i) => i,
+                            Err(i) => {
+                                admit_port(
+                                    &mut self.per_port,
+                                    i,
+                                    report.antenna_port,
+                                    config.fusion_bin_s,
+                                );
+                                i
                             }
-                        }
-                        if tracing {
-                            tracer.emit(event("phase_accept", sample.value, created as f64));
-                        }
-                    } else {
-                        acc.push(sample);
+                        };
+                        let Some((_, acc)) = self.per_port.get_mut(at) else {
+                            return PushOutcome::Reject; // unreachable: admitted above
+                        };
+                        acc
                     }
-                } else {
-                    if on {
-                        rec.count(metrics::PHASE_REJECTS, 1);
-                    }
-                    if tracing {
-                        tracer.emit(event("phase_reject", report.phase_rad, 0.0));
-                    }
+                    AntennaStrategy::MergeAll => self
+                        .merged
+                        .get_or_insert_with(|| FusionAccumulator::new(config.fusion_bin_s)),
+                };
+                let bins_before = acc.len();
+                acc.push(sample);
+                PushOutcome::Increment {
+                    value: sample.value,
+                    bins_created: acc.len().saturating_sub(bins_before),
                 }
             }
             Preprocessor::Tracks(tracks) => {
                 tracks.push(report, &config.plan, config.max_phase_gap_s);
-                if on {
-                    rec.count(metrics::TRACK_SAMPLES, 1);
-                }
-                if tracing {
-                    tracer.emit(event("track_sample", report.phase_rad, 0.0));
-                }
+                PushOutcome::TrackSample
             }
         }
     }
@@ -425,26 +492,10 @@ impl UserStreamState {
     /// Evicts state behind the sliding window ending at `watermark_s`:
     /// fusion bins and track samples older than `window_s`, per-channel
     /// references silent past `max_phase_gap_s`, and whole tags unseen for
-    /// longer than both.
-    pub fn evict(&mut self, watermark_s: f64, window_s: f64, config: &PipelineConfig) {
-        self.evict_observed(watermark_s, window_s, config, &NoopRecorder);
-    }
-
-    /// [`UserStreamState::evict`] with metrics: counts fusion bins and
-    /// whole-tag slots dropped by this sweep.
-    pub fn evict_observed(
-        &mut self,
-        watermark_s: f64,
-        window_s: f64,
-        config: &PipelineConfig,
-        rec: &dyn Recorder,
-    ) {
-        let on = rec.enabled();
-        let (bins_before, tags_before) = if on {
-            (self.fusion_bin_count(), self.tags.len())
-        } else {
-            (0, 0)
-        };
+    /// longer than both. Returns how many fusion bins and tag slots it
+    /// dropped.
+    pub fn evict(&mut self, watermark_s: f64, window_s: f64, config: &PipelineConfig) -> Evicted {
+        let (bins_before, tags_before) = (self.fusion_bin_count(), self.tags.len());
         let cutoff = watermark_s - window_s;
         for (_, acc) in &mut self.per_port {
             acc.evict_before(cutoff);
@@ -468,15 +519,9 @@ impl UserStreamState {
         // Slots may have shifted; the hint re-validates by key compare,
         // but point it off the slab so the next push takes the search.
         self.last_tag = usize::MAX;
-        if on {
-            let bins_evicted = bins_before.saturating_sub(self.fusion_bin_count());
-            if bins_evicted > 0 {
-                rec.count(metrics::FUSION_BINS_EVICTED, bins_evicted as u64);
-            }
-            let tags_evicted = tags_before.saturating_sub(self.tags.len());
-            if tags_evicted > 0 {
-                rec.count(metrics::TAGS_EVICTED, tags_evicted as u64);
-            }
+        Evicted {
+            bins: bins_before.saturating_sub(self.fusion_bin_count()),
+            tags: tags_before.saturating_sub(self.tags.len()),
         }
     }
 
