@@ -251,11 +251,22 @@ impl FusionAccumulator {
 
     /// Drops bins lying entirely before `cutoff_s`, advancing the window.
     pub fn evict_before(&mut self, cutoff_s: f64) {
-        let Some(anchor) = self.anchor_s else { return };
-        while !self.bins.is_empty() && anchor + (self.base + 1) as f64 * self.bin_s <= cutoff_s {
+        while self.oldest_bin_end_s().is_some_and(|end| end <= cutoff_s) {
             self.bins.pop_front();
             self.base += 1;
         }
+    }
+
+    /// End of the oldest retained bin: [`FusionAccumulator::evict_before`]
+    /// drops that bin once its cutoff reaches this time. `None` while no
+    /// bin is retained.
+    #[must_use]
+    pub fn oldest_bin_end_s(&self) -> Option<f64> {
+        let anchor = self.anchor_s?;
+        if self.bins.is_empty() {
+            return None;
+        }
+        Some(anchor + (self.base + 1) as f64 * self.bin_s)
     }
 
     /// Integrates the retained bins into a displacement trajectory

@@ -78,6 +78,12 @@ type TagSlab = Vec<((u8, u32), TagState)>;
 /// Per-port fusion accumulators, sorted by port (a handful of entries).
 type PortSlab = Vec<(u8, FusionAccumulator)>;
 
+/// How far [`UserStreamState::expiry_deadline_s`] moves a deadline
+/// early, relative to the magnitudes involved: 10⁻¹² against the ~10⁻¹⁶
+/// relative rounding of one float sum, so 1 ms early at a stream time of
+/// 10⁹ s.
+const DEADLINE_SLACK: f64 = 1e-12;
+
 /// Running read statistics of one `(antenna_port, tag_id)` stream: read
 /// count, mean sampling rate and mean RSSI, the inputs of the paper's
 /// antenna-quality rule (Section IV-D.3).
@@ -525,6 +531,53 @@ impl UserStreamState {
         }
     }
 
+    /// A conservative expiry deadline: a watermark below which
+    /// [`UserStreamState::evict`] with the same window and configuration
+    /// is a no-op. It returns `Evicted { bins: 0, tags: 0 }` and changes
+    /// neither [`UserStreamState::state_cells`] nor
+    /// [`UserStreamState::snapshot`].
+    ///
+    /// The deadline is the earliest of: the oldest fusion bin's end plus
+    /// `window_s`, the oldest channel reference plus `max_phase_gap_s`,
+    /// the oldest buffered track sample plus `window_s`, and each tag's
+    /// last sighting plus the eviction horizon. It is then moved earlier
+    /// by 10⁻¹² of its magnitude, which dwarfs the rounding of the sums
+    /// `evict` compares, so the deadline may come early but never late.
+    /// `+∞` for an empty graph; `−∞` (always due) if a sum overflows.
+    #[must_use]
+    pub fn expiry_deadline_s(&self, window_s: f64, config: &PipelineConfig) -> f64 {
+        if self.is_empty() {
+            return f64::INFINITY;
+        }
+        let gap = config.max_phase_gap_s;
+        let horizon = window_s.max(gap);
+        let bins = (self.per_port.iter().map(|(_, acc)| acc))
+            .chain(&self.merged)
+            .filter_map(FusionAccumulator::oldest_bin_end_s)
+            .map(|end| end + window_s);
+        let tags = self.tags.iter().flat_map(|(_, tag)| {
+            let (reference, sample) = match &tag.pre {
+                Preprocessor::Increments(unwrapper) => (unwrapper.oldest_reference_s(), None),
+                Preprocessor::Tracks(tracks) => {
+                    (tracks.oldest_reference_s(), tracks.oldest_sample_s())
+                }
+            };
+            [
+                Some(tag.stat.last_seen_s() + horizon),
+                reference.map(|t| t + gap),
+                sample.map(|t| t + window_s),
+            ]
+            .into_iter()
+            .flatten()
+        });
+        let earliest = bins.chain(tags).fold(f64::INFINITY, f64::min);
+        if earliest.is_finite() {
+            earliest - DEADLINE_SLACK * (1.0 + earliest.abs() + horizon)
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
     /// Number of live Δt fusion bins across all accumulators.
     fn fusion_bin_count(&self) -> usize {
         self.per_port
@@ -566,6 +619,7 @@ impl UserStreamState {
 mod tests {
     use super::*;
     use epcgen2::epc::Epc96;
+    use prng::{Rng, Xoshiro256};
 
     fn report(t: f64, tag: u32, port: u8, channel: u16, phase: f64, rssi: f64) -> TagReport {
         TagReport {
@@ -667,6 +721,95 @@ mod tests {
         state.evict(1.0e4, 5.0, &cfg);
         assert!(state.is_empty(), "tags left: {}", state.tag_count());
         assert_eq!(state.state_cells(), 0);
+    }
+
+    /// Checks `state` against its expiry deadline: evictions at
+    /// watermarks below it change nothing, and one a little past it drops
+    /// something. Returns the number of watermarks probed.
+    fn probe_deadline(
+        state: &UserStreamState,
+        window_s: f64,
+        cfg: &PipelineConfig,
+        rng: &mut Xoshiro256,
+    ) -> usize {
+        let deadline = state.expiry_deadline_s(window_s, cfg);
+        assert!(deadline.is_finite(), "deadline {deadline}");
+        let (cells, snapshot) = (state.state_cells(), state.snapshot(cfg));
+        let below = [
+            deadline.next_down(),
+            deadline - 1e-3 * rng.gen_f64(),
+            deadline - window_s * rng.gen_f64(),
+        ];
+        for watermark_s in below {
+            let mut copy = state.clone();
+            let evicted = copy.evict(watermark_s, window_s, cfg);
+            let at = format!("watermark {watermark_s} below deadline {deadline}");
+            assert_eq!(evicted, Evicted { bins: 0, tags: 0 }, "{at}");
+            assert_eq!(copy.state_cells(), cells, "{at}: cells");
+            assert_eq!(copy.snapshot(cfg), snapshot, "{at}: snapshot");
+        }
+        // The deadline is a real one, not "always due": past it by more
+        // than its slack, something goes.
+        let horizon = window_s.max(cfg.max_phase_gap_s);
+        let past = deadline + 3.0 * DEADLINE_SLACK * (1.0 + deadline.abs() + horizon);
+        let mut copy = state.clone();
+        copy.evict(past, window_s, cfg);
+        assert!(copy.state_cells() < cells, "nothing expired at {past}");
+        below.len()
+    }
+
+    #[test]
+    fn evictions_below_the_expiry_deadline_are_no_ops() {
+        let layouts = [
+            (PreprocessKind::IncrementBinning, AntennaStrategy::BestPort),
+            (PreprocessKind::IncrementBinning, AntennaStrategy::MergeAll),
+            (PreprocessKind::ChannelTrackMerge, AntennaStrategy::BestPort),
+        ];
+        let mut probes = 0;
+        let mut seed = 0;
+        for (preprocess, antenna) in layouts {
+            let cfg = PipelineConfig {
+                preprocess,
+                antenna,
+                ..PipelineConfig::paper_default()
+            };
+            for t0 in [0.0, 1.0e6, 1.0e9] {
+                for window_s in [3.0, 10.0, 25.0] {
+                    seed += 1;
+                    let mut rng = Xoshiro256::seed_from_u64(seed);
+                    let mut state = UserStreamState::new();
+                    assert_eq!(state.expiry_deadline_s(window_s, &cfg), f64::INFINITY);
+                    let (mut t, mut last_evict) = (t0, t0);
+                    for i in 0..400 {
+                        // Steady reads, now and then a gap past the phase
+                        // gap or a read slightly behind the newest.
+                        t += if rng.gen_f64() < 0.02 {
+                            6.0
+                        } else {
+                            0.1 * rng.gen_f64()
+                        };
+                        let time_s = if rng.gen_f64() < 0.05 {
+                            t - 0.3 * rng.gen_f64()
+                        } else {
+                            t
+                        };
+                        let tag = u32::try_from(rng.gen_range(0..3)).unwrap_or(0);
+                        let port = if rng.gen_bool() { 1 } else { 2 };
+                        let channel = u16::try_from(rng.gen_range(0..cfg.plan.len())).unwrap_or(0);
+                        let phase = 1.0 + 0.2 * rng.gen_f64();
+                        state.push(tag, &report(time_s, tag, port, channel, phase, -55.0), &cfg);
+                        if t - last_evict >= 2.0 {
+                            state.evict(t, window_s, &cfg);
+                            last_evict = t;
+                        }
+                        if i % 20 == 19 {
+                            probes += probe_deadline(&state, window_s, &cfg, &mut rng);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(probes > 1_000, "{probes} watermarks probed");
     }
 
     #[test]

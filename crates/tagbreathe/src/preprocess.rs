@@ -126,6 +126,14 @@ impl PhaseUnwrapper {
         self.last.len()
     }
 
+    /// Time of the oldest channel reference: [`PhaseUnwrapper::evict_stale`]
+    /// drops it once the watermark passes this time by more than the gap.
+    /// `None` while no reference is held.
+    #[must_use]
+    pub fn oldest_reference_s(&self) -> Option<f64> {
+        self.last.values().map(|&(t, _)| t).reduce(f64::min)
+    }
+
     /// Whether no channel references are held.
     pub fn is_empty(&self) -> bool {
         self.last.is_empty()
@@ -338,6 +346,28 @@ impl TrackAccumulator {
     /// Number of channels currently holding track state.
     pub fn tracked_channels(&self) -> usize {
         self.channels.len()
+    }
+
+    /// Last reading of the channel silent longest:
+    /// [`TrackAccumulator::evict_stale`] closes that channel once the
+    /// watermark passes this time by more than the gap. `None` while no
+    /// channel holds state.
+    #[must_use]
+    pub fn oldest_reference_s(&self) -> Option<f64> {
+        self.channels.values().map(|st| st.last_t).reduce(f64::min)
+    }
+
+    /// Time of the oldest buffered sample, closed or open:
+    /// [`TrackAccumulator::evict_before`] drops it once its cutoff passes
+    /// this time. `None` while no sample is buffered.
+    #[must_use]
+    pub fn oldest_sample_s(&self) -> Option<f64> {
+        let open = self.channels.values().flat_map(|st| &st.segment);
+        self.closed
+            .iter()
+            .chain(open)
+            .map(|s| s.time)
+            .reduce(f64::min)
     }
 
     /// Total buffered samples (closed plus open segments).

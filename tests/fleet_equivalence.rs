@@ -8,8 +8,13 @@
 //! and parts merge in epoch order — so equality here is `to_bits`
 //! equality, not a tolerance.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use tagbreathe_suite::obs::Label;
 use tagbreathe_suite::prelude::*;
+use tagbreathe_suite::tagbreathe::fleet::interner::shard_of_user;
 use tagbreathe_suite::tagbreathe::fleet::FleetEngine;
+use tagbreathe_suite::tagbreathe::metrics;
 
 const WINDOW_S: f64 = 15.0;
 const CADENCE_S: f64 = 5.0;
@@ -201,4 +206,210 @@ fn non_finite_timestamps_are_dropped_by_both_executors() {
         .expect("pushes must return despite non-finite timestamps");
     assert_bit_identical(&reference, &inline, "inline");
     assert_bit_identical(&reference, &threaded, "2 shards");
+}
+
+/// One read of `user`'s tag `tag` at `t`: a slow breathing phase on
+/// channel 0, offset per user.
+fn read(user: u64, tag: u32, t: f64) -> TagReport {
+    let breath = (2.0 * std::f64::consts::PI * 0.2 * t + user as f64).sin();
+    TagReport {
+        time_s: t,
+        epc: Epc96::monitor(user, tag),
+        antenna_port: 1,
+        channel_index: 0,
+        phase_rad: (1.0 + 0.1 * breath).rem_euclid(std::f64::consts::TAU),
+        rssi_dbm: -55.0,
+        doppler_hz: 0.0,
+    }
+}
+
+/// Reads of `user`'s three tags in turn, one every 30 ms over
+/// `[from_s, to_s)`, offset by a per-user sliver so users never tie.
+fn burst(user: u64, from_s: f64, to_s: f64) -> Vec<TagReport> {
+    let mut reads = Vec::new();
+    let mut t = from_s + user as f64 * 1e-5;
+    let mut tag = 0;
+    while t < to_s {
+        reads.push(read(user, tag, t));
+        tag = (tag + 1) % 3;
+        t += 0.03;
+    }
+    reads
+}
+
+/// Merges per-user read lists into one time-ordered stream.
+fn interleave(parts: Vec<Vec<TagReport>>) -> Vec<TagReport> {
+    let mut reports: Vec<TagReport> = parts.into_iter().flatten().collect();
+    reports.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
+    reports
+}
+
+/// Every counter outside the ring-only fleet series, and both occupancy
+/// gauges as bit patterns, keyed by rendered metric key.
+fn recorded(registry: &Registry) -> BTreeMap<String, u64> {
+    let snap = registry.snapshot();
+    let counters = snap
+        .counters
+        .into_iter()
+        .filter(|(key, _)| key.starts_with("tagbreathe_") && !key.starts_with("tagbreathe_fleet_"));
+    let gauges = snap
+        .gauges
+        .into_iter()
+        .filter(|(key, _)| key == metrics::USERS_TRACKED || key == metrics::STATE_CELLS)
+        .map(|(key, value)| (key, value.to_bits()));
+    counters.chain(gauges).collect()
+}
+
+/// Runs `reports` through the recorded inline engine and the recorded
+/// fleet at 1, 2, 4 and 8 shards. Every snapshot stream must be
+/// bit-identical to the inline one; every executor must record the same
+/// counters and end on the same occupancy gauges, with the per-shard user
+/// gauges summing to the total. Returns the inline stream and every
+/// run's registry, keyed by shard count (0 for the inline engine).
+fn assert_executors_agree(
+    reports: &[TagReport],
+    ids: &[u64],
+    what: &str,
+) -> (Vec<RateSnapshot>, BTreeMap<usize, Arc<Registry>>) {
+    let resolver = || EmbeddedIdentity::new(ids.to_vec());
+    let registry = Arc::new(Registry::new());
+    let mut inline = StreamingMonitor::new(
+        PipelineConfig::paper_default(),
+        resolver(),
+        WINDOW_S,
+        CADENCE_S,
+    )
+    .unwrap()
+    .with_recorder(SharedRecorder::new(registry.clone()));
+    let mut reference = inline.push(reports.iter().copied());
+    reference.extend(inline.finish());
+    let expected = recorded(&registry);
+    assert!(
+        expected.contains_key(metrics::USERS_TRACKED),
+        "{what}: no snapshot recorded"
+    );
+    let mut registries = BTreeMap::from([(0, registry)]);
+    for shards in [1, 2, 4, 8] {
+        let fleet_registry = Arc::new(Registry::new());
+        let mut fleet = FleetEngine::observed(
+            PipelineConfig::paper_default(),
+            resolver(),
+            WINDOW_S,
+            CADENCE_S,
+            shards,
+            SharedRecorder::new(fleet_registry.clone()),
+        )
+        .unwrap();
+        let mut snaps = fleet.push(reports.iter().copied());
+        snaps.extend(fleet.finish());
+        let at = format!("{what}: {shards} shards");
+        assert_bit_identical(&reference, &snaps, &at);
+        assert_eq!(recorded(&fleet_registry), expected, "{at}: recorded series");
+        let per_shard: f64 = (0..u32::try_from(shards).unwrap())
+            .filter_map(|s| {
+                fleet_registry.labeled_gauge(metrics::FLEET_SHARD_USERS, Some(Label::shard(s)))
+            })
+            .sum();
+        assert_eq!(
+            Some(per_shard),
+            fleet_registry.gauge_value(metrics::USERS_TRACKED),
+            "{at}: shard users sum to the users tracked"
+        );
+        registries.insert(shards, fleet_registry);
+    }
+    (reference, registries)
+}
+
+#[test]
+fn one_shot_users_match_across_executors() {
+    // A steady user keeps the stream moving while 300 others each send
+    // one read (every tenth sends a short burst) in the first 75 s and
+    // never return: each is admitted, evicted past the horizon, and never
+    // seen again.
+    let mut parts = vec![burst(1, 0.0, 110.0)];
+    for user in 100..400u64 {
+        let t = (user - 100) as f64 * 0.25 + 0.011;
+        parts.push(if user % 10 == 0 {
+            burst(user, t, t + 0.2)
+        } else {
+            vec![read(user, 0, t)]
+        });
+    }
+    let ids: Vec<u64> = std::iter::once(1).chain(100..400).collect();
+    let (reference, registries) =
+        assert_executors_agree(&interleave(parts), &ids, "one-shot users");
+    assert!(
+        reference.iter().any(|s| s.rates_bpm.contains_key(&1)),
+        "the steady user never got a rate — test would be vacuous"
+    );
+    assert_eq!(
+        registries[&0].counter(metrics::TAGS_EVICTED),
+        300 + 30 * 2,
+        "every one-shot user's tags expired"
+    );
+}
+
+#[test]
+fn users_silent_past_the_horizon_come_back_identically() {
+    // Users 1–6 report for 20 s, fall silent for 25 s (past the 15 s
+    // horizon, so their state empties) and come back, twice, staggered by
+    // user; user 7 reports throughout.
+    let mut parts = vec![burst(7, 0.0, 120.0)];
+    for user in 1..=6u64 {
+        let lag = user as f64 * 3.0;
+        for start in [0.0, 45.0, 90.0] {
+            parts.push(burst(user, start + lag, start + lag + 20.0));
+        }
+    }
+    let ids: Vec<u64> = (1..=7).collect();
+    let (reference, _) = assert_executors_agree(&interleave(parts), &ids, "returning users");
+    for user in 1..=6u64 {
+        let lag = user as f64 * 3.0;
+        // Between its state's expiry and its return, a user has no rate.
+        let (expired, back) = (lag + 20.0 + WINDOW_S + 0.1, lag + 45.0);
+        let silent: Vec<&RateSnapshot> = (reference.iter())
+            .filter(|s| s.time_s > expired && s.time_s < back)
+            .collect();
+        assert!(
+            !silent.is_empty(),
+            "user {user}: no cadence point while expired"
+        );
+        assert!(
+            silent.iter().all(|s| !s.rates_bpm.contains_key(&user)),
+            "user {user} kept a rate after its state expired"
+        );
+        assert!(
+            (reference.iter())
+                .any(|s| s.time_s >= 90.0 + lag + WINDOW_S && s.rates_bpm.contains_key(&user)),
+            "user {user} got no rate after its second return"
+        );
+    }
+}
+
+#[test]
+fn a_shard_whose_users_all_expired_answers_beside_a_busy_one() {
+    // At two shards, every user on shard 0 stops at 20 s and expires,
+    // while the users on shard 1 keep reporting until 80 s.
+    let ids: Vec<u64> = (1..=12).collect();
+    let (idle, busy): (Vec<u64>, Vec<u64>) = ids.iter().partition(|&&u| shard_of_user(u, 2) == 0);
+    assert!(
+        !idle.is_empty() && !busy.is_empty(),
+        "both shards need users"
+    );
+    let parts = (idle.iter().map(|&u| burst(u, 0.0, 20.0)))
+        .chain(busy.iter().map(|&u| burst(u, 0.0, 80.0)))
+        .collect();
+    let (reference, registries) = assert_executors_agree(&interleave(parts), &ids, "idle shard");
+    let last = reference
+        .last()
+        .map(|s| s.rates_bpm.keys().copied().collect::<Vec<_>>());
+    assert_eq!(
+        last,
+        Some(busy.clone()),
+        "only the busy shard's users remain"
+    );
+    let users =
+        |shard| registries[&2].labeled_gauge(metrics::FLEET_SHARD_USERS, Some(Label::shard(shard)));
+    assert_eq!(users(0), Some(0.0), "shard 0 emptied");
+    assert_eq!(users(1), Some(busy.len() as f64), "shard 1 still busy");
 }
