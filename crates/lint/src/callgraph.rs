@@ -17,7 +17,11 @@
 //!   fallback). The fallback never crosses into a crate that mirrors the
 //!   std atomic API (`[atomics] exempt-crates`, e.g. the model checker's
 //!   shim): there the one workspace `load` is the mirror, while a caller
-//!   outside that crate means the std method.
+//!   outside that crate means the std method. Nor does it resolve a call
+//!   on a field its struct declares as a std container (`Vec`,
+//!   `HashMap`, …, directly or through a `type` alias):
+//!   `self.last.insert(…)` on a `HashMap` field is the map's `insert`,
+//!   not the one workspace `insert`.
 //!
 //! Unresolvable calls produce no edge; rules treat them as leaves.
 
@@ -26,7 +30,7 @@ use crate::config::{
 };
 use crate::parser::{base_type_name, parse_file, Expr, FnItem, ParsedFile, Stmt};
 use crate::source::SourceFile;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::OnceLock;
 
 /// One parsed workspace file.
@@ -183,41 +187,77 @@ impl Workspace {
     /// All non-test `type` aliases of the workspace, name → aliased type
     /// text. Duplicate names keep the first definition.
     pub fn alias_map(&self) -> HashMap<&str, &str> {
-        let mut map = HashMap::new();
-        for file in &self.files {
-            for a in &file.parsed.aliases {
-                if !a.is_test && !file.test_only {
-                    map.entry(a.name.as_str()).or_insert(a.ty.as_str());
-                }
-            }
-        }
-        map
+        alias_map(&self.files)
     }
 
     /// Flat type text with `type` aliases substituted (transitively, to a
     /// small depth so cycles terminate) — so rules inspecting field types
     /// see `Vec < … TagState … >` where the source says `TagSlab`.
     pub fn expand_aliases(&self, ty: &str, aliases: &HashMap<&str, &str>) -> String {
-        let mut current = ty.to_string();
-        for _ in 0..4 {
-            let mut changed = false;
-            let expanded: Vec<&str> = current
-                .split_whitespace()
-                .map(|w| match aliases.get(w) {
-                    Some(rhs) => {
-                        changed = true;
-                        *rhs
-                    }
-                    None => w,
-                })
-                .collect();
-            current = expanded.join(" ");
-            if !changed {
-                break;
+        expand_aliases(ty, aliases)
+    }
+}
+
+/// All non-test `type` aliases of `files`, name → aliased type text.
+/// Duplicate names keep the first definition.
+fn alias_map(files: &[AnalyzedFile]) -> HashMap<&str, &str> {
+    let mut map = HashMap::new();
+    for file in files {
+        for a in &file.parsed.aliases {
+            if !a.is_test && !file.test_only {
+                map.entry(a.name.as_str()).or_insert(a.ty.as_str());
             }
         }
-        current
     }
+    map
+}
+
+/// Flat type text with `type` aliases substituted, transitively to a
+/// small depth so cycles terminate.
+fn expand_aliases(ty: &str, aliases: &HashMap<&str, &str>) -> String {
+    let mut current = ty.to_string();
+    for _ in 0..4 {
+        let mut changed = false;
+        let expanded: Vec<&str> = current
+            .split_whitespace()
+            .map(|w| match aliases.get(w) {
+                Some(rhs) => {
+                    changed = true;
+                    *rhs
+                }
+                None => w,
+            })
+            .collect();
+        current = expanded.join(" ");
+        if !changed {
+            break;
+        }
+    }
+    current
+}
+
+/// Std containers. A method called on a field declared as one of these
+/// is the container's own, whatever workspace function shares its name.
+const STD_CONTAINERS: &[&str] = &[
+    "Vec", "VecDeque", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "String", "Option",
+];
+
+/// `(type, field)` for every non-test struct field declared as a std
+/// container, directly or through `type` aliases.
+fn std_container_fields(files: &[AnalyzedFile]) -> BTreeSet<(String, String)> {
+    let aliases = alias_map(files);
+    let mut out = BTreeSet::new();
+    for file in files.iter().filter(|f| !f.test_only) {
+        for t in file.parsed.types.iter().filter(|t| !t.is_test) {
+            for field in &t.fields {
+                let ty = expand_aliases(&field.ty, &aliases);
+                if base_type_name(&ty).is_some_and(|b| STD_CONTAINERS.contains(&b.as_str())) {
+                    out.insert((t.name.clone(), field.name.clone()));
+                }
+            }
+        }
+    }
+    out
 }
 
 impl CallGraph {
@@ -238,7 +278,7 @@ impl CallGraph {
                 });
             }
         }
-        let index = NameIndex::build(&nodes, mirrors);
+        let index = NameIndex::build(&nodes, mirrors, std_container_fields(files));
         let mut edges = Vec::with_capacity(nodes.len());
         for node in &nodes {
             let mut callees = Vec::new();
@@ -283,10 +323,17 @@ struct NameIndex {
     any: BTreeMap<String, Vec<usize>>,
     /// Crates mirroring std APIs, closed to outside unique-name fallback.
     mirrors: Vec<String>,
+    /// `(type, field)` of struct fields declared as std containers, on
+    /// which the unique-name fallback never resolves a call.
+    std_fields: BTreeSet<(String, String)>,
 }
 
 impl NameIndex {
-    fn build(nodes: &[FnNode], mirrors: &[String]) -> NameIndex {
+    fn build(
+        nodes: &[FnNode],
+        mirrors: &[String],
+        std_fields: BTreeSet<(String, String)>,
+    ) -> NameIndex {
         let mut free: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut method: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
         let mut any: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -305,6 +352,7 @@ impl NameIndex {
             method,
             any,
             mirrors: mirrors.to_vec(),
+            std_fields,
         }
     }
 }
@@ -454,6 +502,9 @@ fn resolve_expr(
                         out.extend(v.iter().copied());
                     }
                 }
+                // A field declared as a std container calls the
+                // container's method, never the workspace's.
+                None if is_std_container_field(recv, node, vars, index) => {}
                 None => {
                     // Unique-name fallback: only when the workspace has
                     // exactly one function with this name, and not into a
@@ -483,6 +534,24 @@ fn receiver_type(recv: &Expr, node: &FnNode, vars: &HashMap<String, String>) -> 
         },
         Expr::Unary { expr, .. } | Expr::Try { expr, .. } => receiver_type(expr, node, vars),
         _ => None,
+    }
+}
+
+/// Whether a receiver is a field, of `self` or of a typed local, that its
+/// struct declares as a std container.
+fn is_std_container_field(
+    recv: &Expr,
+    node: &FnNode,
+    vars: &HashMap<String, String>,
+    index: &NameIndex,
+) -> bool {
+    match recv {
+        Expr::Field { base, name, .. } => receiver_type(base, node, vars)
+            .is_some_and(|owner| index.std_fields.contains(&(owner, name.clone()))),
+        Expr::Unary { expr, .. } | Expr::Try { expr, .. } => {
+            is_std_container_field(expr, node, vars, index)
+        }
+        _ => false,
     }
 }
 
@@ -620,6 +689,27 @@ mod tests {
             callees(&w, "outer")
         );
         assert_eq!(callees(&w, "inner"), vec!["load"]);
+    }
+
+    #[test]
+    fn unique_name_fallback_skips_std_container_fields() {
+        let w = ws(&[(
+            "crates/tagbreathe/src/a.rs",
+            "type Slab = Vec<(u16, f64)>;\n\
+             struct Table;\n\
+             impl Table { pub fn insert(&mut self) {} }\n\
+             struct Holder { map: std::collections::HashMap<u16, f64>, slab: Slab, table: Box<Table> }\n\
+             impl Holder {\n\
+               fn keyed(&mut self) { self.map.insert(1, 2.0); }\n\
+               fn aliased(&mut self) { self.slab.insert(0, (1, 2.0)); }\n\
+               fn boxed(&mut self) { self.table.insert(); }\n\
+             }\n\
+             fn local(h: &mut Holder) { h.map.insert(1, 2.0); }\n",
+        )]);
+        for f in ["keyed", "aliased", "local"] {
+            assert!(callees(&w, f).is_empty(), "{f}: {:?}", callees(&w, f));
+        }
+        assert_eq!(callees(&w, "boxed"), vec!["insert"]);
     }
 
     #[test]

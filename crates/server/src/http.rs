@@ -64,12 +64,14 @@ fn serve_one(mut stream: TcpStream, state: &HttpState) {
         Some(Label::stage(Stage::HttpServe.code())),
         duration_ns(started.elapsed()),
     );
-    let header = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    // Header and body leave in one write: a second write would go out as
+    // a second segment, which Nagle's algorithm holds until the first is
+    // acknowledged.
+    let response = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.write_all(header.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }
 

@@ -4,8 +4,8 @@
 //! The streaming hot path used to resolve every report through the identity
 //! resolver (a linear scan for [`epcgen2::mapping::EmbeddedIdentity`]) and then a
 //! `BTreeMap::entry` per-user lookup. The fleet engine replaces both with
-//! one open-addressed probe over flat parallel arrays: EPC bits in, a
-//! [`Route`] out — which shard owns the user, the dense slot the user's
+//! one open-addressed probe over a flat table of 24-byte entries: EPC bits
+//! in, a [`Route`] out — which shard owns the user, the dense slot the user's
 //! state occupies on that shard, and the short tag ID. Unknown EPCs (item
 //! tags) are cached too, so contending item traffic costs one probe instead
 //! of one resolver scan per read.
@@ -15,7 +15,7 @@
 //! shard's counter, and inserts the route. The table is kept at most half
 //! full and grows by rebuild, so probes always terminate.
 
-/// Sentinel shard value marking an empty table cell.
+/// Sentinel shard value marking an empty table entry.
 const SHARD_EMPTY: u32 = u32::MAX;
 /// Sentinel shard value caching a "not a monitoring tag" resolution.
 const SHARD_UNKNOWN: u32 = u32::MAX - 1;
@@ -57,18 +57,46 @@ fn hash_epc(user_bits: u64, tag_bits: u32) -> u64 {
     mix(user_bits ^ u64::from(tag_bits).rotate_left(32))
 }
 
-/// Open-addressed EPC → [`Route`] cache over parallel flat arrays.
+/// One table entry of [`IdentityCache`]: the EPC key and its cached route,
+/// 24 bytes, so a probe reads one cache line. `shard` holds the sentinels.
+#[derive(Debug, Clone, Copy)]
+struct RouteEntry {
+    user: u64,
+    tag: u32,
+    shard: u32,
+    slot: u32,
+    tag_id: u32,
+}
+
+impl RouteEntry {
+    const EMPTY: RouteEntry = RouteEntry {
+        user: 0,
+        tag: 0,
+        shard: SHARD_EMPTY,
+        slot: 0,
+        tag_id: 0,
+    };
+
+    fn route(self) -> Route {
+        if self.shard == SHARD_UNKNOWN {
+            return Route::Unknown;
+        }
+        Route::User {
+            shard: self.shard,
+            slot: self.slot,
+            tag_id: self.tag_id,
+        }
+    }
+}
+
+/// Open-addressed EPC → [`Route`] cache over one flat table of entries.
 ///
 /// Linear probing, power-of-two capacity, ≤ 50 % load factor. The probe is
 /// allocation-free and panic-free; all growth happens on the cold admission
 /// path.
 #[derive(Debug)]
 pub struct IdentityCache {
-    key_user: Vec<u64>,
-    key_tag: Vec<u32>,
-    route_shard: Vec<u32>,
-    route_slot: Vec<u32>,
-    route_tag: Vec<u32>,
+    entries: Vec<RouteEntry>,
     len: usize,
 }
 
@@ -87,17 +115,13 @@ impl IdentityCache {
 
     fn with_pow2_capacity(capacity: usize) -> Self {
         IdentityCache {
-            key_user: vec![0; capacity],
-            key_tag: vec![0; capacity],
-            route_shard: vec![SHARD_EMPTY; capacity],
-            route_slot: vec![0; capacity],
-            route_tag: vec![0; capacity],
+            entries: vec![RouteEntry::EMPTY; capacity],
             len: 0,
         }
     }
 
     fn mask(&self) -> u64 {
-        (self.route_shard.len() as u64).saturating_sub(1)
+        (self.entries.len() as u64).saturating_sub(1)
     }
 
     /// Hot-path lookup: the route cached for this EPC, or `None` on a miss
@@ -107,23 +131,12 @@ impl IdentityCache {
         let mask = self.mask();
         let mut at = hash_epc(user_bits, tag_bits) & mask;
         loop {
-            let shard = self.route_shard.get(at as usize).copied()?;
-            if shard == SHARD_EMPTY {
+            let entry = self.entries.get(at as usize)?;
+            if entry.shard == SHARD_EMPTY {
                 return None;
             }
-            let user_hit = self.key_user.get(at as usize).copied()? == user_bits;
-            let tag_hit = self.key_tag.get(at as usize).copied()? == tag_bits;
-            if user_hit && tag_hit {
-                if shard == SHARD_UNKNOWN {
-                    return Some(Route::Unknown);
-                }
-                let slot = self.route_slot.get(at as usize).copied()?;
-                let tag_id = self.route_tag.get(at as usize).copied()?;
-                return Some(Route::User {
-                    shard,
-                    slot,
-                    tag_id,
-                });
+            if entry.user == user_bits && entry.tag == tag_bits {
+                return Some(entry.route());
             }
             at = at.wrapping_add(1) & mask;
         }
@@ -132,13 +145,24 @@ impl IdentityCache {
     /// Cold path: caches `route` for this EPC, growing the table if needed.
     /// A duplicate key overwrites the cached route.
     pub fn admit_route(&mut self, user_bits: u64, tag_bits: u32, route: Route) {
-        if (self.len + 1) * 2 > self.route_shard.len() {
+        if (self.len + 1) * 2 > self.entries.len() {
             self.grow_table();
         }
-        let inserted = self.place(user_bits, tag_bits, route);
-        if inserted {
-            self.len += 1;
-        }
+        let (shard, slot, tag_id) = match route {
+            Route::User {
+                shard,
+                slot,
+                tag_id,
+            } => (shard, slot, tag_id),
+            Route::Unknown => (SHARD_UNKNOWN, 0, 0),
+        };
+        self.place(RouteEntry {
+            user: user_bits,
+            tag: tag_bits,
+            shard,
+            slot,
+            tag_id,
+        });
     }
 
     /// Cached route count (including cached Unknown resolutions).
@@ -153,64 +177,33 @@ impl IdentityCache {
         self.len == 0
     }
 
-    fn place(&mut self, user_bits: u64, tag_bits: u32, route: Route) -> bool {
-        let (shard, slot, tag_id) = match route {
-            Route::User {
-                shard,
-                slot,
-                tag_id,
-            } => (shard, slot, tag_id),
-            Route::Unknown => (SHARD_UNKNOWN, 0, 0),
-        };
+    /// Writes `new` into its key's entry, or into the first empty one on
+    /// its probe sequence, counting a new key.
+    fn place(&mut self, new: RouteEntry) {
         let mask = self.mask();
-        let mut at = hash_epc(user_bits, tag_bits) & mask;
+        let mut at = hash_epc(new.user, new.tag) & mask;
         loop {
-            let i = at as usize;
-            let cell = self.route_shard.get(i).copied().unwrap_or(SHARD_EMPTY);
-            let same_key = cell != SHARD_EMPTY
-                && self.key_user.get(i).copied() == Some(user_bits)
-                && self.key_tag.get(i).copied() == Some(tag_bits);
-            if cell == SHARD_EMPTY || same_key {
-                set(&mut self.key_user, i, user_bits);
-                set(&mut self.key_tag, i, tag_bits);
-                set(&mut self.route_shard, i, shard);
-                set(&mut self.route_slot, i, slot);
-                set(&mut self.route_tag, i, tag_id);
-                return cell == SHARD_EMPTY;
+            let Some(entry) = self.entries.get_mut(at as usize) else {
+                return; // unreachable: `at` is masked into the table
+            };
+            let empty = entry.shard == SHARD_EMPTY;
+            if empty || (entry.user == new.user && entry.tag == new.tag) {
+                *entry = new;
+                self.len += usize::from(empty);
+                return;
             }
             at = at.wrapping_add(1) & mask;
         }
     }
 
     fn grow_table(&mut self) {
-        let bigger = Self::with_pow2_capacity(self.route_shard.len().max(32) * 2);
+        let bigger = Self::with_pow2_capacity(self.entries.len().max(32) * 2);
         let old = std::mem::replace(self, bigger);
-        for i in 0..old.route_shard.len() {
-            let shard = old.route_shard.get(i).copied().unwrap_or(SHARD_EMPTY);
-            if shard == SHARD_EMPTY {
-                continue;
-            }
-            let user = old.key_user.get(i).copied().unwrap_or(0);
-            let tag = old.key_tag.get(i).copied().unwrap_or(0);
-            let route = if shard == SHARD_UNKNOWN {
-                Route::Unknown
-            } else {
-                Route::User {
-                    shard,
-                    slot: old.route_slot.get(i).copied().unwrap_or(0),
-                    tag_id: old.route_tag.get(i).copied().unwrap_or(0),
-                }
-            };
-            if self.place(user, tag, route) {
-                self.len += 1;
+        for entry in old.entries {
+            if entry.shard != SHARD_EMPTY {
+                self.place(entry);
             }
         }
-    }
-}
-
-fn set<T>(cells: &mut [T], at: usize, value: T) {
-    if let Some(cell) = cells.get_mut(at) {
-        *cell = value;
     }
 }
 
@@ -292,6 +285,66 @@ mod tests {
                 }),
                 "user {user}"
             );
+        }
+    }
+
+    #[test]
+    fn matches_a_map_at_flood_scale() {
+        use prng::{Rng, Xoshiro256};
+        use std::collections::HashMap;
+        // A cache's observable contract is a map's: a probe returns the
+        // last route admitted for its key, and `len` counts keys.
+        let mut rng = Xoshiro256::seed_from_u64(300_000);
+        let random_route = |rng: &mut Xoshiro256| {
+            if rng.gen_f64() < 0.3 {
+                Route::Unknown
+            } else {
+                let word = |rng: &mut Xoshiro256| u32::try_from(rng.next_u64() >> 40).unwrap_or(0);
+                Route::User {
+                    shard: word(rng) % 8,
+                    slot: word(rng),
+                    tag_id: word(rng),
+                }
+            }
+        };
+        let (mut cache, mut model) = (IdentityCache::new(), HashMap::new());
+        // 300k keys: 80k dense users with three tags each, as the flood
+        // sends, and 60k random EPCs.
+        let mut keys: Vec<(u64, u32)> = (0..80_000u64)
+            .flat_map(|user| (0..3).map(move |tag| (user, tag)))
+            .collect();
+        keys.extend((0..60_000).map(|_| {
+            (
+                rng.next_u64(),
+                u32::try_from(rng.next_u64() >> 32).unwrap_or(0),
+            )
+        }));
+        for &(user, tag) in &keys {
+            let route = random_route(&mut rng);
+            cache.admit_route(user, tag, route);
+            model.insert((user, tag), route);
+        }
+        assert_eq!(cache.len(), model.len());
+        assert_eq!(cache.len(), 300_000);
+        // Overwrites once the table has grown: the count holds.
+        for _ in 0..50_000 {
+            let (user, tag) = keys[rng.gen_range(0..keys.len())];
+            let route = random_route(&mut rng);
+            cache.admit_route(user, tag, route);
+            model.insert((user, tag), route);
+        }
+        assert_eq!(cache.len(), 300_000);
+        for (&(user, tag), &route) in &model {
+            assert_eq!(cache.probe(user, tag), Some(route), "key ({user}, {tag})");
+        }
+        // Absent keys: unseen tags of known users, and random EPCs.
+        for _ in 0..100_000 {
+            let (user, tag) = if rng.gen_bool() {
+                (u64::try_from(rng.gen_range(0..80_000)).unwrap_or(0), 3)
+            } else {
+                (rng.next_u64(), 7)
+            };
+            assert_eq!(cache.probe(user, tag), model.get(&(user, tag)).copied());
         }
     }
 

@@ -66,7 +66,7 @@ use crate::series::TimeSeries;
 use epcgen2::report::TagReport;
 use obs::trace::TraceEvent;
 use obs::Recorder;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 /// The per-tag slab: slots sorted by `(antenna_port, tag_id)` so
 /// iteration order (and therefore float summation order) matches the
@@ -141,13 +141,15 @@ impl TagStat {
 }
 
 /// The preprocessing operator of one tag, matching
-/// [`PreprocessKind`](crate::config::PreprocessKind).
+/// [`PreprocessKind`](crate::config::PreprocessKind). The track state is
+/// boxed so a paper-default (increment) tag slot stays the unwrapper's
+/// size.
 #[derive(Debug, Clone)]
 enum Preprocessor {
     /// Eq. (3) increments feeding a shared fusion accumulator.
     Increments(PhaseUnwrapper),
     /// Per-channel level tracks merged at snapshot time.
-    Tracks(TrackAccumulator),
+    Tracks(Box<TrackAccumulator>),
 }
 
 /// One tag's slot in the graph: statistics plus preprocessor state.
@@ -161,7 +163,7 @@ impl TagState {
     fn new(kind: PreprocessKind) -> Self {
         let pre = match kind {
             PreprocessKind::IncrementBinning => Preprocessor::Increments(PhaseUnwrapper::new()),
-            PreprocessKind::ChannelTrackMerge => Preprocessor::Tracks(TrackAccumulator::new()),
+            PreprocessKind::ChannelTrackMerge => Preprocessor::Tracks(Box::default()),
         };
         TagState {
             stat: TagStat::default(),
@@ -310,8 +312,9 @@ pub struct UserStreamState {
     last_tag: usize,
     /// Per-port fusion accumulators (the `BestPort` layout).
     per_port: PortSlab,
-    /// Single cross-port accumulator (the `MergeAll` layout).
-    merged: Option<FusionAccumulator>,
+    /// Single cross-port accumulator (the `MergeAll` layout), boxed so
+    /// the paper-default graph fits one 64-byte slot.
+    merged: Option<Box<FusionAccumulator>>,
 }
 
 /// Cold path: first report of a `(antenna_port, tag_id)` key allocates
@@ -331,31 +334,43 @@ fn admit_port(per_port: &mut PortSlab, at: usize, port: u8, bin_s: f64) {
 /// each port by the summed read rate of its tag streams, breaks ties by
 /// their mean RSSI, then by the higher port. `stats` yields one
 /// `(antenna_port, statistics)` pair per tag stream, in `(port, tag)`
-/// order so float sums are reproducible. `None` when there are no streams.
+/// order: each port's streams are one run, folded in one pass, and the
+/// order keeps float sums reproducible. `None` when there are no streams.
 pub(crate) fn best_port<'a>(stats: impl IntoIterator<Item = (u8, &'a TagStat)>) -> Option<u8> {
-    let mut ports: BTreeMap<u8, (f64, f64, usize)> = BTreeMap::new();
+    let mut best: Option<(u8, (f64, f64))> = None;
+    // A finished port replaces the best unless the best scores strictly
+    // higher, so a tie (or an incomparable NaN score) goes to the higher
+    // port, as under `max_by`.
+    let mut close = |(port, rate, rssi_sum, n): (u8, f64, f64, usize)| {
+        let rssi = if n == 0 {
+            f64::NEG_INFINITY
+        } else {
+            rssi_sum / n as f64
+        };
+        if best.is_none_or(|(_, score)| score.partial_cmp(&(rate, rssi)) != Some(Ordering::Greater))
+        {
+            best = Some((port, (rate, rssi)));
+        }
+    };
+    // The open port's summed rate, summed mean RSSI and RSSI count.
+    let mut open: Option<(u8, f64, f64, usize)> = None;
     for (port, stat) in stats {
-        let entry = ports.entry(port).or_insert((0.0, 0.0, 0));
+        if let Some(done) = open.take_if(|sums| sums.0 != port) {
+            close(done);
+        }
+        let sums = open.get_or_insert((port, 0.0, 0.0, 0));
         if let Some(rate) = stat.mean_rate_hz() {
-            entry.0 += rate;
+            sums.1 += rate;
         }
         if let Some(rssi) = stat.mean_rssi_dbm() {
-            entry.1 += rssi;
-            entry.2 += 1;
+            sums.2 += rssi;
+            sums.3 += 1;
         }
     }
-    ports
-        .into_iter()
-        .map(|(port, (rate, rssi_sum, n))| {
-            let rssi = if n == 0 {
-                f64::NEG_INFINITY
-            } else {
-                rssi_sum / n as f64
-            };
-            (port, (rate, rssi))
-        })
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(port, _)| port)
+    if let Some(done) = open {
+        close(done);
+    }
+    best.map(|(port, _)| port)
 }
 
 impl UserStreamState {
@@ -427,9 +442,9 @@ impl UserStreamState {
                         };
                         acc
                     }
-                    AntennaStrategy::MergeAll => self
-                        .merged
-                        .get_or_insert_with(|| FusionAccumulator::new(config.fusion_bin_s)),
+                    AntennaStrategy::MergeAll => self.merged.get_or_insert_with(|| {
+                        Box::new(FusionAccumulator::new(config.fusion_bin_s))
+                    }),
                 };
                 let bins_before = acc.len();
                 acc.push(sample);
@@ -459,13 +474,14 @@ impl UserStreamState {
     /// to total stream length.
     pub fn snapshot(&self, config: &PipelineConfig) -> Option<UserSnapshot> {
         let port = self.best_antenna()?;
-        let selected: Vec<&TagState> = self
-            .tags
-            .iter()
-            .filter(|((p, _), _)| matches!(config.antenna, AntennaStrategy::MergeAll) || *p == port)
-            .map(|(_, t)| t)
-            .collect();
-        let report_count = selected.iter().map(|t| t.stat.count()).sum();
+        let selected = || {
+            (self.tags.iter())
+                .filter(move |((p, _), _)| {
+                    matches!(config.antenna, AntennaStrategy::MergeAll) || *p == port
+                })
+                .map(|(_, t)| t)
+        };
+        let report_count = selected().map(|t| t.stat.count()).sum();
         let displacement = match config.preprocess {
             PreprocessKind::IncrementBinning => match config.antenna {
                 AntennaStrategy::BestPort => {
@@ -478,8 +494,7 @@ impl UserStreamState {
                 AntennaStrategy::MergeAll => self.merged.as_ref()?.trajectory()?,
             },
             PreprocessKind::ChannelTrackMerge => {
-                let tracks: Vec<Vec<dsp::Sample>> = selected
-                    .iter()
+                let tracks: Vec<Vec<dsp::Sample>> = selected()
                     .map(|t| match &t.pre {
                         Preprocessor::Tracks(acc) => acc.merged(),
                         Preprocessor::Increments(_) => Vec::new(),
@@ -552,7 +567,7 @@ impl UserStreamState {
         let gap = config.max_phase_gap_s;
         let horizon = window_s.max(gap);
         let bins = (self.per_port.iter().map(|(_, acc)| acc))
-            .chain(&self.merged)
+            .chain(self.merged.as_deref())
             .filter_map(FusionAccumulator::oldest_bin_end_s)
             .map(|end| end + window_s);
         let tags = self.tags.iter().flat_map(|(_, tag)| {
@@ -584,7 +599,7 @@ impl UserStreamState {
             .iter()
             .map(|(_, acc)| acc.len())
             .sum::<usize>()
-            + self.merged.as_ref().map_or(0, FusionAccumulator::len)
+            + self.merged.as_deref().map_or(0, FusionAccumulator::len)
     }
 
     /// Number of `(antenna_port, tag_id)` keys currently holding state.
@@ -620,6 +635,7 @@ mod tests {
     use super::*;
     use epcgen2::epc::Epc96;
     use prng::{Rng, Xoshiro256};
+    use std::f64::consts::TAU;
 
     fn report(t: f64, tag: u32, port: u8, channel: u16, phase: f64, rssi: f64) -> TagReport {
         TagReport {
@@ -653,6 +669,84 @@ mod tests {
         }
         push_all(&mut state, &reports, &cfg);
         assert_eq!(state.best_antenna(), Some(1));
+    }
+
+    /// The antenna rule as a `BTreeMap` fold, the form [`best_port`] had
+    /// before its one-pass rewrite: the oracle it must match.
+    fn best_port_by_map<'a>(stats: impl IntoIterator<Item = (u8, &'a TagStat)>) -> Option<u8> {
+        let mut ports: std::collections::BTreeMap<u8, (f64, f64, usize)> =
+            std::collections::BTreeMap::new();
+        for (port, stat) in stats {
+            let entry = ports.entry(port).or_insert((0.0, 0.0, 0));
+            if let Some(rate) = stat.mean_rate_hz() {
+                entry.0 += rate;
+            }
+            if let Some(rssi) = stat.mean_rssi_dbm() {
+                entry.1 += rssi;
+                entry.2 += 1;
+            }
+        }
+        ports
+            .into_iter()
+            .map(|(port, (rate, rssi_sum, n))| {
+                let rssi = if n == 0 {
+                    f64::NEG_INFINITY
+                } else {
+                    rssi_sum / n as f64
+                };
+                (port, (rate, rssi))
+            })
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+            .map(|(port, _)| port)
+    }
+
+    #[test]
+    fn best_port_matches_the_map_rule() {
+        let mut rng = Xoshiro256::seed_from_u64(19);
+        for trial in 0..3_000 {
+            // Port-grouped streams in (port, tag) order, empty in some
+            // trials. Reads at shared instants with a shared RSSI make
+            // equal rates and full ties common; a stream of 0 or 1 reads
+            // has no rate.
+            let mut streams: Vec<(u8, TagStat)> = Vec::new();
+            let mut port = 0u8;
+            for _ in 0..rng.gen_range(0..5) {
+                port += if rng.gen_bool() { 1 } else { 2 };
+                for tag in 0..rng.gen_range(1..4) {
+                    let tag = u32::try_from(tag).unwrap_or(0);
+                    let mut stat = TagStat::default();
+                    for read in 0..rng.gen_range(0..4) {
+                        let t = if rng.gen_bool() {
+                            0.5 * read as f64
+                        } else {
+                            2.0 * rng.gen_f64()
+                        };
+                        let rssi = if rng.gen_bool() {
+                            -55.0
+                        } else {
+                            -40.0 - 30.0 * rng.gen_f64()
+                        };
+                        stat.observe(&report(t, tag, port, 0, 0.0, rssi));
+                    }
+                    streams.push((port, stat));
+                }
+            }
+            let stats = || streams.iter().map(|(port, stat)| (*port, stat));
+            assert_eq!(
+                best_port(stats()),
+                best_port_by_map(stats()),
+                "trial {trial}: {streams:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_default_slots_fit_a_cache_line() {
+        // The paper-default graph and an increment-mode tag slot stay
+        // 64 bytes: the merge-all accumulator and the track state, which
+        // that path never touches, are boxed.
+        assert!(std::mem::size_of::<UserStreamState>() <= 64);
+        assert!(std::mem::size_of::<((u8, u32), TagState)>() <= 64);
     }
 
     #[test]
@@ -810,6 +904,44 @@ mod tests {
             }
         }
         assert!(probes > 1_000, "{probes} watermarks probed");
+    }
+
+    #[test]
+    fn channel_track_merge_is_deterministic_when_channels_tie() -> Result<(), String> {
+        // Two readers with the same port number read one tag, on channels
+        // 0 and 1 at the same instants, 20 ms apart: the tag's merged
+        // track holds pairs of samples tied in time. Every fresh graph
+        // must fuse them into the same bits.
+        let cfg = PipelineConfig {
+            preprocess: PreprocessKind::ChannelTrackMerge,
+            ..PipelineConfig::paper_default()
+        };
+        let trace: Vec<(u32, TagReport)> = (0..600)
+            .flat_map(|i| {
+                let t = f64::from(i) * 0.02;
+                let d = 0.005 * (2.0 * std::f64::consts::PI * 0.25 * t).sin();
+                [0u16, 1].map(|channel| {
+                    let lambda = cfg.plan.wavelength_m(usize::from(channel));
+                    let phase = 4.0 * std::f64::consts::PI * d / lambda + f64::from(channel);
+                    (0, report(t, 0, 1, channel, phase.rem_euclid(TAU), -55.0))
+                })
+            })
+            .collect();
+        let mut patterns = std::collections::BTreeSet::new();
+        for _ in 0..64 {
+            let mut state = UserStreamState::new();
+            push_all(&mut state, &trace, &cfg);
+            let snap = state.snapshot(&cfg).ok_or("no snapshot")?;
+            let bits: Vec<u64> = snap
+                .displacement
+                .values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            patterns.insert(bits);
+        }
+        assert_eq!(patterns.len(), 1, "displacement bit patterns");
+        Ok(())
     }
 
     #[test]

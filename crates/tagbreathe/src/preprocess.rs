@@ -26,7 +26,6 @@ use dsp::phase::wrap_to_pi;
 use dsp::resample::Sample;
 use epcgen2::report::TagReport;
 use rfchannel::channel_plan::ChannelPlan;
-use std::collections::HashMap;
 
 /// Maximum plausible torso speed for a monitored (seated/standing/lying)
 /// subject, m/s. Same-channel displacement increments implying a faster
@@ -55,13 +54,14 @@ fn increment_is_plausible(dd: f64, dt: f64) -> bool {
 /// [`displacement_increments`] asserts on them instead, preserving its
 /// documented contract).
 ///
-/// State is one `(f64, f64)` pair per *recently seen* channel;
+/// State is one `(f64, f64)` pair per *recently seen* channel, in a
+/// channel-sorted table of at most `plan.len()` entries;
 /// [`PhaseUnwrapper::evict_stale`] drops references older than the gap so a
 /// silent tag's state cannot outlive its ability to produce increments.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseUnwrapper {
-    /// Last (time, phase) seen per channel.
-    last: HashMap<u16, (f64, f64)>,
+    /// Last (time, phase) seen per channel, sorted by channel.
+    last: Vec<(u16, (f64, f64))>,
 }
 
 impl PhaseUnwrapper {
@@ -91,20 +91,34 @@ impl PhaseUnwrapper {
             return None;
         }
         let lambda = plan.wavelength_m(channel);
-        let mut emitted = None;
-        if let Some(&(t_prev, theta_prev)) = self.last.get(&report.channel_index) {
-            let dt = report.time_s - t_prev;
-            if dt > 0.0 && dt <= max_gap_s {
-                let dtheta = wrap_to_pi(report.phase_rad - theta_prev);
-                let dd = lambda / (4.0 * std::f64::consts::PI) * dtheta;
-                if !increment_is_plausible(dd, dt) {
-                    return None;
-                }
-                emitted = Some(Sample::new(report.time_s, dd));
+        let reading = (report.time_s, report.phase_rad);
+        let at = match self
+            .last
+            .binary_search_by_key(&report.channel_index, |entry| entry.0)
+        {
+            Ok(at) => at,
+            Err(at) => {
+                // A new channel: store its first reference, keeping the
+                // table sorted.
+                self.last.insert(at, (report.channel_index, reading));
+                return None;
             }
+        };
+        let Some((_, reference)) = self.last.get_mut(at) else {
+            return None; // unreachable: the entry was just found
+        };
+        let (t_prev, theta_prev) = *reference;
+        let mut emitted = None;
+        let dt = report.time_s - t_prev;
+        if dt > 0.0 && dt <= max_gap_s {
+            let dtheta = wrap_to_pi(report.phase_rad - theta_prev);
+            let dd = lambda / (4.0 * std::f64::consts::PI) * dtheta;
+            if !increment_is_plausible(dd, dt) {
+                return None;
+            }
+            emitted = Some(Sample::new(report.time_s, dd));
         }
-        self.last
-            .insert(report.channel_index, (report.time_s, report.phase_rad));
+        *reference = reading;
         emitted
     }
 
@@ -118,7 +132,7 @@ impl PhaseUnwrapper {
     /// the difference.
     pub fn evict_stale(&mut self, watermark_s: f64, max_gap_s: f64) {
         self.last
-            .retain(|_, &mut (t, _)| watermark_s - t <= max_gap_s);
+            .retain(|&(_, (t, _))| watermark_s - t <= max_gap_s);
     }
 
     /// Number of channels currently holding a reference.
@@ -131,7 +145,7 @@ impl PhaseUnwrapper {
     /// `None` while no reference is held.
     #[must_use]
     pub fn oldest_reference_s(&self) -> Option<f64> {
-        self.last.values().map(|&(t, _)| t).reduce(f64::min)
+        self.last.iter().map(|&(_, (t, _))| t).reduce(f64::min)
     }
 
     /// Whether no channel references are held.
@@ -216,9 +230,15 @@ struct ChannelTrack {
 /// analysis window and [`TrackAccumulator::evict_stale`] closes and drops
 /// channel state for channels silent past the gap, bounding memory to the
 /// window contents.
+///
+/// Channel state lives in the same channel-sorted table as
+/// [`PhaseUnwrapper`]'s, so open segments are flushed in channel order:
+/// samples of two channels at the same instant merge in the same order in
+/// every instance, and so do the float sums fused from them.
 #[derive(Debug, Clone, Default)]
 pub struct TrackAccumulator {
-    channels: HashMap<u16, ChannelTrack>,
+    /// Per-channel track state, sorted by channel.
+    channels: Vec<(u16, ChannelTrack)>,
     /// Mean-centred samples of already-closed segments.
     closed: Vec<Sample>,
 }
@@ -249,37 +269,41 @@ impl TrackAccumulator {
             return;
         }
         let lambda = plan.wavelength_m(channel);
-        match self.channels.get_mut(&report.channel_index) {
-            Some(st) => {
-                let dt = report.time_s - st.last_t;
-                if dt > 0.0 && dt <= max_gap_s {
-                    let dtheta = wrap_to_pi(report.phase_rad - st.last_theta);
-                    let dd = lambda / (4.0 * std::f64::consts::PI) * dtheta;
-                    if !increment_is_plausible(dd, dt) {
-                        return; // corrupted reading: drop, keep reference
-                    }
-                    st.cum += dd;
-                    st.segment.push(Sample::new(report.time_s, st.cum));
-                } else {
-                    flush_segment(&mut st.segment, &mut self.closed);
-                    st.cum = 0.0;
-                    st.segment.push(Sample::new(report.time_s, 0.0));
-                }
-                st.last_t = report.time_s;
-                st.last_theta = report.phase_rad;
+        let at = match self
+            .channels
+            .binary_search_by_key(&report.channel_index, |entry| entry.0)
+        {
+            Ok(at) => at,
+            Err(at) => {
+                let track = ChannelTrack {
+                    last_t: report.time_s,
+                    last_theta: report.phase_rad,
+                    cum: 0.0,
+                    segment: vec![Sample::new(report.time_s, 0.0)],
+                };
+                self.channels.insert(at, (report.channel_index, track));
+                return;
             }
-            None => {
-                self.channels.insert(
-                    report.channel_index,
-                    ChannelTrack {
-                        last_t: report.time_s,
-                        last_theta: report.phase_rad,
-                        cum: 0.0,
-                        segment: vec![Sample::new(report.time_s, 0.0)],
-                    },
-                );
+        };
+        let Some((_, st)) = self.channels.get_mut(at) else {
+            return; // unreachable: the entry was just found
+        };
+        let dt = report.time_s - st.last_t;
+        if dt > 0.0 && dt <= max_gap_s {
+            let dtheta = wrap_to_pi(report.phase_rad - st.last_theta);
+            let dd = lambda / (4.0 * std::f64::consts::PI) * dtheta;
+            if !increment_is_plausible(dd, dt) {
+                return; // corrupted reading: drop, keep reference
             }
+            st.cum += dd;
+            st.segment.push(Sample::new(report.time_s, st.cum));
+        } else {
+            flush_segment(&mut st.segment, &mut self.closed);
+            st.cum = 0.0;
+            st.segment.push(Sample::new(report.time_s, 0.0));
         }
+        st.last_t = report.time_s;
+        st.last_theta = report.phase_rad;
     }
 
     /// Snapshot of the merged track: closed segments plus the centred
@@ -288,7 +312,7 @@ impl TrackAccumulator {
     #[must_use]
     pub fn merged(&self) -> Vec<Sample> {
         let mut out = self.closed.clone();
-        for st in self.channels.values() {
+        for (_, st) in &self.channels {
             let mut open = st.segment.clone();
             flush_segment(&mut open, &mut out);
         }
@@ -305,7 +329,7 @@ impl TrackAccumulator {
     #[must_use]
     pub fn finish(mut self) -> Vec<Sample> {
         let mut out = std::mem::take(&mut self.closed);
-        for st in self.channels.values_mut() {
+        for (_, st) in &mut self.channels {
             flush_segment(&mut st.segment, &mut out);
         }
         out.sort_by(|a, b| {
@@ -323,7 +347,7 @@ impl TrackAccumulator {
     /// batch function over only the windowed reports.
     pub fn evict_before(&mut self, cutoff_s: f64) {
         self.closed.retain(|s| s.time >= cutoff_s);
-        for st in self.channels.values_mut() {
+        for (_, st) in &mut self.channels {
             st.segment.retain(|s| s.time >= cutoff_s);
         }
     }
@@ -333,7 +357,7 @@ impl TrackAccumulator {
     /// broken the segment anyway, so in-order emissions are unchanged.
     pub fn evict_stale(&mut self, watermark_s: f64, max_gap_s: f64) {
         let closed = &mut self.closed;
-        self.channels.retain(|_, st| {
+        self.channels.retain_mut(|(_, st)| {
             if watermark_s - st.last_t > max_gap_s {
                 flush_segment(&mut st.segment, closed);
                 false
@@ -354,7 +378,10 @@ impl TrackAccumulator {
     /// channel holds state.
     #[must_use]
     pub fn oldest_reference_s(&self) -> Option<f64> {
-        self.channels.values().map(|st| st.last_t).reduce(f64::min)
+        self.channels
+            .iter()
+            .map(|(_, st)| st.last_t)
+            .reduce(f64::min)
     }
 
     /// Time of the oldest buffered sample, closed or open:
@@ -362,7 +389,7 @@ impl TrackAccumulator {
     /// this time. `None` while no sample is buffered.
     #[must_use]
     pub fn oldest_sample_s(&self) -> Option<f64> {
-        let open = self.channels.values().flat_map(|st| &st.segment);
+        let open = self.channels.iter().flat_map(|(_, st)| &st.segment);
         self.closed
             .iter()
             .chain(open)
@@ -375,8 +402,8 @@ impl TrackAccumulator {
         self.closed.len()
             + self
                 .channels
-                .values()
-                .map(|st| st.segment.len())
+                .iter()
+                .map(|(_, st)| st.segment.len())
                 .sum::<usize>()
     }
 
@@ -709,6 +736,104 @@ mod tests {
         assert_eq!(unwrapper.tracked_channels(), 1, "channel 0 is stale");
         unwrapper.evict_stale(20.0, 5.0);
         assert!(unwrapper.is_empty());
+    }
+
+    /// The unwrapper over a `HashMap` of channel references, the form
+    /// [`PhaseUnwrapper`] had before its channel-sorted table: the oracle
+    /// it must match.
+    #[derive(Default)]
+    struct MapUnwrapper {
+        last: std::collections::HashMap<u16, (f64, f64)>,
+    }
+
+    impl MapUnwrapper {
+        fn push(
+            &mut self,
+            report: &TagReport,
+            plan: &ChannelPlan,
+            max_gap_s: f64,
+        ) -> Option<Sample> {
+            let channel = report.channel_index as usize;
+            if channel >= plan.len() {
+                return None;
+            }
+            let lambda = plan.wavelength_m(channel);
+            let mut emitted = None;
+            if let Some(&(t_prev, theta_prev)) = self.last.get(&report.channel_index) {
+                let dt = report.time_s - t_prev;
+                if dt > 0.0 && dt <= max_gap_s {
+                    let dtheta = wrap_to_pi(report.phase_rad - theta_prev);
+                    let dd = lambda / (4.0 * PI) * dtheta;
+                    if !increment_is_plausible(dd, dt) {
+                        return None;
+                    }
+                    emitted = Some(Sample::new(report.time_s, dd));
+                }
+            }
+            self.last
+                .insert(report.channel_index, (report.time_s, report.phase_rad));
+            emitted
+        }
+
+        fn evict_stale(&mut self, watermark_s: f64, max_gap_s: f64) {
+            self.last
+                .retain(|_, &mut (t, _)| watermark_s - t <= max_gap_s);
+        }
+
+        fn oldest_reference_s(&self) -> Option<f64> {
+            self.last.values().map(|&(t, _)| t).reduce(f64::min)
+        }
+    }
+
+    #[test]
+    fn unwrapper_matches_the_map_form() {
+        use prng::{Rng, Xoshiro256};
+        let plan = plan();
+        let max_gap_s = 5.0;
+        let mut emitted = 0;
+        for seed in 0..32 {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let (mut table, mut map) = (PhaseUnwrapper::new(), MapUnwrapper::default());
+            let mut t = 100.0 * rng.gen_f64();
+            for i in 0..1_500 {
+                // Hops over the plan and one channel past it, now and then
+                // a gap past `max_gap_s`, a read behind the newest (a
+                // reversed pair) or a phase jump (an implausible
+                // increment).
+                t += if rng.gen_f64() < 0.01 {
+                    max_gap_s + 2.0 * rng.gen_f64()
+                } else {
+                    0.05 * rng.gen_f64()
+                };
+                let time_s = if rng.gen_f64() < 0.05 {
+                    t - 0.3 * rng.gen_f64()
+                } else {
+                    t
+                };
+                let channel = u16::try_from(rng.gen_range(0..plan.len() + 1)).unwrap_or(0);
+                let phase = if rng.gen_f64() < 0.05 {
+                    2.0 * PI * rng.gen_f64()
+                } else {
+                    1.0 + 0.02 * rng.gen_f64()
+                };
+                let r = mk(time_s, channel, phase);
+                let got = table.push(&r, &plan, max_gap_s);
+                assert_eq!(got, map.push(&r, &plan, max_gap_s), "seed {seed}, read {i}");
+                emitted += usize::from(got.is_some());
+                if rng.gen_f64() < 0.03 {
+                    let watermark_s = t + 2.0 * max_gap_s * (rng.gen_f64() - 0.25);
+                    table.evict_stale(watermark_s, max_gap_s);
+                    map.evict_stale(watermark_s, max_gap_s);
+                }
+                assert_eq!(table.tracked_channels(), map.last.len(), "seed {seed}");
+                assert_eq!(
+                    table.oldest_reference_s(),
+                    map.oldest_reference_s(),
+                    "seed {seed}"
+                );
+            }
+        }
+        assert!(emitted > 10_000, "only {emitted} increments emitted");
     }
 
     #[test]

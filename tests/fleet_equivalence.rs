@@ -413,3 +413,52 @@ fn a_shard_whose_users_all_expired_answers_beside_a_busy_one() {
     assert_eq!(users(0), Some(0.0), "shard 0 emptied");
     assert_eq!(users(1), Some(busy.len() as f64), "shard 1 still busy");
 }
+
+#[test]
+fn channel_tracks_tied_in_time_merge_identically_across_executors() {
+    // Two readers with the same port number read each user's tag on
+    // channels 0 and 1 at the same instants, 20 ms apart, for 600 steps:
+    // the channel-track merge sees samples tied in time, which every
+    // executor must fuse in the same order.
+    let config = PipelineConfig {
+        preprocess: PreprocessKind::ChannelTrackMerge,
+        ..PipelineConfig::paper_default()
+    };
+    let ids: Vec<u64> = (1..=4).collect();
+    let parts = (ids.iter())
+        .map(|&user| {
+            (0..600)
+                .flat_map(|step| {
+                    let read = read(user, 0, f64::from(step) * 0.02 + user as f64 * 1e-5);
+                    [0, 1].map(|channel| TagReport {
+                        channel_index: channel,
+                        phase_rad: (read.phase_rad + f64::from(channel))
+                            .rem_euclid(std::f64::consts::TAU),
+                        ..read
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let reports = interleave(parts);
+    let resolver = || EmbeddedIdentity::new(ids.clone());
+    let mut inline =
+        StreamingMonitor::new(config.clone(), resolver(), WINDOW_S, CADENCE_S).unwrap();
+    let mut reference = inline.push(reports.iter().copied());
+    reference.extend(inline.finish());
+    assert!(
+        reference.iter().any(|s| !s.effort_rms.is_empty()),
+        "no user got an effort — test would be vacuous"
+    );
+    for shards in [1, 2, 4, 8] {
+        let mut fleet =
+            FleetEngine::new(config.clone(), resolver(), WINDOW_S, CADENCE_S, shards).unwrap();
+        let mut snaps = fleet.push(reports.iter().copied());
+        snaps.extend(fleet.finish());
+        assert_bit_identical(
+            &reference,
+            &snaps,
+            &format!("tied channels: {shards} shards"),
+        );
+    }
+}
