@@ -14,19 +14,22 @@
 #   8. bench smoke        cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace
 #   9. fleet bench smoke  cargo run --release -p tagbreathe-bench --bin stream_bench -- --fleet --smoke
 #  10. CLI slo smoke      cargo run --release --bin tagbreathe-cli -- slo <metrics sidecar>
-#  11. loopback soak      cargo run --release -p tagbreathe-bench --bin loopback_soak -- --smoke
-#  12. workspace lint     cargo run -p tagbreathe-lint -- check --format sarif
-#  13. hot-path report    cargo run -p tagbreathe-lint -- hotpath --max-sites 0
-#  14. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
-#  15. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
-#  16. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
-#  17. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+#  11. workspace lint     cargo run -p tagbreathe-lint -- check --format sarif
+#  12. hot-path report    cargo run -p tagbreathe-lint -- hotpath --max-sites 0
+#  13. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
+#  14. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
+#  15. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
+#  16. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 #
-# Steps 3 and 4 cover the whole workspace: the root manifest's
-# `default-members` lists the suite package and every crate, so plain
-# `cargo test -q` runs each crate's unit tests, integration tests (the
-# fleet ring stress, the model-checker protocols, the lint golden
-# corpus) and doctests, not only the suite's. Step 5 keeps the API docs
+# Step 2 enforces the library-crate rules: every crate listed in
+# lint.toml's `lib-crates` denies `missing_docs`, `unreachable_pub` and
+# clippy's `unwrap_used`, `expect_used`, `panic` and `unreachable` at its
+# root, in-src test modules included (docs/LINTING.md). Steps 3 and 4
+# cover the whole workspace: the root manifest's `default-members`
+# lists the suite package and every crate, so plain `cargo test -q`
+# runs each crate's unit tests, integration tests (the fleet ring
+# stress, the model-checker protocols, the lint golden corpus) and
+# doctests, not only the suite's. Step 5 keeps the API docs
 # buildable (broken intra-doc links are errors). Step 6 pins the batch/streaming agreement of the shared
 # operator graph: bit-identical rates on time-ordered traces, within
 # 0.1 bpm when timestamps arrive out of order. Step 7 repeats the three real-socket server
@@ -35,7 +38,11 @@
 # must pass every time on any core count, so a timing-dependent wait, an
 # engine that sits on finished snapshots, or a worker or acceptor that
 # spins while idle fails here instead of flaking later (one pass is
-# ~0.6 s of test time, 0.5 s of it the idle-CPU measurement). Step 8 is the
+# ~0.6 s of test time, 0.5 s of it the idle-CPU measurement). The
+# loopback suite streams two readers over real TCP in 0.5 s time slices
+# and requires the live `/snapshots` bits to be a prefix of the inline
+# engine's, every sent report accepted and none shed, a valid `/slo` and
+# a complete `/status` page. Step 8 is the
 # streaming-vs-recompute microbench in its one-iteration smoke mode,
 # and also asserts the
 # instrumented metrics sidecar and the flight-recorder Chrome-trace
@@ -50,36 +57,31 @@
 # smoke window; the ceiling leaves ~10x headroom and catches per-user
 # state blowups). Step 10 renders the SLO table offline from the step-8
 # metrics sidecar via `tagbreathe-cli slo` — the same burn-rate code the
-# server runs behind `/slo`. Step 11 drives a simulated reader fleet
-# through real TCP into tagbreathe-server (docs/PROTOCOL.md) and exits
-# non-zero unless every served snapshot is bit-identical to the inline
-# engine and nothing was shed; it also validates the `/slo` JSON (via
-# obs::json) and the `/status` dashboard sections under live load.
-# Step 12 is the in-tree
+# server runs behind `/slo`. Step 11 is the in-tree
 # ratchet linter (crates/lint): it fails on any violation beyond
 # lint-baseline.txt AND on any uncommitted slack (a burn-down that
 # forgot `-- check --update-baseline`). It also emits the full report as
 # SARIF 2.1.0 (lint.sarif), re-validated with the linter's own in-tree
 # JSON validator (`validate-json`, backed by tagbreathe_obs::json).
-# Step 13 is the machine-readable hot-path cost inventory: it fails if a
+# Step 12 is the machine-readable hot-path cost inventory: it fails if a
 # `[hotpath]` root no longer resolves or the per-report path performs
 # any allocation or non-slab map lookup at all (`--max-sites 0` — the
 # slab/interner refactor burned the last two sites, and this pins the
-# ratchet shut), and its JSON is re-validated like the SARIF. Step 14 is
+# ratchet shut), and its JSON is re-validated like the SARIF. Step 13 is
 # the atomics-discipline gate: every atomic call site must match the
 # ordering protocol declared in lint.toml's `[atomics]` section
-# (`--max-violations 0`), and the JSON report is re-validated. Step 15
+# (`--max-violations 0`), and the JSON report is re-validated. Step 14
 # is the static mutant proof: re-resolving the cfg-switched ordering
 # constants under `--cfg sync_mutant` MUST produce violations — if the
 # weakened orderings pass the gate, the analyzer has gone blind and CI
-# fails. Step 16 runs the bounded model checker (crates/syncmodel): the
+# fails. Step 15 runs the bounded model checker (crates/syncmodel): the
 # declared ring/barrier/drain/idle-wake protocols must survive
 # exhaustive small-bound exploration AND seeded deep random walks, and
 # each runtime mutant (weakened orderings, an unpark issued before its
-# batch is published) must fail with a counterexample trace. Steps 12-16
+# batch is published) must fail with a counterexample trace. Steps 11-15
 # together must finish inside the lint wall-clock budget below — the
 # linter re-parses the workspace per invocation, so a runaway pass
-# shows up here before it slows every pre-commit hook. Step 17 builds
+# shows up here before it slows every pre-commit hook. Step 16 builds
 # the end-to-end benchmark (perfbench/, a package of its own with path
 # dependencies on crates/*) and runs its self-tests, so a workspace API
 # change that would break the benchmark fails here.
@@ -146,12 +148,6 @@ grep -q "snapshot_lag_p99" /tmp/tagbreathe-slo.txt \
     || { echo "ci: CLI slo table missing the lag objective" >&2; exit 1; }
 grep -q "bytes_per_resident_user" /tmp/tagbreathe-slo.txt \
     || { echo "ci: CLI slo table missing the residency objective" >&2; exit 1; }
-
-echo "==> loopback_soak --smoke"
-cargo run -q --release -p tagbreathe-bench --bin loopback_soak -- --smoke --out /tmp/BENCH_loopback_smoke.json
-test -s /tmp/BENCH_loopback_smoke.json \
-    || { echo "ci: loopback soak output missing or empty" >&2; exit 1; }
-cargo run -q -p tagbreathe-lint -- validate-json /tmp/BENCH_loopback_smoke.json
 
 echo "==> cargo run -p tagbreathe-lint -- check --format sarif --out /tmp/tagbreathe-lint.sarif"
 lint_started_s=$SECONDS

@@ -27,7 +27,14 @@
 //! assert!(rest.distance_to(later) < 0.01);
 //! ```
 
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod metronome;

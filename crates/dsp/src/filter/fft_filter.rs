@@ -307,8 +307,7 @@ mod tests {
 
     #[test]
     fn error_type_displays() {
-        let err = FftLowPass::new(0.0, 64.0).unwrap_err();
-        assert!(err.to_string().contains("cutoff"));
+        assert!(matches!(FftLowPass::new(0.0, 64.0), Err(e) if e.to_string().contains("cutoff")));
     }
 
     #[test]

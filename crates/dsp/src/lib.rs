@@ -49,7 +49,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod autocorr;

@@ -164,8 +164,7 @@ mod tests {
         assert!("1234".parse::<Epc96>().is_err());
         assert!("ZZZZZZZZZZZZZZZZZZZZZZZZ".parse::<Epc96>().is_err());
         assert!("00000000DEADBEEF0000123".parse::<Epc96>().is_err());
-        let err = "xy".parse::<Epc96>().unwrap_err();
-        assert!(err.to_string().contains("invalid EPC"));
+        assert!(matches!("xy".parse::<Epc96>(), Err(e) if e.to_string().contains("invalid EPC")));
     }
 
     #[test]

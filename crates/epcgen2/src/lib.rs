@@ -32,7 +32,14 @@
 //! assert!(!reports.is_empty());
 //! ```
 
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod client;

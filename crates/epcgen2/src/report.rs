@@ -187,23 +187,25 @@ mod tests {
 
     #[test]
     fn read_rejects_bad_header() {
-        let err = read_csv("nope\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, TraceError::Parse(1, _)));
+        let err = read_csv("nope\n".as_bytes()).err();
+        assert!(matches!(err, Some(TraceError::Parse(1, _))));
     }
 
     #[test]
     fn read_rejects_wrong_field_count() {
         let data = format!("{CSV_HEADER}\n1.0,abc\n");
-        let err = read_csv(data.as_bytes()).unwrap_err();
-        assert!(matches!(err, TraceError::Parse(2, _)));
+        let err = read_csv(data.as_bytes()).err();
+        assert!(matches!(err, Some(TraceError::Parse(2, _))));
     }
 
     #[test]
     fn read_rejects_bad_epc() {
         let data = format!("{CSV_HEADER}\n1.0,XYZ,1,3,1.0,-50.0,0.0\n");
-        let err = read_csv(data.as_bytes()).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("line 2"), "{msg}");
+        let msg = read_csv(data.as_bytes()).err().map(|e| e.to_string());
+        assert!(
+            msg.as_ref().is_some_and(|m| m.contains("line 2")),
+            "{msg:?}"
+        );
     }
 
     #[test]

@@ -660,9 +660,9 @@ impl TypeEnv<'_> {
             };
             for e in exprs {
                 // Every nested block (if/loop/match arms/closures) shows
-                // up as a `BlockExpr` node under `visit`.
+                // up as a `Block` node under `visit`.
                 e.visit(&mut |sub| {
-                    if let Expr::BlockExpr { block, .. } = sub {
+                    if let Expr::Block { block, .. } = sub {
                         for s in &block.stmts {
                             self.let_var(s, vars);
                         }

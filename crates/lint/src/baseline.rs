@@ -15,9 +15,13 @@ pub type Counts = BTreeMap<(String, String), usize>;
 /// One (rule, file) pair that got worse than the baseline allows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Regression {
+    /// Rule identifier.
     pub rule: String,
+    /// Workspace-relative file path.
     pub path: String,
+    /// Count the baseline allows.
     pub allowed: usize,
+    /// Count the scan found.
     pub actual: usize,
 }
 

@@ -413,7 +413,7 @@ fn collect_let_types(
     // Nested blocks: scoping is ignored (shadowing across blocks is rare
     // enough that a flat map is an acceptable approximation).
     block.visit(&mut |e| {
-        if let Expr::BlockExpr { block: b, .. } = e {
+        if let Expr::Block { block: b, .. } = e {
             for stmt in &b.stmts {
                 if let Stmt::Let {
                     name: Some(name),

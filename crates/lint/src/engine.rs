@@ -7,7 +7,7 @@ use crate::baseline::{self, Counts, Regression};
 use crate::callgraph::Workspace;
 use crate::config::Config;
 use crate::report::{count_by_rule_and_file, Severity, Violation};
-use crate::rules::{all_rules, semantic_rules, RuleCtx};
+use crate::rules::{all_rules, semantic_rules};
 use crate::source::SourceFile;
 use crate::walk::rust_files;
 use std::fs;
@@ -38,9 +38,6 @@ pub struct ScanOutcome {
 ///
 /// Returns an I/O error if the tree cannot be walked or a file read.
 pub fn scan(root: &Path, config: &Config) -> io::Result<ScanOutcome> {
-    let ctx = RuleCtx {
-        lib_crates: config.lib_crates.clone(),
-    };
     let rules = all_rules();
     let mut violations = Vec::new();
     let mut enforced = Vec::new();
@@ -55,7 +52,7 @@ pub fn scan(root: &Path, config: &Config) -> io::Result<ScanOutcome> {
             if severity == Severity::Off {
                 continue;
             }
-            let found = rule.check(&file, &ctx);
+            let found = rule.check(&file);
             if severity == Severity::Error {
                 enforced.extend(found.iter().cloned());
             }
@@ -135,7 +132,9 @@ pub fn load_baseline(root: &Path) -> Result<Counts, String> {
 /// The result of a full `check` run.
 #[derive(Debug)]
 pub struct CheckResult {
+    /// The scan behind the comparison.
     pub outcome: ScanOutcome,
+    /// (rule, file) pairs over their baseline allowance.
     pub regressions: Vec<Regression>,
     /// Baseline entries that are now over-provisioned.
     pub slack: Vec<(String, String, usize, usize)>,

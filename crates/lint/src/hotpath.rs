@@ -388,7 +388,7 @@ fn scan_expr(e: &Expr, f: &mut dyn FnMut(&Expr)) {
             scan_expr(target, f);
             scan_expr(value, f);
         }
-        Expr::BlockExpr { block, .. } => scan_block(block, f),
+        Expr::Block { block, .. } => scan_block(block, f),
         Expr::If {
             cond,
             then_block,

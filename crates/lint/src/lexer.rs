@@ -18,7 +18,9 @@
 /// One lexical token with the 1-indexed line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
+    /// What the token is.
     pub kind: TokenKind,
+    /// 1-indexed line the token starts on.
     pub line: u32,
 }
 

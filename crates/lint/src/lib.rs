@@ -32,6 +32,15 @@
 //!
 //! Run it as `cargo run -p tagbreathe-lint -- check` (see `ci.sh`).
 
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod atomics;
 pub mod baseline;
 pub mod callgraph;

@@ -23,6 +23,15 @@
 //! `Ordering` constants under that cfg so CI can prove the seeded
 //! ordering mutant is caught without rebuilding anything.
 
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tagbreathe_lint::config::Config;

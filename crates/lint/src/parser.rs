@@ -7,7 +7,7 @@
 //! full Rust parser:
 //!
 //! * it is **total**: any input terminates without panicking; constructs
-//!   it does not understand become [`Expr::Opaque`] nodes and the parser
+//!   it does not understand become `Expr::Opaque` nodes and the parser
 //!   resynchronises at the next statement boundary;
 //! * patterns are skimmed, not parsed — a `let` keeps only the last bound
 //!   identifier, match arms keep guard and body expressions;
@@ -155,21 +155,21 @@ pub struct FnItem {
     /// Return type as space-joined token text, absent for `()`.
     pub ret_type: Option<String>,
     /// Body statements; `None` for bodiless trait/extern signatures.
-    pub body: Option<Block>,
+    pub(crate) body: Option<Block>,
     /// Lies in test code (`#[cfg(test)]` module or test-only path).
     pub is_test: bool,
 }
 
 /// A `{ … }` block as a statement list.
 #[derive(Debug, Default)]
-pub struct Block {
+pub(crate) struct Block {
     /// Statements in source order.
-    pub stmts: Vec<Stmt>,
+    pub(crate) stmts: Vec<Stmt>,
 }
 
 /// One statement.
 #[derive(Debug)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `let <pat> [: ty] = init;` — `name` is the last identifier bound by
     /// the pattern (`let Some(x)` names `x`), when one exists.
     Let {
@@ -187,7 +187,7 @@ pub enum Stmt {
 
 /// One expression tree node.
 #[derive(Debug)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// A (possibly multi-segment) path used as a value, e.g. `x`, `f64::MAX`.
     Path { segs: Vec<String>, line: u32 },
     /// Any literal (number, string, char, bool).
@@ -246,7 +246,7 @@ pub enum Expr {
     /// Closure; parameters are dropped, the body is kept.
     Closure { body: Box<Expr>, line: u32 },
     /// A block used as an expression (incl. `unsafe { … }`).
-    BlockExpr { block: Block, line: u32 },
+    Block { block: Block, line: u32 },
     /// `if`/`if let`; the pattern of `if let` is dropped.
     If {
         cond: Box<Expr>,
@@ -281,7 +281,7 @@ pub enum Expr {
 
 impl Expr {
     /// The 1-indexed source line this node starts on.
-    pub fn line(&self) -> u32 {
+    pub(crate) fn line(&self) -> u32 {
         match self {
             Expr::Path { line, .. }
             | Expr::Lit { line }
@@ -296,7 +296,7 @@ impl Expr {
             | Expr::Try { line, .. }
             | Expr::Macro { line, .. }
             | Expr::Closure { line, .. }
-            | Expr::BlockExpr { line, .. }
+            | Expr::Block { line, .. }
             | Expr::If { line, .. }
             | Expr::Match { line, .. }
             | Expr::Loop { line, .. }
@@ -308,7 +308,7 @@ impl Expr {
 
     /// Depth-first visit of this node and every sub-expression, including
     /// those inside nested blocks, closures and match arms.
-    pub fn visit(&self, f: &mut dyn FnMut(&Expr)) {
+    pub(crate) fn visit(&self, f: &mut dyn FnMut(&Expr)) {
         f(self);
         match self {
             Expr::Path { .. } | Expr::Lit { .. } | Expr::Opaque { .. } => {}
@@ -340,7 +340,7 @@ impl Expr {
                 target.visit(f);
                 value.visit(f);
             }
-            Expr::BlockExpr { block, .. } => block.visit(f),
+            Expr::Block { block, .. } => block.visit(f),
             Expr::If {
                 cond,
                 then_block,
@@ -384,7 +384,7 @@ impl Expr {
 impl Block {
     /// Depth-first visit of every expression in the block (and nested
     /// blocks), including `let` initialisers and `return` values.
-    pub fn visit(&self, f: &mut dyn FnMut(&Expr)) {
+    pub(crate) fn visit(&self, f: &mut dyn FnMut(&Expr)) {
         for stmt in &self.stmts {
             match stmt {
                 Stmt::Let {
@@ -420,7 +420,7 @@ pub fn base_type_name(ty: &str) -> Option<String> {
 }
 
 /// Parses a lexed file into its item model. Never fails: unparseable
-/// regions degrade to [`Expr::Opaque`] nodes.
+/// regions degrade to `Expr::Opaque` nodes.
 pub fn parse_file(file: &SourceFile) -> ParsedFile {
     let code: Vec<&Token> = file
         .tokens
@@ -1656,7 +1656,7 @@ impl Parser<'_> {
                 self.bump();
                 if self.at_punct("{") {
                     let block = self.parse_block();
-                    Expr::BlockExpr { block, line }
+                    Expr::Block { block, line }
                 } else {
                     Expr::Opaque { line }
                 }
@@ -1712,7 +1712,7 @@ impl Parser<'_> {
             }
             Some(k) if k.is_punct("{") => {
                 let block = self.parse_block();
-                Expr::BlockExpr { block, line }
+                Expr::Block { block, line }
             }
             Some(TokenKind::Ident(_)) => self.parse_path_expr(allow_struct),
             _ => {
@@ -1846,7 +1846,7 @@ impl Parser<'_> {
             } else {
                 let line = self.line();
                 let block = self.parse_block();
-                Some(Box::new(Expr::BlockExpr { block, line }))
+                Some(Box::new(Expr::Block { block, line }))
             }
         } else {
             None

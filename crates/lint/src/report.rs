@@ -39,7 +39,7 @@ impl fmt::Display for Severity {
 /// One rule finding at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule identifier, e.g. `lib-panic`.
+    /// Rule identifier, e.g. `float-eq`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,

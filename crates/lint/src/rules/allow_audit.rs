@@ -5,7 +5,7 @@
 //! candidate. The ratchet keeps the current set frozen so new silenced
 //! warnings need an explicit baseline update to land.
 
-use super::{Rule, RuleCtx};
+use super::Rule;
 use crate::lexer::TokenKind;
 use crate::report::{Severity, Violation};
 use crate::source::SourceFile;
@@ -26,7 +26,7 @@ impl Rule for AllowAudit {
         Severity::Error
     }
 
-    fn check(&self, file: &SourceFile, _ctx: &RuleCtx) -> Vec<Violation> {
+    fn check(&self, file: &SourceFile) -> Vec<Violation> {
         let code = file.code_tokens();
         let mut out = Vec::new();
         let mut i = 0;

@@ -10,7 +10,7 @@
 //! Test code is exempt: asserting exact equality of a deterministic
 //! computation is a legitimate test technique.
 
-use super::{Rule, RuleCtx};
+use super::Rule;
 use crate::lexer::TokenKind;
 use crate::report::{Severity, Violation};
 use crate::source::SourceFile;
@@ -31,7 +31,7 @@ impl Rule for FloatEq {
         Severity::Error
     }
 
-    fn check(&self, file: &SourceFile, _ctx: &RuleCtx) -> Vec<Violation> {
+    fn check(&self, file: &SourceFile) -> Vec<Violation> {
         let code = file.code_tokens();
         let mut out = Vec::new();
         for i in 0..code.len() {

@@ -235,7 +235,7 @@ impl FnChecker<'_> {
             // (iterator adapters, `unwrap_or_else`), so held guards stay
             // in scope inside them.
             Expr::Closure { body, .. } => self.check_expr(body, guards),
-            Expr::BlockExpr { block, .. } => {
+            Expr::Block { block, .. } => {
                 self.check_block(block, guards);
                 None
             }

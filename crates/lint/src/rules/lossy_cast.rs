@@ -12,7 +12,7 @@
 //! are left to review. Intentional narrowings (wire formats, LLRP
 //! encoding) stay frozen in the baseline.
 
-use super::{Rule, RuleCtx};
+use super::Rule;
 use crate::lexer::TokenKind;
 use crate::report::{Severity, Violation};
 use crate::source::SourceFile;
@@ -36,7 +36,7 @@ impl Rule for LossyCast {
         Severity::Error
     }
 
-    fn check(&self, file: &SourceFile, _ctx: &RuleCtx) -> Vec<Violation> {
+    fn check(&self, file: &SourceFile) -> Vec<Violation> {
         let code = file.code_tokens();
         let mut out = Vec::new();
         for i in 0..code.len() {

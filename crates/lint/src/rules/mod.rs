@@ -7,7 +7,6 @@
 
 mod allow_audit;
 mod atomics_rule;
-mod doc_comment;
 mod float_eq;
 mod hot_path;
 mod lock_discipline;
@@ -15,9 +14,7 @@ mod lossy_cast;
 mod must_use;
 mod nan_guard;
 mod panic_reach;
-mod panics;
 mod shard_safety;
-mod todo_tracker;
 mod unit_flow;
 
 use crate::callgraph::Workspace;
@@ -26,7 +23,6 @@ use crate::source::SourceFile;
 
 pub use allow_audit::AllowAudit;
 pub use atomics_rule::Atomics;
-pub use doc_comment::DocComment;
 pub use float_eq::FloatEq;
 pub use hot_path::HotPathCost;
 pub use lock_discipline::LockDiscipline;
@@ -34,17 +30,8 @@ pub use lossy_cast::LossyCast;
 pub use must_use::MissingMustUse;
 pub use nan_guard::NanGuard;
 pub use panic_reach::PanicReach;
-pub use panics::LibPanic;
 pub use shard_safety::ShardSafety;
-pub use todo_tracker::TodoTracker;
 pub use unit_flow::UnitDataflow;
-
-/// Facts shared by all rules for a scan.
-#[derive(Debug, Clone)]
-pub struct RuleCtx {
-    /// Crates held to library standards (no panicking call sites).
-    pub lib_crates: Vec<String>,
-}
 
 /// A lint rule.
 pub trait Rule {
@@ -55,19 +42,16 @@ pub trait Rule {
     /// Enforcement level when not overridden in `lint.toml`.
     fn default_severity(&self) -> Severity;
     /// Scans one file.
-    fn check(&self, file: &SourceFile, ctx: &RuleCtx) -> Vec<Violation>;
+    fn check(&self, file: &SourceFile) -> Vec<Violation>;
 }
 
 /// All shipped rules, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(FloatEq),
-        Box::new(LibPanic),
         Box::new(LossyCast),
         Box::new(AllowAudit),
         Box::new(MissingMustUse),
-        Box::new(DocComment),
-        Box::new(TodoTracker),
     ]
 }
 
@@ -102,21 +86,8 @@ pub(crate) mod testutil {
     use super::*;
 
     /// Runs one rule over inline source text at a given pseudo-path.
-    pub fn run(rule: &dyn Rule, rel_path: &str, source: &str) -> Vec<Violation> {
-        let file = SourceFile::parse(rel_path, source);
-        let ctx = RuleCtx {
-            lib_crates: [
-                "dsp",
-                "rfchannel",
-                "breathing",
-                "epcgen2",
-                "tagbreathe",
-                "obs",
-            ]
-            .map(String::from)
-            .to_vec(),
-        };
-        rule.check(&file, &ctx)
+    pub(crate) fn run(rule: &dyn Rule, rel_path: &str, source: &str) -> Vec<Violation> {
+        rule.check(&SourceFile::parse(rel_path, source))
     }
 }
 

@@ -7,7 +7,7 @@
 //! that bug into a compiler warning. The rule is scoped to the `dsp`
 //! crate where the purity convention holds by design.
 
-use super::{Rule, RuleCtx};
+use super::Rule;
 use crate::lexer::TokenKind;
 use crate::report::{Severity, Violation};
 use crate::source::SourceFile;
@@ -31,7 +31,7 @@ impl Rule for MissingMustUse {
         Severity::Error
     }
 
-    fn check(&self, file: &SourceFile, _ctx: &RuleCtx) -> Vec<Violation> {
+    fn check(&self, file: &SourceFile) -> Vec<Violation> {
         if file.crate_name != "dsp" || file.test_only {
             return Vec::new();
         }

@@ -339,7 +339,7 @@ impl Checker<'_> {
                 let _ = self.infer_in(body, &mut scoped);
                 None
             }
-            Expr::BlockExpr { block, .. } => {
+            Expr::Block { block, .. } => {
                 let mut scoped = env.clone();
                 self.check_block(block, &mut scoped, None)
             }
@@ -404,7 +404,7 @@ impl Checker<'_> {
 
     /// Infers with a mutable scope (for expressions owning blocks).
     fn infer_in(&mut self, e: &Expr, env: &mut HashMap<String, String>) -> Option<String> {
-        if let Expr::BlockExpr { block, .. } = e {
+        if let Expr::Block { block, .. } = e {
             return self.check_block(block, env, None);
         }
         self.infer(e, env)

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 /// Static description of one rule for the `tool.driver.rules` table.
 #[derive(Debug, Clone)]
 pub struct RuleMeta {
-    /// Stable rule identifier (`lib-panic`, `panic-reach`, …).
+    /// Stable rule identifier (`float-eq`, `panic-reach`, …).
     pub id: &'static str,
     /// One-line rule description.
     pub description: &'static str,

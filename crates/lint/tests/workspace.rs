@@ -5,14 +5,17 @@
 //! * a fixture with fresh violations must make `check` fail — proving
 //!   the ratchet actually bites;
 //! * the real `tagbreathe-lint` binary must exit 0 on the shipped tree
-//!   and non-zero on a tree with a new violation.
+//!   and non-zero on a tree with a new violation;
+//! * every library crate's root must hand the panic and doc standards to
+//!   rustc and clippy with a crate-level `deny`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use tagbreathe_lint::engine;
+use tagbreathe_lint::lexer::{lex, TokenKind};
 use tagbreathe_lint::report::Severity;
-use tagbreathe_lint::rules::{all_rules, RuleCtx};
+use tagbreathe_lint::rules::all_rules;
 use tagbreathe_lint::source::SourceFile;
 
 /// The workspace root, two levels above this crate.
@@ -84,26 +87,88 @@ pub fn pure_energy(x: &[f64]) -> f64 {
 #[test]
 fn fixture_triggers_every_error_rule() {
     let file = SourceFile::parse("crates/dsp/src/fixture.rs", VIOLATING_FIXTURE);
-    let ctx = RuleCtx {
-        lib_crates: vec!["dsp".to_string()],
-    };
     let fired: Vec<&str> = all_rules()
         .iter()
         .filter(|r| r.default_severity() == Severity::Error)
-        .filter(|r| !r.check(&file, &ctx).is_empty())
+        .filter(|r| !r.check(&file).is_empty())
         .map(|r| r.id())
         .collect();
     assert_eq!(
         fired,
-        vec![
-            "float-eq",
-            "lib-panic",
-            "lossy-cast",
-            "allow-attr",
-            "missing-must-use",
-            "doc-comment"
-        ]
+        vec!["float-eq", "lossy-cast", "allow-attr", "missing-must-use"]
     );
+}
+
+/// The lints every library crate root denies, so that rustc (docs) and
+/// clippy (panicking calls) hold the crate to library standards.
+const CRATE_ROOT_DENY: [&str; 6] = [
+    "missing_docs",
+    "unreachable_pub",
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+];
+
+/// The lint paths named by the crate-level `#![deny(…)]` attributes in
+/// `source`, e.g. `missing_docs` or `clippy::panic`.
+fn crate_level_denies(source: &str) -> Vec<String> {
+    let code: Vec<TokenKind> = lex(source)
+        .into_iter()
+        .map(|t| t.kind)
+        .filter(|k| !matches!(k, TokenKind::Comment(_)))
+        .collect();
+    let mut denied = Vec::new();
+    for (i, head) in code.windows(5).enumerate() {
+        let opens = head[0].is_punct("#")
+            && head[1].is_punct("!")
+            && head[2].is_punct("[")
+            && head[3].is_ident("deny")
+            && head[4].is_punct("(");
+        if !opens {
+            continue;
+        }
+        let mut path = String::new();
+        for kind in &code[i + 5..] {
+            match kind {
+                TokenKind::Ident(name) => path.push_str(name),
+                TokenKind::Punct("::") => path.push_str("::"),
+                TokenKind::Punct(",") => denied.push(std::mem::take(&mut path)),
+                _ => break,
+            }
+        }
+        if !path.is_empty() {
+            denied.push(path);
+        }
+    }
+    denied
+}
+
+#[test]
+fn library_crate_roots_deny_the_panic_and_doc_lints() {
+    let root = workspace_root();
+    let config = engine::load_config(&root).expect("config loads");
+    assert!(
+        !config.lib_crates.is_empty(),
+        "lint.toml must list the library crates"
+    );
+    let mut roots: Vec<PathBuf> = config
+        .lib_crates
+        .iter()
+        .map(|name| root.join("crates").join(name).join("src/lib.rs"))
+        .collect();
+    roots.push(root.join("crates/lint/src/main.rs"));
+    for path in &roots {
+        let source = fs::read_to_string(path).expect("crate root readable");
+        let denied = crate_level_denies(&source);
+        for lint in CRATE_ROOT_DENY {
+            assert!(
+                denied.iter().any(|d| d == lint),
+                "{} must deny `{lint}` at crate level; it denies {denied:?}",
+                path.display()
+            );
+        }
+    }
 }
 
 #[test]
@@ -181,7 +246,7 @@ fn check_fails_on_new_violation_and_engine_agrees() {
     let result = engine::check(&dir).expect("check runs on scratch tree");
     assert!(!result.passed(), "fresh violations must fail the ratchet");
     assert!(
-        result.regressions.iter().any(|r| r.rule == "lib-panic"),
+        result.regressions.iter().any(|r| r.rule == "float-eq"),
         "{:#?}",
         result.regressions
     );
@@ -239,7 +304,7 @@ fn update_baseline_refreezes_scratch_tree() {
         String::from_utf8_lossy(&again.stderr)
     );
     let text = fs::read_to_string(dir.join("lint-baseline.txt")).expect("baseline written");
-    assert!(text.contains("lib-panic"), "{text}");
+    assert!(text.contains("float-eq"), "{text}");
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -34,7 +34,14 @@
 //! assert!(p > 0.5 && p < 1.0);
 //! ```
 
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod antenna;

@@ -308,7 +308,7 @@ fn render_user(user: u64, snap: &crate::engine::UserSnapshot) -> String {
 
 /// Renders the snapshot log. Every float also appears as its IEEE-754
 /// bit pattern (hex string — JSON numbers cannot carry 64 significant
-/// bits), which is what the loopback soak compares for bit-identity.
+/// bits), which is what the loopback tests compare for bit-identity.
 fn render_snapshots(store: &SnapshotStore) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"trimmed\":");

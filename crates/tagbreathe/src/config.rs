@@ -279,6 +279,6 @@ mod tests {
     fn error_displays() {
         let mut c = PipelineConfig::paper_default();
         c.cutoff_hz = -1.0;
-        assert!(c.validate().unwrap_err().to_string().contains("cutoff"));
+        assert!(matches!(c.validate(), Err(e) if e.to_string().contains("cutoff")));
     }
 }

@@ -50,7 +50,14 @@
 //! assert!((bpm - 10.0).abs() < 2.0);
 //! ```
 
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod apnea;

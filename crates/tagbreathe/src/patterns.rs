@@ -7,7 +7,6 @@
 //! segments individual breaths, measures their depth and timing, and
 //! classifies the pattern.
 
-use crate::rate::RateEstimate;
 use crate::series::TimeSeries;
 use dsp::zero_crossing::{find_zero_crossings, CrossingDirection};
 
@@ -64,11 +63,7 @@ pub struct PatternAnalysis {
 
 /// Segments breaths and classifies the pattern from an extracted breath
 /// signal (zero-mean, band-limited).
-///
-/// `rate` supplies the crossing hysteresis context; pass the estimate from
-/// [`crate::rate::estimate_rate`] on the same signal.
-pub fn analyze_pattern(signal: &TimeSeries, rate: &RateEstimate) -> PatternAnalysis {
-    let _ = rate; // crossing context reserved for future refinement
+pub fn analyze_pattern(signal: &TimeSeries) -> PatternAnalysis {
     let hysteresis = dsp::stats::rms(signal.values()).unwrap_or(0.0) * 0.3;
     let crossings =
         find_zero_crossings(signal.values(), signal.start_s(), signal.dt_s(), hysteresis);
@@ -130,11 +125,10 @@ pub fn analyze_pattern(signal: &TimeSeries, rate: &RateEstimate) -> PatternAnaly
 /// `value_b`, keyed by `user_id`). The analysis itself is identical.
 pub fn analyze_pattern_traced(
     signal: &TimeSeries,
-    rate: &RateEstimate,
     user_id: u64,
     tracer: &dyn obs::trace::Tracer,
 ) -> PatternAnalysis {
-    let analysis = analyze_pattern(signal, rate);
+    let analysis = analyze_pattern(signal);
     if tracer.enabled() {
         let class = match analysis.class {
             PatternClass::Regular => 0.0,
@@ -166,8 +160,6 @@ fn coefficient_of_variation(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PipelineConfig;
-    use crate::rate::estimate_rate;
     use std::f64::consts::PI;
 
     fn series(
@@ -179,15 +171,10 @@ mod tests {
         TimeSeries::new(0.0, dt, (0..n).map(|i| f(i as f64 * dt)).collect())
     }
 
-    fn analyze(signal: &TimeSeries) -> PatternAnalysis {
-        let est = estimate_rate(signal, &PipelineConfig::paper_default());
-        analyze_pattern(signal, &est)
-    }
-
     #[test]
     fn regular_sine_classifies_regular() -> Result<(), Box<dyn std::error::Error>> {
         let s = series(|t| (2.0 * PI * 0.2 * t).sin(), 120.0)?;
-        let p = analyze(&s);
+        let p = analyze_pattern(&s);
         assert!(p.breaths.len() >= 20, "{} breaths", p.breaths.len());
         assert_eq!(p.class, PatternClass::Regular);
         assert!(p.rate_cv < 0.05, "rate CV {}", p.rate_cv);
@@ -201,8 +188,8 @@ mod tests {
 
     #[test]
     fn depth_is_proportional_to_amplitude() -> Result<(), Box<dyn std::error::Error>> {
-        let small = analyze(&series(|t| 0.5 * (2.0 * PI * 0.2 * t).sin(), 60.0)?);
-        let large = analyze(&series(|t| 2.0 * (2.0 * PI * 0.2 * t).sin(), 60.0)?);
+        let small = analyze_pattern(&series(|t| 0.5 * (2.0 * PI * 0.2 * t).sin(), 60.0)?);
+        let large = analyze_pattern(&series(|t| 2.0 * (2.0 * PI * 0.2 * t).sin(), 60.0)?);
         assert!((large.mean_depth / small.mean_depth - 4.0).abs() < 0.2);
         Ok(())
     }
@@ -224,7 +211,7 @@ mod tests {
             values.push(phase.sin());
         }
         let s = TimeSeries::new(0.0, dt, values)?;
-        let p = analyze(&s);
+        let p = analyze_pattern(&s);
         assert_eq!(
             p.class,
             PatternClass::IrregularRate,
@@ -245,7 +232,7 @@ mod tests {
             },
             120.0,
         )?;
-        let p = analyze(&s);
+        let p = analyze_pattern(&s);
         assert!(p.depth_cv > 0.3, "depth CV {}", p.depth_cv);
         assert_ne!(p.class, PatternClass::Regular);
         Ok(())
@@ -254,14 +241,14 @@ mod tests {
     #[test]
     fn too_short_is_indeterminate() -> Result<(), Box<dyn std::error::Error>> {
         let s = series(|t| (2.0 * PI * 0.2 * t).sin(), 8.0)?;
-        let p = analyze(&s);
+        let p = analyze_pattern(&s);
         assert_eq!(p.class, PatternClass::Indeterminate);
         Ok(())
     }
 
     #[test]
     fn inspiratory_fraction_of_symmetric_sine_is_half() -> Result<(), Box<dyn std::error::Error>> {
-        let p = analyze(&series(|t| (2.0 * PI * 0.2 * t).sin(), 60.0)?);
+        let p = analyze_pattern(&series(|t| (2.0 * PI * 0.2 * t).sin(), 60.0)?);
         for b in &p.breaths {
             assert!((b.inspiratory_fraction - 0.5).abs() < 0.1);
         }

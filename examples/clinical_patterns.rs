@@ -59,7 +59,7 @@ fn main() {
         if let Some(bpm) = user.mean_rate_bpm() {
             println!("   rate        : {bpm:.1} bpm");
         }
-        let pattern = analyze_pattern(&user.breath_signal, &user.rate);
+        let pattern = analyze_pattern(&user.breath_signal);
         println!(
             "   pattern     : {:?} ({} breaths, rate CV {:.2}, depth CV {:.2})",
             pattern.class,

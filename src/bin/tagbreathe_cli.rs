@@ -219,7 +219,7 @@ fn analyze(args: &[String]) -> Result<(), String> {
         match &analysis.users[&id] {
             Ok(user) => {
                 println!("{}", vitals_line(id, user, 48));
-                let pattern = analyze_pattern(&user.breath_signal, &user.rate);
+                let pattern = analyze_pattern(&user.breath_signal);
                 let quality = assess(user, &QualityThresholds::default_thresholds());
                 println!(
                     "         pattern {:?} ({} breaths) | quality {:?} (SNR {:.1})",
@@ -390,7 +390,7 @@ fn trace(args: &[String]) -> Result<(), String> {
             tracer.as_dyn(),
         )?;
         flight.scan_apnea(id, &episodes, &registry);
-        analyze_pattern_traced(&user.breath_signal, &user.rate, id, tracer.as_dyn());
+        analyze_pattern_traced(&user.breath_signal, id, tracer.as_dyn());
     }
 
     let events = flight.ring().snapshot();

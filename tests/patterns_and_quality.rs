@@ -34,7 +34,7 @@ type UserAnalysisBox = tagbreathe_suite::tagbreathe::UserAnalysis;
 #[test]
 fn steady_breathing_classifies_regular_end_to_end() {
     let user = analyze_waveform(Waveform::Sinusoid { rate_bpm: 12.0 }, 120.0, 1).unwrap();
-    let p = analyze_pattern(&user.breath_signal, &user.rate);
+    let p = analyze_pattern(&user.breath_signal);
     assert_eq!(p.class, PatternClass::Regular, "rate CV {}", p.rate_cv);
     assert!(p.breaths.len() >= 15, "{} breaths", p.breaths.len());
 }
@@ -51,7 +51,7 @@ fn cheyne_stokes_is_flagged_irregular_end_to_end() {
         2,
     )
     .unwrap();
-    let p = analyze_pattern(&user.breath_signal, &user.rate);
+    let p = analyze_pattern(&user.breath_signal);
     assert_ne!(
         p.class,
         PatternClass::Regular,
@@ -103,7 +103,7 @@ fn breath_depth_scales_with_physical_amplitude() {
             .remove(&1)
             .and_then(Result::ok)
             .unwrap();
-        analyze_pattern(&user.breath_signal, &user.rate).mean_depth
+        analyze_pattern(&user.breath_signal).mean_depth
     };
     let shallow = run(0.003, 10);
     let deep = run(0.009, 10);

@@ -1,8 +1,8 @@
 //! Loopback integration tests for the ingest server: a simulated reader
 //! fleet streams over real TCP and the served snapshots must be
-//! bit-identical to an inline `FleetEngine` run. The heavier sweep lives
-//! in the `loopback_soak` bench binary (wired into ci.sh); these tests
-//! pin the same property at unit-test scale plus the HTTP endpoints.
+//! bit-identical to an inline `FleetEngine` run, both in the shutdown log
+//! and live over HTTP, with every report accepted and none shed. ci.sh
+//! repeats this suite six times in release.
 
 use server::{LaneMerger, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
@@ -63,18 +63,48 @@ fn inline_snapshot_count(reports: &[TagReport]) -> u64 {
     inline.push(reports.to_vec()).len() as u64
 }
 
-fn feed_and_shutdown(handle: ServerHandle, streams: &[Vec<TagReport>]) -> Vec<RateSnapshot> {
+/// One reader's frames in send order, each a batch and the reader clock
+/// it carries; an empty batch goes out as a Heartbeat.
+type Frames = Vec<(Vec<TagReport>, f64)>;
+
+/// Batches of 64 reports, each stamped with its last report's time.
+fn chunked(reports: &[TagReport]) -> Frames {
+    reports
+        .chunks(64)
+        .map(|chunk| (chunk.to_vec(), chunk.last().map_or(0.0, |r| r.time_s)))
+        .collect()
+}
+
+/// Width of the time slices a reader flushes on a timer.
+const SLICE_S: f64 = 0.5;
+
+/// Consecutive `SLICE_S` slices, as a reader flushing on a timer sends
+/// them: slice `k` holds the reports in `((k-1)·SLICE_S, k·SLICE_S]`, may
+/// be empty, and carries the reader clock at its end.
+fn time_sliced(reports: &[TagReport]) -> Frames {
+    let mut frames: Frames = vec![(Vec::new(), SLICE_S)];
+    for r in reports {
+        while r.time_s > SLICE_S * frames.len() as f64 {
+            frames.push((Vec::new(), SLICE_S * (frames.len() + 1) as f64));
+        }
+        frames.last_mut().expect("one slice").0.push(*r);
+    }
+    frames
+}
+
+/// Streams each reader's frames over its own TCP session and thread,
+/// then says Goodbye.
+fn feed(handle: &ServerHandle, readers: Vec<Frames>) {
     let ingest = handle.ingest_addr();
     // The server opens a reader's merge lane before it acks the Hello, so
     // once every reader holds its Ack all lanes are open, as in the inline
     // reference; a reader streaming before another connected would be
     // merged ahead of it.
-    let handshaken = std::sync::Arc::new(std::sync::Barrier::new(streams.len()));
-    let feeders: Vec<_> = streams
-        .iter()
+    let handshaken = std::sync::Arc::new(std::sync::Barrier::new(readers.len()));
+    let feeders: Vec<_> = readers
+        .into_iter()
         .enumerate()
-        .map(|(idx, reports)| {
-            let reports = reports.clone();
+        .map(|(idx, frames)| {
             let reader_id = idx as u32 + 1;
             let handshaken = handshaken.clone();
             std::thread::spawn(move || {
@@ -82,9 +112,12 @@ fn feed_and_shutdown(handle: ServerHandle, streams: &[Vec<TagReport>]) -> Vec<Ra
                 let mut client =
                     epcgen2::client::ReaderClient::connect(stream, reader_id, 0).expect("hello");
                 handshaken.wait();
-                for chunk in reports.chunks(64) {
-                    let clock = chunk.last().map_or(0.0, |r| r.time_s);
-                    client.send_batch(chunk, clock).expect("batch");
+                for (batch, clock) in &frames {
+                    if batch.is_empty() {
+                        client.send_heartbeat(*clock).expect("heartbeat");
+                    } else {
+                        client.send_batch(batch, *clock).expect("batch");
+                    }
                 }
                 client.goodbye().expect("goodbye");
             })
@@ -93,17 +126,26 @@ fn feed_and_shutdown(handle: ServerHandle, streams: &[Vec<TagReport>]) -> Vec<Ra
     for f in feeders {
         f.join().expect("feeder");
     }
+}
+
+fn feed_and_shutdown(handle: ServerHandle, streams: &[Vec<TagReport>]) -> Vec<RateSnapshot> {
+    feed(&handle, streams.iter().map(|s| chunked(s)).collect());
     handle.shutdown()
 }
 
-fn inline_reference(streams: &[Vec<TagReport>]) -> Vec<RateSnapshot> {
+/// The per-reader streams in the order the server's lane merge releases
+/// them.
+fn merged(streams: &[Vec<TagReport>]) -> Vec<TagReport> {
     let mut merger = LaneMerger::new();
     for (idx, reports) in streams.iter().enumerate() {
         let reader_id = idx as u32 + 1;
         let last = reports.last().map_or(0.0, |r| r.time_s);
         merger.push(reader_id, reports.clone(), last);
     }
-    let merged = merger.drain_all();
+    merger.drain_all()
+}
+
+fn inline_reference(streams: &[Vec<TagReport>]) -> Vec<RateSnapshot> {
     let cfg = test_config();
     let mut fleet = tagbreathe::FleetEngine::new(
         PipelineConfig::paper_default(),
@@ -113,9 +155,47 @@ fn inline_reference(streams: &[Vec<TagReport>]) -> Vec<RateSnapshot> {
         cfg.shards,
     )
     .expect("fleet");
-    let mut snapshots = fleet.push(merged);
+    let mut snapshots = fleet.push(merged(streams));
     snapshots.extend(fleet.finish());
     snapshots
+}
+
+/// Every `…_bits` field of a `/snapshots` body in document order: per
+/// snapshot its time, then each user's rate and effort.
+fn served_bits(body: &str) -> Vec<u64> {
+    body.split("_bits\":\"0x")
+        .skip(1)
+        .map(|rest| {
+            let hex: String = rest.chars().take_while(|c| c.is_ascii_hexdigit()).collect();
+            u64::from_str_radix(&hex, 16).expect("hex bit pattern")
+        })
+        .collect()
+}
+
+/// The [`served_bits`] sequence of a snapshot stream.
+fn snapshot_bits(snapshots: &[RateSnapshot]) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for snap in snapshots {
+        bits.push(snap.time_s.to_bits());
+        for (user, rate) in &snap.rates_bpm {
+            bits.push(rate.to_bits());
+            bits.push(snap.effort_rms.get(user).copied().unwrap_or(0.0).to_bits());
+        }
+    }
+    bits
+}
+
+/// Sums every sample of the counter `name` in a Prometheus body, across
+/// labels.
+fn counter_total(body: &str, name: &str) -> u64 {
+    body.lines()
+        .filter(|line| {
+            line.strip_prefix(name)
+                .is_some_and(|rest| rest.starts_with([' ', '{']))
+        })
+        .filter_map(|line| line.rsplit(' ').next()?.parse::<f64>().ok())
+        .map(|v| v as u64)
+        .sum()
 }
 
 fn assert_bit_identical(served: &[RateSnapshot], reference: &[RateSnapshot]) {
@@ -150,6 +230,65 @@ fn two_readers_merge_bit_identical_to_inline() {
     let served = feed_and_shutdown(start_server(), &streams);
     assert!(!served.is_empty(), "server must emit snapshots");
     assert_bit_identical(&served, &reference);
+}
+
+#[test]
+fn two_readers_in_time_slices_serve_a_bit_exact_live_surface() {
+    // 15.25 s puts the last cadence point crossed live (15 s) at the
+    // start of the final slice: that snapshot is published only once both
+    // sessions have sent their last Batch, so every report is counted by
+    // the time it is.
+    let streams = vec![capture(1, 51, 15.25), capture(2, 52, 15.25)];
+    let reference = inline_reference(&streams);
+    let live = inline_snapshot_count(&merged(&streams));
+    let last_live_s = reference[live as usize - 1].time_s;
+    let frames: Vec<Frames> = streams.iter().map(|s| time_sliced(s)).collect();
+    let slices = frames.iter().map(Vec::len).max().unwrap_or(0);
+    assert!(
+        last_live_s >= SLICE_S * (slices - 1) as f64,
+        "the last live cadence point ({last_live_s} s) must fall in the final slice"
+    );
+    let sent: usize = streams.iter().map(Vec::len).sum();
+
+    let handle = start_server();
+    feed(&handle, frames);
+    assert_eq!(
+        handle.wait_published(live, Duration::from_secs(10)),
+        live,
+        "every live snapshot must be published"
+    );
+
+    let (_, body) = http_get(&handle, "/snapshots");
+    assert_eq!(body.matches("time_s_bits").count() as u64, live);
+    assert!(
+        snapshot_bits(&reference).starts_with(&served_bits(&body)),
+        "/snapshots bits must be a prefix of the inline reference"
+    );
+
+    let (_, body) = http_get(&handle, "/slo");
+    obs::json::validate(&body).expect("/slo must be valid JSON");
+    for objective in ["snapshot_lag_p99", "shed_ratio", "bytes_per_resident_user"] {
+        assert!(body.contains(objective), "/slo lacks {objective}: {body}");
+    }
+
+    let (_, body) = http_get(&handle, "/status");
+    for section in ["SLOs", "snapshot lag by stage", "shards", "ingest"] {
+        assert!(body.contains(section), "/status lacks {section:?}: {body}");
+    }
+
+    let (_, body) = http_get(&handle, "/metrics");
+    assert_eq!(
+        counter_total(&body, "tagbreathe_server_reports_total"),
+        sent as u64,
+        "every sent report must be accepted"
+    );
+    assert_eq!(
+        counter_total(&body, "tagbreathe_server_reports_shed_total"),
+        0,
+        "no report may be shed"
+    );
+
+    assert_bit_identical(&handle.shutdown(), &reference);
 }
 
 #[test]
