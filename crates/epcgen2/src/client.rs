@@ -7,6 +7,10 @@
 //! the loopback tests and the end-to-end benchmark use to replay a
 //! simulated reader fleet into a `tagbreathe-server`.
 //!
+//! The client is generic over its transport, so socket options are the
+//! caller's: over TCP, set `TCP_NODELAY`, or Nagle's algorithm holds a
+//! small frame back until the previous one is acknowledged.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -14,6 +18,7 @@
 //! use tagbreathe_epcgen2::client::ReaderClient;
 //!
 //! let stream = TcpStream::connect("127.0.0.1:4610")?;
+//! stream.set_nodelay(true)?;
 //! let mut client = ReaderClient::connect(stream, 1, 0)?;
 //! client.send_heartbeat(0.0)?;
 //! client.goodbye()?;

@@ -1,10 +1,11 @@
 //! CI entry point for the bounded model checker.
 //!
 //! Exhaustively verifies the declared fleet protocols (ring push/pop,
-//! epoch all-parts barrier, finish drain, idle wake) and proves that the
-//! runtime reproductions of the `--cfg sync_mutant` ordering bugs, and
-//! of an unpark issued before its batch is published, are each caught
-//! with a minimal failing interleaving trace. Exits non-zero if
+//! epoch all-parts barrier, finish drain, idle wake, full-ring low-water
+//! wake) and proves that the runtime reproductions of the `--cfg
+//! sync_mutant` ordering bugs, of an unpark issued before its batch is
+//! published, and of a producer that parks without re-checking the ring
+//! are each caught with a minimal failing interleaving trace. Exits non-zero if
 //! a declared protocol fails, a mutant slips through, or an exhaustive
 //! run is truncated by the state budget.
 //!
@@ -15,7 +16,7 @@ use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use tagbreathe_syncmodel::explore::{explore, random_walks, Limits, Machine, Verdict};
 use tagbreathe_syncmodel::machines::{
-    BarrierMachine, DrainMachine, RingMachine, RingProtocol, WakeMachine,
+    BarrierMachine, DrainMachine, LowWaterMachine, RingMachine, RingProtocol, WakeMachine,
 };
 
 /// One expectation: a machine that must pass, or must fail.
@@ -55,6 +56,32 @@ fn expect<M: Machine>(name: &str, m: &M, must_pass: bool, failures: &mut u32) {
             for step in trace {
                 println!("         {step}");
             }
+            *failures += 1;
+        }
+    }
+}
+
+/// 300 seeded deep walks of a declared machine, `(max steps, seed)`:
+/// clean in a shipped build; in a `sync_mutant` build a catch is
+/// reported and a clean run only noted.
+fn walk_declared<M: Machine>(
+    name: &str,
+    m: &M,
+    (steps, seed): (usize, u64),
+    mutant_active: bool,
+    failures: &mut u32,
+) {
+    match random_walks(m, 300, steps, seed) {
+        None if !mutant_active => println!("ok   {name} declared: 300 random deep walks clean"),
+        None => println!("note {name} mutant build: walks found nothing this seed"),
+        Some((message, trace)) if mutant_active => {
+            println!(
+                "ok   {name} weakened build: walk caught — {message} ({} steps)",
+                trace.len()
+            );
+        }
+        Some((message, _)) => {
+            println!("FAIL {name} declared: random walk violation — {message}");
             *failures += 1;
         }
     }
@@ -148,6 +175,27 @@ fn main() -> ExitCode {
         );
     }
 
+    for (capacity, messages) in [(2, 3), (2, 4)] {
+        expect(
+            &format!("low-water cap={capacity} n={messages} declared"),
+            &LowWaterMachine::declared(capacity, messages),
+            !mutant_active,
+            &mut failures,
+        );
+    }
+    expect(
+        "low-water cap=2 n=3 relaxed-handshake mutant",
+        &LowWaterMachine::relaxed_handshake_mutant(2, 3),
+        false,
+        &mut failures,
+    );
+    expect(
+        "low-water cap=2 n=3 unchecked-park mutant",
+        &LowWaterMachine::unchecked_park_mutant(2, 3),
+        false,
+        &mut failures,
+    );
+
     if deep {
         let big = RingMachine {
             capacity: 4,
@@ -155,22 +203,13 @@ fn main() -> ExitCode {
             words: 3,
             proto: RingProtocol::declared(),
         };
-        match random_walks(&big, 300, 400, 0x7ab_b7ea) {
-            None if !mutant_active => {
-                println!("ok   ring cap=4 n=8 declared: 300 random deep walks clean");
-            }
-            None => println!("note ring cap=4 n=8 mutant build: walks found nothing this seed"),
-            Some((message, trace)) if mutant_active => {
-                println!(
-                    "ok   ring cap=4 n=8 weakened build: walk caught — {message} ({} steps)",
-                    trace.len()
-                );
-            }
-            Some((message, _)) => {
-                println!("FAIL ring cap=4 n=8 declared: random walk violation — {message}");
-                failures += 1;
-            }
-        }
+        walk_declared(
+            "ring cap=4 n=8",
+            &big,
+            (400, 0x7ab_b7ea),
+            mutant_active,
+            &mut failures,
+        );
         let big_mutant = RingMachine {
             proto: RingProtocol::relaxed_publish_mutant(),
             ..big
@@ -188,6 +227,13 @@ fn main() -> ExitCode {
             "wake n=8 batch=3 declared",
             &WakeMachine::declared(8, 3),
             !mutant_active,
+            &mut failures,
+        );
+        walk_declared(
+            "low-water cap=4 n=8",
+            &LowWaterMachine::declared(4, 8),
+            (600, 0x10_3a7e),
+            mutant_active,
             &mut failures,
         );
     }

@@ -40,14 +40,19 @@
 //! # Machines
 //!
 //! [`machines`] ports the fleet protocols (ring, epoch barrier, finish
-//! drain, idle wake) onto the model, spelled with the **same**
+//! drain, idle wake, full-ring low-water wake) onto the model, spelled
+//! with the **same**
 //! `std::sync::atomic::Ordering` values the real code uses —
 //! [`machines::RingProtocol::declared`] reads the named constants from
 //! `tagbreathe::fleet::protocol`, so a `--cfg sync_mutant` build of
 //! `tagbreathe` weakens the checked protocol with no change here, and
 //! the runtime mutant constructors let CI prove the seeded bugs are
-//! caught without a rebuild. The idle wake also models std's park token,
-//! whose `Release` unpark and `Acquire` park are fixed by std.
+//! caught without a rebuild. The idle and low-water wakes also model
+//! std's park token, whose `Release` unpark and `Acquire` park are fixed
+//! by std. The low-water wake is why the `SeqCst` bound above matters:
+//! its handshake is a read-modify-write on one word from each side, the
+//! form this model checks exactly, and not a flag store followed by a
+//! load of the other side's counter, which would need `SeqCst`.
 //!
 //! See `DESIGN.md` §15 for the full argument and `syncmodel_check` for
 //! the CI entry point.

@@ -8,8 +8,9 @@
 //! the checked protocol is the shipped one by construction, and the
 //! `*_mutant` constructors reproduce the `--cfg sync_mutant` weakenings
 //! at runtime for CI to prove they are caught without a rebuild;
-//! [`WakeMachine::early_unpark_mutant`] seeds a misplaced wake the same
-//! way.
+//! [`WakeMachine::early_unpark_mutant`] and
+//! [`LowWaterMachine::unchecked_park_mutant`] seed a misplaced wake and a
+//! missing re-check the same way.
 
 use crate::explore::{Machine, Succ};
 use crate::mem::{Loc, Mem, ModelAtomicU64};
@@ -888,9 +889,9 @@ const NOTIFIED: u64 = 1;
 /// again. `final_check` fails on a lost wake: a terminal state whose
 /// consumer is parked with messages still in the ring.
 ///
-/// The ring holds every message (the producer never waits on a full
-/// ring; the wake before that wait is pinned by the fleet's unit tests),
-/// so it has no tail counter.
+/// The ring holds every message (the producer's wait on a full ring is
+/// [`LowWaterMachine`]'s subject; the wake of the worker before that
+/// wait is pinned by the fleet's unit tests), so it has no tail counter.
 #[derive(Clone, Copy, Debug)]
 pub struct WakeMachine {
     /// Messages pushed end to end.
@@ -1148,6 +1149,502 @@ impl Machine for WakeMachine {
                     ));
                 }
                 WakeThread::Parked { .. } | WakeThread::Done => {}
+                other => return Err(format!("terminal state with a live thread: {other:?}")),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Wait-word location of the low-water machine (after head and tail).
+const WAIT: Loc = 2;
+/// The producer's park-token location of the low-water machine.
+const PRODUCER_TOKEN: Loc = 3;
+/// Wait-word value with no producer waiting for room.
+const NO_WAITER: u64 = 0;
+/// Wait-word value once the producer has announced that it waits.
+const WAITING: u64 = 1;
+
+/// The full-ring handshake between the router and a shard worker
+/// (`RingProducer::wait_for_room` and `RingConsumer::pop`): a producer
+/// that finds the ring full announces itself on the wait word, re-checks
+/// the tail, and parks if the ring is still full; if the re-check finds
+/// room it withdraws, and takes the wake a check already claimed. The
+/// consumer checks the word when a pop leaves the ring half full and
+/// when it first finds the ring empty, and unparks a waiting producer.
+/// The announce, the withdraw and the check are read-modify-writes with
+/// the `HANDSHAKE` ordering; the producer's park token is modelled as in
+/// [`WakeMachine`].
+///
+/// The consumer's own idle park is [`WakeMachine`]'s subject; here an
+/// idle consumer simply blocks until it can see a newer head.
+/// `final_check` fails on a lost wake: a terminal state whose producer is
+/// parked with messages still to send.
+#[derive(Clone, Copy, Debug)]
+pub struct LowWaterMachine {
+    /// Ring capacity in slots (the low-water mark is half of it).
+    pub capacity: u64,
+    /// Messages pushed end to end.
+    pub messages: u64,
+    /// Ring ordering protocol.
+    pub ring: RingProtocol,
+    /// Ordering of every read-modify-write on the wait word.
+    pub handshake: Ordering,
+    /// Whether the producer re-checks the tail after its announce.
+    pub recheck: bool,
+}
+
+impl LowWaterMachine {
+    /// The shipped handshake: the named constants of
+    /// `tagbreathe::fleet::protocol`, `HANDSHAKE` included, so a
+    /// `--cfg sync_mutant` build checks its weakened handshake here.
+    #[must_use]
+    pub fn declared(capacity: u64, messages: u64) -> Self {
+        LowWaterMachine {
+            capacity,
+            messages,
+            ring: RingProtocol::declared(),
+            handshake: protocol::HANDSHAKE,
+            recheck: true,
+        }
+    }
+
+    /// The `sync_mutant` handshake bug, reproduced at runtime: the
+    /// read-modify-writes are `Relaxed`, so an announce that follows the
+    /// consumer's last check can re-check a stale tail and park for good.
+    #[must_use]
+    pub fn relaxed_handshake_mutant(capacity: u64, messages: u64) -> Self {
+        LowWaterMachine {
+            handshake: Ordering::Relaxed,
+            ..LowWaterMachine::declared(capacity, messages)
+        }
+    }
+
+    /// A seeded lost wake: the producer parks right after its announce,
+    /// without re-checking the tail, so a drain whose checks all came
+    /// before the announce leaves it parked.
+    #[must_use]
+    pub fn unchecked_park_mutant(capacity: u64, messages: u64) -> Self {
+        LowWaterMachine {
+            recheck: false,
+            ..LowWaterMachine::declared(capacity, messages)
+        }
+    }
+
+    fn slot_loc(&self, seq: u64) -> Loc {
+        4 + (seq % self.capacity) as usize
+    }
+
+    fn full(&self, seq: u64, cached_tail: u64) -> bool {
+        seq.wrapping_sub(cached_tail) >= self.capacity
+    }
+
+    /// Where the consumer goes after a check at `got`: the idle wait if
+    /// the check was the empty ring's, else back to popping.
+    fn after_check(got: u64, cached_head: u64, idle: bool) -> LowWaterThread {
+        if idle {
+            LowWaterThread::Idle { got }
+        } else {
+            LowWaterThread::Poll {
+                got,
+                cached_head,
+                drained: false,
+            }
+        }
+    }
+}
+
+/// A thread of the low-water machine.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub enum LowWaterThread {
+    /// Producer in `try_push` of message `seq` (0-based).
+    Push {
+        /// Message index.
+        seq: u64,
+        /// Last observed consumer tail.
+        cached_tail: u64,
+        /// 0 = capacity check, 1 = slot write, 2 = head publish.
+        pc: u8,
+    },
+    /// Producer announcing on the wait word.
+    Announce {
+        /// Message index.
+        seq: u64,
+        /// As in [`LowWaterThread::Push`].
+        cached_tail: u64,
+    },
+    /// Producer re-checking the tail after its announce.
+    Recheck {
+        /// Message index.
+        seq: u64,
+    },
+    /// Producer withdrawing its announce: the re-check found room.
+    Withdraw {
+        /// Message index.
+        seq: u64,
+        /// As in [`LowWaterThread::Push`].
+        cached_tail: u64,
+    },
+    /// Producer about to park.
+    Park {
+        /// Message index.
+        seq: u64,
+        /// As in [`LowWaterThread::Push`].
+        cached_tail: u64,
+    },
+    /// Producer parked; steps again only once its token is `NOTIFIED`.
+    Parked {
+        /// Message index.
+        seq: u64,
+        /// As in [`LowWaterThread::Push`].
+        cached_tail: u64,
+    },
+    /// Producer finished.
+    Done,
+    /// Consumer at the top of `pop`.
+    Poll {
+        /// Messages consumed so far.
+        got: u64,
+        /// Last observed producer head.
+        cached_head: u64,
+        /// The last pop found the ring empty.
+        drained: bool,
+    },
+    /// Consumer reading slot `got`.
+    Take {
+        /// As in [`LowWaterThread::Poll`].
+        got: u64,
+        /// As in [`LowWaterThread::Poll`].
+        cached_head: u64,
+    },
+    /// Consumer publishing `tail = got + 1`.
+    Free {
+        /// As in [`LowWaterThread::Poll`].
+        got: u64,
+        /// As in [`LowWaterThread::Poll`].
+        cached_head: u64,
+    },
+    /// Consumer taking the producer's announce off the wait word.
+    Check {
+        /// As in [`LowWaterThread::Poll`].
+        got: u64,
+        /// As in [`LowWaterThread::Poll`].
+        cached_head: u64,
+        /// The check is the empty ring's (else the low-water mark's).
+        idle: bool,
+    },
+    /// Consumer unparking the producer whose announce it took.
+    Unpark {
+        /// As in [`LowWaterThread::Poll`].
+        got: u64,
+        /// As in [`LowWaterThread::Poll`].
+        cached_head: u64,
+        /// As in [`LowWaterThread::Check`].
+        idle: bool,
+    },
+    /// Consumer waiting on an empty ring for a newer head.
+    Idle {
+        /// As in [`LowWaterThread::Poll`].
+        got: u64,
+    },
+    /// Consumer took every message.
+    Finished,
+    /// A violated assertion, with its message.
+    Failed(String),
+}
+
+impl Machine for LowWaterMachine {
+    type Thread = LowWaterThread;
+
+    fn locs(&self) -> usize {
+        4 + self.capacity as usize
+    }
+
+    fn init(&self) -> Vec<LowWaterThread> {
+        vec![
+            LowWaterThread::Push {
+                seq: 0,
+                cached_tail: 0,
+                pc: 0,
+            },
+            LowWaterThread::Poll {
+                got: 0,
+                cached_head: 0,
+                drained: true,
+            },
+        ]
+    }
+
+    #[allow(clippy::too_many_lines)]
+    fn step(&self, tid: usize, thread: &LowWaterThread, mem: &Mem) -> Vec<Succ<LowWaterThread>> {
+        let one =
+            |thread: LowWaterThread, mem: Mem, label: String| vec![Succ { thread, mem, label }];
+        let push = |seq, cached_tail, pc| LowWaterThread::Push {
+            seq,
+            cached_tail,
+            pc,
+        };
+        match *thread {
+            LowWaterThread::Push {
+                seq,
+                cached_tail,
+                pc: 0,
+            } => {
+                if seq == self.messages {
+                    return one(LowWaterThread::Done, mem.clone(), "P: all pushed".into());
+                }
+                if !self.full(seq, cached_tail) {
+                    return one(
+                        push(seq, cached_tail, 1),
+                        mem.clone(),
+                        "P: slot free".into(),
+                    );
+                }
+                mem.loads(tid, TAIL, self.ring.observe)
+                    .into_iter()
+                    .map(|(v, next)| Succ {
+                        thread: if self.full(seq, v) {
+                            LowWaterThread::Announce {
+                                seq,
+                                cached_tail: v,
+                            }
+                        } else {
+                            push(seq, v, 1)
+                        },
+                        mem: next,
+                        label: format!("P: observe tail={v}"),
+                    })
+                    .collect()
+            }
+            LowWaterThread::Push {
+                seq,
+                cached_tail,
+                pc: 1,
+            } => one(
+                push(seq, cached_tail, 2),
+                mem.store(tid, self.slot_loc(seq), seq + 1, self.ring.slot),
+                format!("P: write slot={}", seq + 1),
+            ),
+            LowWaterThread::Push {
+                seq, cached_tail, ..
+            } => one(
+                push(seq + 1, cached_tail, 0),
+                mem.store(tid, HEAD, seq + 1, self.ring.publish),
+                format!("P: publish head={} ({:?})", seq + 1, self.ring.publish),
+            ),
+            LowWaterThread::Announce { seq, cached_tail } => {
+                let (_, next) = mem.rmw(tid, WAIT, |_| WAITING, self.handshake);
+                let thread = if self.recheck {
+                    LowWaterThread::Recheck { seq }
+                } else {
+                    LowWaterThread::Park { seq, cached_tail }
+                };
+                one(
+                    thread,
+                    next,
+                    format!("P: announce, wait=WAITING ({:?})", self.handshake),
+                )
+            }
+            LowWaterThread::Recheck { seq } => mem
+                .loads(tid, TAIL, self.ring.observe)
+                .into_iter()
+                .map(|(v, next)| Succ {
+                    thread: if self.full(seq, v) {
+                        LowWaterThread::Park {
+                            seq,
+                            cached_tail: v,
+                        }
+                    } else {
+                        LowWaterThread::Withdraw {
+                            seq,
+                            cached_tail: v,
+                        }
+                    },
+                    mem: next,
+                    label: format!("P: re-check tail={v}"),
+                })
+                .collect(),
+            LowWaterThread::Withdraw { seq, cached_tail } => {
+                let (old, next) = mem.rmw(tid, WAIT, |_| NO_WAITER, self.handshake);
+                let (thread, label) = if old == NO_WAITER {
+                    let thread = LowWaterThread::Park { seq, cached_tail };
+                    (
+                        thread,
+                        "P: withdraw, a check took the announce: take its wake",
+                    )
+                } else {
+                    (push(seq, cached_tail, 0), "P: withdraw the announce")
+                };
+                one(thread, next, label.to_string())
+            }
+            LowWaterThread::Park { seq, cached_tail } => {
+                let (token, next) = mem.rmw(tid, PRODUCER_TOKEN, |_| EMPTY, Ordering::Acquire);
+                let (thread, label) = if token == NOTIFIED {
+                    (
+                        push(seq, cached_tail, 0),
+                        "P: park, token was NOTIFIED: return (Acquire)",
+                    )
+                } else {
+                    (
+                        LowWaterThread::Parked { seq, cached_tail },
+                        "P: park, token was EMPTY: sleep",
+                    )
+                };
+                one(thread, next, label.to_string())
+            }
+            LowWaterThread::Parked { seq, cached_tail } => {
+                let (token, next) = mem.rmw(tid, PRODUCER_TOKEN, |_| EMPTY, Ordering::Acquire);
+                if token != NOTIFIED {
+                    return Vec::new();
+                }
+                one(
+                    push(seq, cached_tail, 0),
+                    next,
+                    "P: woken, token=EMPTY (Acquire)".to_string(),
+                )
+            }
+            LowWaterThread::Poll {
+                got,
+                cached_head,
+                drained,
+            } => {
+                if got == self.messages {
+                    return one(LowWaterThread::Finished, mem.clone(), "C: all taken".into());
+                }
+                if got != cached_head {
+                    return one(
+                        LowWaterThread::Take { got, cached_head },
+                        mem.clone(),
+                        format!("C: slot {got} pending"),
+                    );
+                }
+                mem.loads(tid, HEAD, self.ring.observe)
+                    .into_iter()
+                    .map(|(v, next)| Succ {
+                        thread: match (v == got, drained) {
+                            (false, _) => LowWaterThread::Poll {
+                                got,
+                                cached_head: v,
+                                drained,
+                            },
+                            (true, false) => LowWaterThread::Check {
+                                got,
+                                cached_head,
+                                idle: true,
+                            },
+                            (true, true) => LowWaterThread::Idle { got },
+                        },
+                        mem: next,
+                        label: format!("C: observe head={v} ({:?})", self.ring.observe),
+                    })
+                    .collect()
+            }
+            LowWaterThread::Take { got, cached_head } => {
+                let expected = got + 1;
+                mem.loads(tid, self.slot_loc(got), self.ring.slot)
+                    .into_iter()
+                    .map(|(v, next)| Succ {
+                        thread: if v == expected {
+                            LowWaterThread::Free { got, cached_head }
+                        } else {
+                            LowWaterThread::Failed(format!(
+                                "stale slot: message {expected} read as {v}"
+                            ))
+                        },
+                        mem: next,
+                        label: format!("C: read slot -> {v}"),
+                    })
+                    .collect()
+            }
+            LowWaterThread::Free { got, cached_head } => {
+                let got = got + 1;
+                let thread = if cached_head.wrapping_sub(got) == self.capacity / 2 {
+                    LowWaterThread::Check {
+                        got,
+                        cached_head,
+                        idle: false,
+                    }
+                } else {
+                    Self::after_check(got, cached_head, false)
+                };
+                one(
+                    thread,
+                    mem.store(tid, TAIL, got, self.ring.publish),
+                    format!("C: publish tail={got} ({:?})", self.ring.publish),
+                )
+            }
+            LowWaterThread::Check {
+                got,
+                cached_head,
+                idle,
+            } => {
+                let (old, next) = mem.rmw(tid, WAIT, |_| NO_WAITER, self.handshake);
+                let thread = if old == WAITING {
+                    LowWaterThread::Unpark {
+                        got,
+                        cached_head,
+                        idle,
+                    }
+                } else {
+                    Self::after_check(got, cached_head, idle)
+                };
+                let label = format!(
+                    "C: check at {} read wait={old} ({:?})",
+                    if idle { "empty" } else { "low water" },
+                    self.handshake
+                );
+                one(thread, next, label)
+            }
+            LowWaterThread::Unpark {
+                got,
+                cached_head,
+                idle,
+            } => {
+                let (_, next) = mem.rmw(tid, PRODUCER_TOKEN, |_| NOTIFIED, Ordering::Release);
+                one(
+                    Self::after_check(got, cached_head, idle),
+                    next,
+                    "C: unpark, token=NOTIFIED (Release)".to_string(),
+                )
+            }
+            LowWaterThread::Idle { got } => mem
+                .loads(tid, HEAD, self.ring.observe)
+                .into_iter()
+                .filter(|&(v, _)| v != got)
+                .map(|(v, next)| Succ {
+                    thread: LowWaterThread::Poll {
+                        got,
+                        cached_head: v,
+                        drained: true,
+                    },
+                    mem: next,
+                    label: format!("C: idle, observe head={v} ({:?})", self.ring.observe),
+                })
+                .collect(),
+            LowWaterThread::Done | LowWaterThread::Finished | LowWaterThread::Failed(_) => {
+                Vec::new()
+            }
+        }
+    }
+
+    fn failure(&self, threads: &[LowWaterThread]) -> Option<String> {
+        threads.iter().find_map(|t| match t {
+            LowWaterThread::Failed(msg) => Some(msg.clone()),
+            _ => None,
+        })
+    }
+
+    fn final_check(&self, threads: &[LowWaterThread], _mem: &Mem) -> Result<(), String> {
+        for t in threads {
+            match t {
+                LowWaterThread::Parked { seq, .. } => {
+                    return Err(format!(
+                        "lost wake: producer parked on a full ring with {} of {} messages unsent",
+                        self.messages - seq,
+                        self.messages
+                    ));
+                }
+                LowWaterThread::Done | LowWaterThread::Finished => {}
                 other => return Err(format!("terminal state with a live thread: {other:?}")),
             }
         }

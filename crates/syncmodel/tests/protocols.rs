@@ -10,7 +10,7 @@
 
 use tagbreathe_syncmodel::explore::{explore, random_walks, Limits, Verdict};
 use tagbreathe_syncmodel::machines::{
-    BarrierMachine, DrainMachine, RingMachine, RingProtocol, WakeMachine,
+    BarrierMachine, DrainMachine, LowWaterMachine, RingMachine, RingProtocol, WakeMachine,
 };
 
 fn ring(capacity: u64, proto: RingProtocol) -> RingMachine {
@@ -134,6 +134,54 @@ fn idle_wake_declared_loses_no_wake_and_early_unpark_does() {
         Some("C: park, token was EMPTY: sleep"),
         "{trace:#?}"
     );
+}
+
+#[test]
+fn full_ring_wait_declared_loses_no_wake_and_its_mutants_do() {
+    for (capacity, messages) in [(2, 3), (2, 4)] {
+        let m = LowWaterMachine::declared(capacity, messages);
+        match explore(&m, &Limits::default()) {
+            Verdict::Pass { complete, states } => {
+                assert!(
+                    complete,
+                    "cap {capacity} n={messages}: truncated at {states} states"
+                );
+            }
+            Verdict::Fail { message, trace, .. } => {
+                panic!("cap {capacity} n={messages}: {message}\n{trace:#?}")
+            }
+        }
+    }
+    // The minimal counterexamples: the producer fills both slots and
+    // finds the ring full (7 steps); the consumer drains it and makes its
+    // empty-ring check before the announce (10 steps); the producer
+    // announces and parks for good. Relaxed, its re-check still reads
+    // the stale tail (3 steps); without a re-check it parks at once (2).
+    for (m, steps, before_park) in [
+        (
+            LowWaterMachine::relaxed_handshake_mutant(2, 3),
+            20,
+            "P: re-check tail=0",
+        ),
+        (
+            LowWaterMachine::unchecked_park_mutant(2, 3),
+            19,
+            "P: announce, wait=WAITING (AcqRel)",
+        ),
+    ] {
+        let verdict = explore(&m, &Limits::default());
+        let Verdict::Fail { message, trace, .. } = verdict else {
+            panic!("{m:?} must lose a wake: {verdict:?}");
+        };
+        assert!(message.contains("lost wake"), "{message}");
+        assert_eq!(trace.len(), steps, "{trace:#?}");
+        let last: Vec<&str> = trace.iter().rev().take(2).map(String::as_str).collect();
+        assert_eq!(
+            last,
+            ["P: park, token was EMPTY: sleep", before_park],
+            "{trace:#?}"
+        );
+    }
 }
 
 #[test]

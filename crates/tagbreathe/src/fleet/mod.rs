@@ -32,6 +32,12 @@
 //!   router unparks it once per batch (`Executor::flush`), before waiting
 //!   on its full ring, and after `Finish`, so an idle fleet costs no CPU
 //!   and the per-report path gains only a plain flag store.
+//! * A **full ring parks the router** instead of spinning it: the router
+//!   announces itself on the ring's wait word, re-checks the ring, and
+//!   parks; the worker unparks it once its pops bring the ring down to
+//!   half full or empty it ([`ring`] has the handshake). Each park counts
+//!   as one ring stall, so a stall stands for up to half a ring of
+//!   reports.
 //! * **Snapshots** use epoch/watermark handoff: the router broadcasts a
 //!   `Snapshot{watermark, time, epoch}` request in-stream, each shard
 //!   evicts to the watermark, analyses its users and sends one part back;
@@ -53,9 +59,9 @@
 //! enforced by the `atomics` pass of `tagbreathe-lint` against the
 //! `[atomics]` declarations in `lint.toml`, and dynamically explored by
 //! the bounded model checker in `crates/syncmodel`, which ports the ring
-//! push/pop, the epoch all-parts barrier, the `Finish` drain and the
-//! park/unpark wake onto a store-buffer memory model (see `DESIGN.md`
-//! §15).
+//! push/pop, the epoch all-parts barrier, the `Finish` drain, the idle
+//! worker's park/unpark wake and the full ring's low-water wake onto a
+//! store-buffer memory model (see `DESIGN.md` §15).
 
 pub mod interner;
 pub mod msg;
@@ -193,24 +199,27 @@ struct Feed {
     worker: thread::Thread,
     /// Messages were pushed since the worker was last woken.
     sent: bool,
-    /// Full-ring yields since the last fold.
+    /// Times the router parked on the full ring since the last fold.
     ring_stalls: u64,
 }
 
 impl Feed {
-    /// Pushes one encoded message, counting every yield on a full ring.
-    /// A full ring first wakes the worker, which may be parked: it empties
-    /// the ring only once awake.
+    /// Pushes one encoded message. A full ring first wakes the worker,
+    /// which may be parked (it empties the ring only once awake), then
+    /// parks the router until the worker's pops bring the ring down to
+    /// half full or empty it, counting each park.
     fn enqueue(&mut self, words: &[u64; ring::SLOT_WORDS]) {
-        let mut stalls = 0u64;
-        while !self.ring.try_push(words) {
-            if stalls == 0 {
-                self.wake();
+        if !self.ring.try_push(words) {
+            self.wake();
+            loop {
+                if self.ring.wait_for_room() {
+                    self.ring_stalls += 1;
+                }
+                if self.ring.try_push(words) {
+                    break;
+                }
             }
-            stalls += 1;
-            thread::yield_now();
         }
-        self.ring_stalls += stalls;
         self.sent = true;
     }
 
@@ -327,7 +336,8 @@ impl Drop for Threaded {
 ///
 /// On an empty ring the worker spins [`SPINS_BEFORE_PARK`] times for
 /// latency, then parks until the router wakes it ([`Feed::wake`]): an idle
-/// fleet costs no CPU.
+/// fleet costs no CPU. Its pops wake a router parked on the full ring
+/// ([`RingProducer::wait_for_room`]) once the ring is half full or empty.
 fn shard_worker(
     shard: u32,
     mut feed: RingConsumer,
@@ -462,6 +472,53 @@ mod tests {
         let times: Vec<f64> = snaps.iter().map(|s| s.time_s).collect();
         assert_eq!(times, [5.0]);
         assert_eq!(snaps, inline.push(reports));
+        Ok(())
+    }
+
+    #[test]
+    fn a_lagging_worker_parks_the_router_once_per_half_ring() -> Result<(), &'static str> {
+        // 200 users on one shard, all re-analysed at every 1 s cadence
+        // point: the worker spends its time in long snapshot parts while
+        // the router, which only routes, runs ahead and fills the ring.
+        const USERS: u64 = 200;
+        let config = PipelineConfig::paper_default;
+        let resolver = || EmbeddedIdentity::new(1..=USERS);
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let recorder = SharedRecorder::new(registry.clone());
+        let mut fleet = FleetEngine::observed(config(), resolver(), 10.0, 1.0, 1, recorder)
+            .map_err(|_| "construction failed")?;
+        let mut inline = crate::pipeline::StreamingMonitor::new(config(), resolver(), 10.0, 1.0)
+            .map_err(|_| "construction failed")?;
+        let reports: Vec<TagReport> = (0..40u32)
+            .flat_map(|step| {
+                let t = f64::from(step) * 0.25;
+                (1..=USERS).map(move |user| report(user, 0, t + user as f64 * 1e-4))
+            })
+            .collect();
+        let (done_tx, done) = mpsc::channel();
+        let input = reports.clone();
+        let router = thread::spawn(move || {
+            let mut snaps = fleet.push(input);
+            snaps.extend(fleet.finish());
+            let _ = done_tx.send(snaps);
+        });
+        let snaps = done
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .map_err(|_| "a parked router must be woken as its ring drains")?;
+        router.join().map_err(|_| "the router thread panicked")?;
+        let mut want = inline.push(reports.clone());
+        want.extend(inline.finish());
+        assert_eq!(snaps.len(), 9);
+        assert_eq!(snaps, want);
+        // Each park lasts until the worker has drained the ring to half
+        // full, so a park stands for at least half a ring of reports.
+        let stalls = registry.counter(metrics::FLEET_RING_STALLS);
+        let bound = reports.len() as u64 / (RING_SLOTS as u64 / 2);
+        assert!(
+            (2..=bound).contains(&stalls),
+            "{stalls} parks for {} reports (at most {bound})",
+            reports.len()
+        );
         Ok(())
     }
 

@@ -31,25 +31,48 @@
 //! Each side keeps its **own** position in a plain (non-atomic) field —
 //! it is the only writer of that counter — so every remaining atomic
 //! load really is a cross-thread observe and every store a publication.
+//!
+//! # Waiting for room
+//!
+//! A producer that finds the ring full parks in
+//! [`RingProducer::wait_for_room`] instead of spinning. It announces
+//! itself on the ring's wait word, re-checks `tail`, and parks only if
+//! the ring is still full. The consumer checks the word whenever a pop
+//! brings the ring down to half full (the low-water mark) and when it
+//! first finds the ring empty, and unparks a waiting producer through
+//! std's park token. The announce, the check, and the producer's
+//! withdrawal when its re-check finds room are each a single
+//! read-modify-write with [`protocol::HANDSHAKE`] (`AcqRel`). RMWs on
+//! one word are totally ordered, so one of them reads the other: if the
+//! check comes second it sees the announcement and wakes the producer;
+//! if the announce comes second it acquires the `tail` store the check
+//! released, and the re-check finds the freed slot. Either way no wake
+//! is lost. A plain flag store and load on each side would need
+//! `SeqCst`, which the model checker cannot check (it models `SeqCst` as
+//! `AcqRel`); its `LowWaterMachine` checks this handshake instead. The
+//! waiting producer's thread handle sits behind a mutex that only a
+//! wait and a wake take, never a plain push or pop.
 
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{self, Thread};
 
 /// Number of `u64` words in one ring slot.
 pub const SLOT_WORDS: usize = 6;
 
 /// Named memory orderings of the ring protocol.
 ///
-/// Exactly two roles exist: [`PUBLISH`](protocol::PUBLISH) stores a
-/// position counter to hand slots to the other side, and
-/// [`OBSERVE`](protocol::OBSERVE) loads the other side's counter.
-/// [`SLOT`](protocol::SLOT) covers the payload words, which carry no
-/// synchronisation of their own (the counter edge orders them).
+/// Three roles exist: [`PUBLISH`](protocol::PUBLISH) stores a position
+/// counter to hand slots to the other side,
+/// [`OBSERVE`](protocol::OBSERVE) loads the other side's counter, and
+/// [`HANDSHAKE`](protocol::HANDSHAKE) is every read-modify-write on the
+/// wait word. [`SLOT`](protocol::SLOT) covers the payload words, which
+/// carry no synchronisation of their own (the counter edge orders them).
 ///
 /// Building with `--cfg sync_mutant` deliberately weakens the protocol
-/// (publish and observe both collapse to `Relaxed`): the seeded bug that
-/// the `atomics` lint pass and the `syncmodel` bounded model checker
-/// must both detect. Never enable it in production builds.
+/// (publish, observe and handshake all collapse to `Relaxed`): the
+/// seeded bug that the `atomics` lint pass and the `syncmodel` bounded
+/// model checker must both detect. Never enable it in production builds.
 pub mod protocol {
     use std::sync::atomic::Ordering;
 
@@ -69,10 +92,26 @@ pub mod protocol {
     #[cfg(sync_mutant)]
     pub const OBSERVE: Ordering = Ordering::Relaxed;
 
+    /// Ordering for the wait word's read-modify-writes: the producer's
+    /// announce acquires the `tail` store a consumer check released, and
+    /// the check releases that store.
+    #[cfg(not(sync_mutant))]
+    pub const HANDSHAKE: Ordering = Ordering::AcqRel;
+    /// Seeded ordering bug: an announce that follows a check no longer
+    /// sees the slots it freed, so the producer can park on a ring the
+    /// consumer has already drained.
+    #[cfg(sync_mutant)]
+    pub const HANDSHAKE: Ordering = Ordering::Relaxed;
+
     /// Ordering for slot payload words: relaxed by design, ordered only
     /// by the publish/observe edge on the position counters.
     pub const SLOT: Ordering = Ordering::Relaxed;
 }
+
+/// Wait-word value: no producer waits for room.
+const NO_WAITER: u64 = 0;
+/// Wait-word value: the producer announced that it waits for room.
+const WAITING: u64 = 1;
 
 /// A cache-line-padded atomic counter, so the head and tail counters do not
 /// false-share one line.
@@ -96,6 +135,11 @@ pub struct SpscRing {
     head: PadAtomic,
     /// Next sequence number the consumer will free (monotonic).
     tail: PadAtomic,
+    /// [`WAITING`] while the producer waits for room, else [`NO_WAITER`].
+    /// Touched only by [`protocol::HANDSHAKE`] read-modify-writes.
+    waiting: PadAtomic,
+    /// The thread that last waited for room, for the consumer to unpark.
+    waiter: Mutex<Option<Thread>>,
 }
 
 impl SpscRing {
@@ -109,11 +153,19 @@ impl SpscRing {
             mask: (capacity as u64).saturating_sub(1),
             head: PadAtomic::default(),
             tail: PadAtomic::default(),
+            waiting: PadAtomic::default(),
+            waiter: Mutex::new(None),
         }
     }
 
     fn capacity(&self) -> u64 {
         self.mask.wrapping_add(1)
+    }
+
+    /// The waiter cell. Nothing panics while holding it, so a poisoned
+    /// lock still holds a valid handle.
+    fn waiter(&self) -> std::sync::MutexGuard<'_, Option<Thread>> {
+        self.waiter.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn slot_base(&self, seq: u64) -> usize {
@@ -146,6 +198,7 @@ pub fn channel(capacity: usize) -> (RingProducer, RingConsumer) {
             ring,
             next_tail: 0,
             cached_head: 0,
+            drained: true,
         },
     )
 }
@@ -184,6 +237,29 @@ impl RingProducer {
         true
     }
 
+    /// Waits for the consumer to free a slot, after a failed
+    /// [`try_push`](Self::try_push). Announces the calling thread on the
+    /// wait word, re-checks `tail`, and parks if the ring is still full;
+    /// the consumer's pops unpark it at the low-water mark or on an
+    /// empty ring. Returns whether it parked. A park may also end early
+    /// (std permits spurious wakes), so callers retry the push in a loop.
+    pub fn wait_for_room(&mut self) -> bool {
+        *self.ring.waiter() = Some(thread::current());
+        self.ring.waiting.value.swap(WAITING, protocol::HANDSHAKE);
+        self.cached_tail = self.ring.tail.value.load(protocol::OBSERVE);
+        if self.next_head.wrapping_sub(self.cached_tail) >= self.ring.capacity() {
+            thread::park();
+            return true;
+        }
+        // Room after all: withdraw. If a check already took the
+        // announcement, its unpark is on the way; take it here, so it
+        // cannot cut a later wait short.
+        if self.ring.waiting.value.swap(NO_WAITER, protocol::HANDSHAKE) == NO_WAITER {
+            thread::park();
+        }
+        false
+    }
+
     /// Occupied slots from the producer's view (an upper bound: the consumer
     /// may have drained since the tail was last observed).
     #[must_use]
@@ -202,19 +278,28 @@ pub struct RingConsumer {
     next_tail: u64,
     /// Last observed producer head; refreshed only when the ring looks empty.
     cached_head: u64,
+    /// The last pop found the ring empty, so a producer waiting for room
+    /// has already been checked for.
+    drained: bool,
 }
 
 impl RingConsumer {
     /// Dequeues one slot, or `None` when the ring is empty (after refreshing
-    /// the cached head).
+    /// the cached head). A pop that leaves the ring half full, or the
+    /// first that finds it empty, wakes a producer waiting for room.
     pub fn pop(&mut self) -> Option<[u64; SLOT_WORDS]> {
         let tail = self.next_tail;
         if tail == self.cached_head {
             self.cached_head = self.ring.head.value.load(protocol::OBSERVE);
             if tail == self.cached_head {
+                if !self.drained {
+                    self.drained = true;
+                    self.wake_producer();
+                }
                 return None;
             }
         }
+        self.drained = false;
         let base = self.ring.slot_base(tail);
         let mut out = [0u64; SLOT_WORDS];
         for (i, word) in out.iter_mut().enumerate() {
@@ -225,7 +310,21 @@ impl RingConsumer {
             .tail
             .value
             .store(self.next_tail, protocol::PUBLISH);
+        if self.cached_head.wrapping_sub(self.next_tail) == self.ring.capacity() / 2 {
+            self.wake_producer();
+        }
         Some(out)
+    }
+
+    /// Takes the producer's announcement, if any, and unparks it. The
+    /// read-modify-write releases the `tail` stores before it, so a
+    /// producer that announces later finds the freed slots instead.
+    fn wake_producer(&self) {
+        if self.ring.waiting.value.swap(NO_WAITER, protocol::HANDSHAKE) == WAITING {
+            if let Some(producer) = self.ring.waiter().as_ref() {
+                producer.unpark();
+            }
+        }
     }
 
     /// Occupied slots from the consumer's view (a lower bound: the producer

@@ -10,6 +10,11 @@
 //! to the single-threaded one: a report mutates exactly the same state
 //! machine either way.
 //!
+//! A shard also recycles memory across users: a sweep that empties a
+//! user keeps its cleared tag slab on a spare list, bounded by the live
+//! users, and the next push into an empty user takes it, so a user that
+//! returns after the eviction horizon allocates no slab.
+//!
 //! # Synchronisation argument
 //!
 //! `ShardCore` holds no atomics and needs none: it is owned by exactly
@@ -25,7 +30,7 @@
 use super::msg::ShardMsg;
 use crate::config::{PipelineConfig, PreprocessKind};
 use crate::monitor::analyze_displacement;
-use crate::operators::{OperatorCounts, UserStreamState};
+use crate::operators::{OperatorCounts, SpareSlab, UserStreamState};
 use epcgen2::epc::Epc96;
 use epcgen2::report::TagReport;
 use obs::freshness::duration_ns;
@@ -88,12 +93,23 @@ pub struct ShardPart {
 /// changed since it last ran, and reuses the cached (rate, effort)
 /// otherwise. The snapshot stream is therefore bit-identical to a full
 /// walk of the slab at every sweep.
+///
+/// A sweep that empties a slot keeps the slot's cleared tag slab on a
+/// spare list, and the next push into an empty slot takes it, so a user
+/// that comes back after the eviction horizon does not allocate a slab
+/// again. The list keeps only slabs of the first admission's size and
+/// never more of them than the shard has live slots, so memory stays
+/// bounded by the live population; the kept slabs count in the resident
+/// bytes.
 #[derive(Debug, Default)]
 pub struct ShardCore {
     states: Vec<UserStreamState>,
     user_ids: Vec<u64>,
     /// The slots that hold state.
     live: LiveList,
+    /// Cleared tag slabs of emptied slots, for the next pushes into empty
+    /// slots. Never longer than the live list after a sweep.
+    spares: Vec<SpareSlab>,
     /// State cells summed over the live slots at their last visit: exact
     /// after every sweep, since a sweep visits every pushed slot.
     cells: usize,
@@ -279,6 +295,11 @@ impl ShardCore {
                     doppler_hz,
                 };
                 if let Some(state) = self.states.get_mut(at) {
+                    if state.is_empty() {
+                        if let Some(spare) = self.spares.pop() {
+                            state.adopt(spare);
+                        }
+                    }
                     let outcome = state.push(tag_id, &report, &env.config);
                     self.counts.count_push(outcome);
                     self.live.touch(slot);
@@ -333,13 +354,16 @@ impl ShardCore {
     /// pushed since its last visit or whose deadline has come; on any
     /// other slot the eviction would be a no-op. A visited slot whose
     /// state changed is marked for re-analysis. A slot whose state
-    /// empties is reset to a fresh default and unlisted, releasing
-    /// buffers exactly as the pre-fleet `BTreeMap::retain` dropped the
-    /// entry. Cold: once per sweep.
+    /// empties is reset to a fresh default and unlisted, as the
+    /// pre-fleet `BTreeMap::retain` dropped the entry, but its cleared
+    /// tag slab joins the spare list. The list stays within the live
+    /// count at the sweep's start while the sweep runs, and is cut to
+    /// the live count at its end. Cold: once per sweep.
     fn evict(&mut self, watermark_s: f64, env: &ShardEnv) {
         let _span = TraceSpan::start(env.tracer.as_dyn(), "evict", watermark_s);
         let started = Instant::now();
         let tracks = env.config.preprocess == PreprocessKind::ChannelTrackMerge;
+        let live_before = self.live.len;
         let mut index = 0;
         while let Some(entry) = self.live.live_mut().get_mut(index) {
             let due = entry.pushed || watermark_s >= entry.deadline_s;
@@ -355,7 +379,11 @@ impl ShardCore {
             self.counts.count_evict(evicted);
             self.cells -= entry.cells;
             if state.is_empty() {
-                *state = UserStreamState::default();
+                if let Some(spare) = state.recycle() {
+                    if self.spares.len() < live_before {
+                        self.spares.push(spare);
+                    }
+                }
                 self.live.remove(index);
                 continue;
             }
@@ -372,6 +400,7 @@ impl ShardCore {
             entry.deadline_s = state.expiry_deadline_s(env.window_s, &env.config);
             index += 1;
         }
+        self.spares.truncate(self.live.len);
         self.counts.evict_ns.push(duration_ns(started.elapsed()));
     }
 
@@ -445,23 +474,26 @@ impl ShardCore {
 
     /// Estimated resident bytes of this shard's stream state holding
     /// `state_cells` cells: the slab and its per-slot bookkeeping (user
-    /// id, live-list entry and index) plus 8 bytes per buffered cell
-    /// (samples, bins, tracks are all `f64`-sized). An estimate, not an
-    /// allocator measurement — it tracks the bounded-memory quantity the
-    /// eviction policy controls, which is what the bytes/resident-user SLO
-    /// budgets.
+    /// id, live-list entry and index), the spare tag slabs, plus 8 bytes
+    /// per buffered cell (samples, bins, tracks are all `f64`-sized). An
+    /// estimate, not an allocator measurement — it tracks the
+    /// bounded-memory quantity the eviction policy controls, which is
+    /// what the bytes/resident-user SLO budgets.
     fn resident_bytes(&self, state_cells: usize) -> u64 {
         let per_slot = std::mem::size_of::<UserStreamState>()
             + std::mem::size_of::<u64>()
             + std::mem::size_of::<LiveSlot>()
             + std::mem::size_of::<u32>();
-        (self.states.len() * per_slot + state_cells * std::mem::size_of::<f64>()) as u64
+        (self.states.len() * per_slot
+            + self.spares.len() * SpareSlab::RESIDENT_BYTES
+            + state_cells * std::mem::size_of::<f64>()) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::FIRST_TAG_SLOTS;
     use prng::{Rng, Xoshiro256};
     use std::f64::consts::{PI, TAU};
 
@@ -606,14 +638,106 @@ mod tests {
         }
     }
 
+    /// One steady user (slot 0) reads at 20 Hz for 120 s beside 10,000
+    /// admitted slots. With `churn`, each of those reads once in the
+    /// first 10 s and expires. Slot 1 comes back at 60 s and reads at
+    /// 20 Hz to the end. Snapshots every 5 s, evictions every second.
+    fn one_shot_churn(churn: bool) -> Vec<ShardMsg> {
+        const ONE_SHOT: u32 = 10_000;
+        let mut msgs: Vec<ShardMsg> = (0..=ONE_SHOT)
+            .map(|slot| ShardMsg::Admit {
+                slot,
+                user_id: u64::from(slot) + 1,
+            })
+            .collect();
+        let mut epoch = 0;
+        for step in 1..=2_400u32 {
+            let t = f64::from(step) * 0.05;
+            msgs.push(report(0, t));
+            if churn && step <= 200 {
+                msgs.extend((1..=50).map(|k| report((step - 1) * 50 + k, t)));
+            }
+            if t >= 60.0 {
+                msgs.push(report(1, t + 0.01));
+            }
+            if step % 20 == 0 {
+                msgs.push(ShardMsg::Evict { watermark_s: t });
+            }
+            if step % 100 == 0 {
+                msgs.push(ShardMsg::Snapshot {
+                    watermark_s: t,
+                    time_s: t,
+                    epoch,
+                });
+                epoch += 1;
+            }
+        }
+        msgs
+    }
+
+    #[test]
+    fn one_shot_churn_keeps_spares_within_the_live_count() -> Result<(), &'static str> {
+        let env = env(25.0);
+        let (mut core, mut quiet) = (ShardCore::new(), ShardCore::new());
+        let mut quiet_parts = one_shot_churn(false)
+            .into_iter()
+            .filter_map(|msg| quiet.apply(0, msg, &env));
+        let (mut readmitted, mut rated_pairs) = (false, 0);
+        for msg in one_shot_churn(true) {
+            let returning =
+                matches!(msg, ShardMsg::Report { slot: 1, time_s, .. } if time_s > 60.0);
+            let spares_before = core.spares.len();
+            let got = core.apply(0, msg, &env);
+            if returning && !readmitted {
+                // The returning user's first read takes a spare slab.
+                assert_eq!((spares_before, core.spares.len()), (1, 0));
+                readmitted = true;
+            }
+            let Some(got) = got else {
+                continue;
+            };
+            let want = quiet_parts.next().ok_or("the quiet run has fewer parts")?;
+            let at = format!("part at {} s", got.time_s);
+            assert!(core.spares.len() <= got.occupancy, "{at}: spares");
+            // Slot 1's rates come from a spare slab here and a fresh one
+            // in the quiet run.
+            assert_eq!(bits(&got.rates_bpm), bits(&want.rates_bpm), "{at}: rates");
+            assert_eq!(
+                bits(&got.effort_rms),
+                bits(&want.effort_rms),
+                "{at}: efforts"
+            );
+            rated_pairs += usize::from(got.rates_bpm.len() == 2);
+            if got.time_s >= 45.0 {
+                assert!(
+                    got.resident_bytes <= 2 * want.resident_bytes,
+                    "{at}: {} B against {} B without the churn",
+                    got.resident_bytes,
+                    want.resident_bytes
+                );
+            }
+        }
+        assert!(
+            readmitted && rated_pairs > 5,
+            "{rated_pairs} parts rate both users"
+        );
+        assert!(quiet_parts.next().is_none());
+        Ok(())
+    }
+
     /// The full-slab walk `ShardCore`'s sweeps replaced, kept verbatim as
     /// their oracle: every sweep evicts every occupied slot, and every
-    /// snapshot part analyses every occupied slot.
+    /// snapshot part analyses every occupied slot. It resets an emptied
+    /// state and keeps only a count of the spare slabs the shard would
+    /// hold: one per emptied state whose slab kept its first size, cut to
+    /// the occupancy after each sweep, less one per push into an empty
+    /// state.
     #[derive(Debug, Default)]
     struct FullWalk {
         states: Vec<UserStreamState>,
         user_ids: Vec<u64>,
         counts: OperatorCounts,
+        spares: usize,
     }
 
     impl FullWalk {
@@ -639,6 +763,9 @@ mod tests {
                         doppler_hz,
                     };
                     if let Some(state) = self.states.get_mut(slot as usize) {
+                        if state.is_empty() {
+                            self.spares = self.spares.saturating_sub(1);
+                        }
                         let outcome = state.push(tag_id, &report, &env.config);
                         self.counts.count_push(outcome);
                     }
@@ -681,9 +808,11 @@ mod tests {
                 let evicted = state.evict(watermark_s, env.window_s, &env.config);
                 self.counts.count_evict(evicted);
                 if state.is_empty() {
+                    self.spares += usize::from(state.tag_slots() == FIRST_TAG_SLOTS);
                     *state = UserStreamState::default();
                 }
             }
+            self.spares = self.spares.min(self.occupancy());
             self.counts.evict_ns.push(duration_ns(started.elapsed()));
         }
 
@@ -735,7 +864,8 @@ mod tests {
         fn resident_bytes(&self, state_cells: usize) -> u64 {
             let slab = self.states.len() * std::mem::size_of::<UserStreamState>()
                 + self.user_ids.len() * std::mem::size_of::<u64>();
-            (slab + state_cells * std::mem::size_of::<f64>()) as u64
+            let spares = self.spares * SpareSlab::RESIDENT_BYTES;
+            (slab + spares + state_cells * std::mem::size_of::<f64>()) as u64
         }
 
         fn occupancy(&self) -> usize {
@@ -869,7 +999,7 @@ mod tests {
             ),
         ];
         let bookkeeping = std::mem::size_of::<LiveSlot>() + std::mem::size_of::<u32>();
-        let (mut parts, mut rates, mut seed) = (0, 0, 0);
+        let (mut parts, mut rates, mut seed, mut spares_kept) = (0, 0, 0, 0);
         for (name, config) in &configs {
             for (window_s, cadence_s) in [(25.0, 5.0), (3.0, 7.0), (10.0, 1.0)] {
                 seed += 1;
@@ -889,6 +1019,8 @@ mod tests {
                         (oracle.occupancy(), oracle.state_cells(), oracle.tag_count()),
                         "{what}: accessors"
                     );
+                    assert_eq!(core.spares.len(), oracle.spares, "{what}: spares");
+                    spares_kept = spares_kept.max(oracle.spares);
                     let (Some(got), Some(want)) = (got, want) else {
                         continue;
                     };
@@ -926,8 +1058,8 @@ mod tests {
             }
         }
         assert!(
-            parts > 400 && rates > 1_000,
-            "{parts} parts holding {rates} rates"
+            parts > 400 && rates > 1_000 && spares_kept > 0,
+            "{parts} parts holding {rates} rates, at most {spares_kept} spares"
         );
     }
 }

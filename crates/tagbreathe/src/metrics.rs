@@ -108,9 +108,10 @@ pub const QUALITY_BAND_SNR_MILLI: &str = "tagbreathe_quality_band_snr_milli";
 /// Counter: reports routed onto shard rings by the fleet engine.
 pub const FLEET_REPORTS_ROUTED: &str = "tagbreathe_fleet_reports_routed_total";
 
-/// Counter, labelled `shard`: router stalls on a full shard ring — each
-/// stall is one bounded-backpressure yield that would have been a shed
-/// report in a lossy design.
+/// Counter, labelled `shard`: router waits on a full shard ring — each
+/// stall is one park of the router, woken once the worker has drained
+/// the ring to half full or empty, where a lossy design would have shed
+/// reports.
 pub const FLEET_RING_STALLS: &str = "tagbreathe_fleet_ring_stalls_total";
 
 /// Gauge, labelled `shard`: ring occupancy a shard observed when it took
@@ -133,8 +134,8 @@ pub const FLEET_HANDOFF_LATENCY_NS: &str = "tagbreathe_fleet_handoff_latency_ns"
 pub const SNAPSHOT_LAG_NS: &str = "tagbreathe_snapshot_lag_ns";
 
 /// Gauge, labelled `shard`: estimated bytes of resident per-user stream
-/// state on the shard at its last snapshot part (slab plus an 8-byte
-/// estimate per buffered cell).
+/// state on the shard at its last snapshot part (slab, the spare tag
+/// slabs kept for reuse, plus an 8-byte estimate per buffered cell).
 pub const FLEET_RESIDENT_BYTES: &str = "tagbreathe_fleet_resident_bytes";
 
 /// Adds `delta` to the counter `name` unless it is zero. The engine and

@@ -75,6 +75,23 @@ use std::cmp::Ordering;
 /// per-report path is usually a single key compare.
 type TagSlab = Vec<((u8, u32), TagState)>;
 
+/// Tag slots a slab gets at its first admission: the one slab size a
+/// shard keeps for reuse, so the number it keeps does not depend on the
+/// order in which a sweep empties its users.
+pub(crate) const FIRST_TAG_SLOTS: usize = 4;
+
+/// An emptied user's tag slab, cleared and kept by its shard for the next
+/// push into an empty user ([`UserStreamState::recycle`],
+/// [`UserStreamState::adopt`]). It always holds [`FIRST_TAG_SLOTS`] slots.
+#[derive(Debug)]
+pub(crate) struct SpareSlab(TagSlab);
+
+impl SpareSlab {
+    /// Bytes one kept spare costs: its list entry and its slots.
+    pub(crate) const RESIDENT_BYTES: usize = std::mem::size_of::<SpareSlab>()
+        + FIRST_TAG_SLOTS * std::mem::size_of::<((u8, u32), TagState)>();
+}
+
 /// Per-port fusion accumulators, sorted by port (a handful of entries).
 type PortSlab = Vec<(u8, FusionAccumulator)>;
 
@@ -318,8 +335,12 @@ pub struct UserStreamState {
 }
 
 /// Cold path: first report of a `(antenna_port, tag_id)` key allocates
-/// its slot — amortised once per tag, off the per-report path.
+/// its slot — amortised once per tag, off the per-report path. A slab's
+/// first admission sizes it to [`FIRST_TAG_SLOTS`].
 fn admit_tag(tags: &mut TagSlab, at: usize, key: (u8, u32), kind: PreprocessKind) {
+    if tags.capacity() == 0 {
+        tags.reserve_exact(FIRST_TAG_SLOTS);
+    }
     tags.insert(at, (key, TagState::new(kind)));
 }
 
@@ -605,6 +626,27 @@ impl UserStreamState {
     /// Number of `(antenna_port, tag_id)` keys currently holding state.
     pub fn tag_count(&self) -> usize {
         self.tags.len()
+    }
+
+    /// Resets the graph to a fresh one and returns its cleared tag slab
+    /// if the slab still has its first admission's size. Cold: once per
+    /// user an eviction empties.
+    pub(crate) fn recycle(&mut self) -> Option<SpareSlab> {
+        let mut tags = std::mem::take(self).tags;
+        tags.clear();
+        (tags.capacity() == FIRST_TAG_SLOTS).then_some(SpareSlab(tags))
+    }
+
+    /// Gives a graph that holds no tags a spare slab to admit them into,
+    /// so its next admission does not allocate one.
+    pub(crate) fn adopt(&mut self, spare: SpareSlab) {
+        self.tags = spare.0;
+    }
+
+    /// Slots the tag slab holds, filled or not.
+    #[cfg(test)]
+    pub(crate) fn tag_slots(&self) -> usize {
+        self.tags.capacity()
     }
 
     /// Whether the graph holds no per-tag state.

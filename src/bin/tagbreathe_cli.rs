@@ -478,6 +478,11 @@ fn feed(args: &[String]) -> Result<(), String> {
     }
 
     let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    // Each batch goes out in one frame; Nagle would hold a short tail
+    // frame back until the server's ACK of the previous one.
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("TCP_NODELAY: {e}"))?;
     let mut client =
         ReaderClient::connect(stream, reader_id, 0).map_err(|e| format!("handshake: {e}"))?;
     for chunk in reports.chunks(batch) {
