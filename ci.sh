@@ -15,16 +15,16 @@
 #   9. fleet bench smoke  cargo run --release -p tagbreathe-bench --bin stream_bench -- --fleet --smoke
 #  10. CLI slo smoke      cargo run --release --bin tagbreathe-cli -- slo <metrics sidecar>
 #  11. workspace lint     cargo run -p tagbreathe-lint -- check --format sarif
-#  12. hot-path report    cargo run -p tagbreathe-lint -- hotpath --max-sites 0
-#  13. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
-#  14. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
-#  15. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
-#  16. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+#  12. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
+#  13. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
+#  14. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
+#  15. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 #
 # Step 2 enforces the library-crate rules: every crate listed in
-# lint.toml's `lib-crates` denies `missing_docs`, `unreachable_pub` and
-# clippy's `unwrap_used`, `expect_used`, `panic` and `unreachable` at its
-# root, in-src test modules included (docs/LINTING.md). Steps 3 and 4
+# lint.toml's `lib-crates` denies `missing_docs`, `unreachable_pub`,
+# `unsafe_code` and clippy's `unwrap_used`, `expect_used`, `panic` and
+# `unreachable` at its root, in-src test modules included
+# (docs/LINTING.md). Steps 3 and 4
 # cover the whole workspace: the root manifest's `default-members`
 # lists the suite package and every crate, so plain `cargo test -q`
 # runs each crate's unit tests, integration tests (the fleet ring
@@ -63,29 +63,26 @@
 # forgot `-- check --update-baseline`). It also emits the full report as
 # SARIF 2.1.0 (lint.sarif), re-validated with the linter's own in-tree
 # JSON validator (`validate-json`, backed by tagbreathe_obs::json).
-# Step 12 is the machine-readable hot-path cost inventory: it fails if a
-# `[hotpath]` root no longer resolves or the per-report path performs
-# any allocation or non-slab map lookup at all (`--max-sites 0` — the
-# slab/interner refactor burned the last two sites, and this pins the
-# ratchet shut), and its JSON is re-validated like the SARIF. Step 13 is
-# the atomics-discipline gate: every atomic call site must match the
-# ordering protocol declared in lint.toml's `[atomics]` section
-# (`--max-violations 0`), and the JSON report is re-validated. Step 14
+# Step 12 is the atomics-discipline gate: every atomic call site must
+# match the ordering protocol declared in lint.toml's `[atomics]` section
+# (`--max-violations 0`), and the JSON report is re-validated. Step 13
 # is the static mutant proof: re-resolving the cfg-switched ordering
 # constants under `--cfg sync_mutant` MUST produce violations — if the
 # weakened orderings pass the gate, the analyzer has gone blind and CI
-# fails. Step 15 runs the bounded model checker (crates/syncmodel): the
+# fails. Step 14 runs the bounded model checker (crates/syncmodel): the
 # declared ring/barrier/drain/idle-wake/low-water-wake protocols must
 # survive exhaustive small-bound exploration AND seeded deep random
 # walks, and each runtime mutant (weakened orderings, an unpark issued
 # before its batch is published, a producer that parks on a full ring
 # without re-checking it) must fail with a counterexample trace. Under
-# `--cfg sync_mutant` steps 14 and 15 both reject the weakened wait
+# `--cfg sync_mutant` steps 13 and 14 both reject the weakened wait
 # handshake too: its ordering is spelled through the same
-# `fleet::ring::protocol` constants. Steps 11-15
+# `fleet::ring::protocol` constants. Steps 11-14
 # together must finish inside the lint wall-clock budget below — the
 # linter re-parses the workspace per invocation, so a runaway pass
-# shows up here before it slows every pre-commit hook. Step 16 builds
+# shows up here before it slows every pre-commit hook. The per-report
+# allocation budget is not a lint step: tests/allocation_oracle.rs
+# counts allocations at run time in step 4. Step 15 builds
 # the end-to-end benchmark (perfbench/, a package of its own with path
 # dependencies on crates/*) and runs its self-tests, so a workspace API
 # change that would break the benchmark fails here.
@@ -160,12 +157,6 @@ test -s /tmp/tagbreathe-lint.sarif \
     || { echo "ci: SARIF report missing or empty" >&2; exit 1; }
 cargo run -q -p tagbreathe-lint -- validate-json /tmp/tagbreathe-lint.sarif
 
-echo "==> cargo run -p tagbreathe-lint -- hotpath --max-sites 0"
-cargo run -q -p tagbreathe-lint -- hotpath --max-sites 0 --out /tmp/tagbreathe-hotpath.json
-test -s /tmp/tagbreathe-hotpath.json \
-    || { echo "ci: hot-path report missing or empty" >&2; exit 1; }
-cargo run -q -p tagbreathe-lint -- validate-json /tmp/tagbreathe-hotpath.json
-
 echo "==> cargo run -p tagbreathe-lint -- atomics --max-violations 0"
 cargo run -q -p tagbreathe-lint -- atomics --max-violations 0 --out /tmp/tagbreathe-atomics.json
 test -s /tmp/tagbreathe-atomics.json \
@@ -183,10 +174,10 @@ echo "ci: sync_mutant orderings rejected by the atomics gate, as required"
 echo "==> syncmodel_check --deep"
 cargo run -q --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
 
-# Lint wall-clock budget: the semantic runs (check + hotpath + atomics,
-# both cfgs) plus the model checker, binaries already built, must stay
-# interactive. They take ~3.4 s here (2.2 s lint, 1.2 s model), so
-# 20 s is ~6x current cost.
+# Lint wall-clock budget: the semantic runs (check + atomics, both
+# cfgs) plus the model checker, binaries already built, must stay
+# interactive. They take ~2.5 s here (1.4 s lint, 1.1 s model), so
+# 20 s is ~8x current cost.
 lint_elapsed_s=$((SECONDS - lint_started_s))
 if [ "$lint_elapsed_s" -gt 20 ]; then
     echo "ci: lint passes took ${lint_elapsed_s}s — over the 20 s budget" >&2

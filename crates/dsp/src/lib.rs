@@ -52,6 +52,7 @@
 #![deny(
     missing_docs,
     unreachable_pub,
+    unsafe_code,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,

@@ -35,6 +35,7 @@
 #![deny(
     missing_docs,
     unreachable_pub,
+    unsafe_code,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,

@@ -18,12 +18,12 @@
 //! `SeqCst` anywhere a declared pair suffices is flagged as a cost
 //! smell, and an ordering outside the declaration entirely is a
 //! mixed-ordering error. Atomic operations that resolve to no
-//! declaration, and `pub` signatures of `[shard]`-rooted types that
-//! expose an undeclared atomic, are flagged too — the declaration table
-//! is the complete inventory of the workspace's lock-free protocol.
+//! declaration, and `pub` method signatures that expose an undeclared
+//! atomic, are flagged too — the declaration table is the complete
+//! inventory of the workspace's lock-free protocol.
 //!
-//! Call sites are resolved through the same receiver-type machinery the
-//! hot-path pass uses: `self.ring.head.value.store(…)` is walked to the
+//! Call sites are resolved through receiver types, field by field:
+//! `self.ring.head.value.store(…)` is walked to the
 //! chain `RingProducer.ring → SpscRing.head → PadAtomic.value` and
 //! matched deepest-link-first against the declarations, so the shared
 //! `.value` cell of a padding wrapper attributes to `SpscRing.head`
@@ -85,7 +85,7 @@ pub enum FindingKind {
     MixedOrdering,
     /// Atomic operation that resolves to no declaration.
     UndeclaredAtomic,
-    /// `pub` signature of a `[shard]` root exposing an undeclared atomic.
+    /// `pub` method signature exposing an undeclared atomic.
     UndeclaredPubAtomic,
     /// Ordering argument that cannot be resolved to one variant.
     UnresolvedOrdering,
@@ -142,7 +142,7 @@ pub struct Report {
 }
 
 /// Scans the workspace against its `[atomics]` declarations. An empty
-/// declaration table disables the pass (it is opt-in, like `[hotpath]`).
+/// declaration table disables the pass (it is opt-in).
 #[must_use]
 pub fn analyze(ws: &Workspace, active_cfgs: &[String]) -> Report {
     if ws.atomics.decls.is_empty() {
@@ -300,9 +300,9 @@ pub fn analyze(ws: &Workspace, active_cfgs: &[String]) -> Report {
     }
 }
 
-/// `pub` functions of `[shard]`-rooted types must not expose an atomic
-/// that has no declared protocol: the declaration table is the complete
-/// inventory of the fleet's lock-free surface.
+/// `pub` methods must not expose an atomic that has no declared
+/// protocol: the declaration table is the complete inventory of the
+/// workspace's lock-free surface.
 fn check_pub_signatures(ws: &Workspace, used: &mut [bool], findings: &mut Vec<Finding>) {
     for (fi, file) in ws.files.iter().enumerate() {
         if file.test_only || ws.atomics.exempt.contains(&file.crate_name) {
@@ -315,9 +315,6 @@ fn check_pub_signatures(ws: &Workspace, used: &mut [bool], findings: &mut Vec<Fi
             let Some(t) = f.impl_type.as_deref() else {
                 continue;
             };
-            if !ws.shard.roots.iter().any(|r| r == t) {
-                continue;
-            }
             let exposed = f
                 .params
                 .iter()
@@ -349,8 +346,8 @@ fn check_pub_signatures(ws: &Workspace, used: &mut [bool], findings: &mut Vec<Fi
                     line: f.line,
                     message: format!(
                         "pub fn `{t}::{}` exposes `{ty}` but `{t}.{}` has no \
-                         [atomics] declaration — shard types may not leak \
-                         protocol-free atomics",
+                         [atomics] declaration — a pub method may not leak \
+                         a protocol-free atomic",
                         f.name, f.name
                     ),
                     witness: Vec::new(),
@@ -1033,7 +1030,7 @@ mod tests {
              }\n";
         let ws = workspace(
             &[("crates/tagbreathe/src/a.rs", src)],
-            "[shard]\nroots = \"Ring\"\n[atomics]\nRing.word = \"relaxed\"\n",
+            "[atomics]\nRing.word = \"relaxed\"\n",
         );
         // Declared accessor: fine (and the declaration counts as used).
         let report = analyze(&ws, &[]);
@@ -1041,7 +1038,7 @@ mod tests {
 
         let ws = workspace(
             &[("crates/tagbreathe/src/a.rs", src)],
-            "[shard]\nroots = \"Ring\"\n[atomics]\nother = \"relaxed\"\n",
+            "[atomics]\nother = \"relaxed\"\n",
         );
         let report = analyze(&ws, &[]);
         assert!(

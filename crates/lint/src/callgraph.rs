@@ -25,9 +25,7 @@
 //!
 //! Unresolvable calls produce no edge; rules treat them as leaves.
 
-use crate::config::{
-    AtomicsConfig, Config, HotPathConfig, NanGuardConfig, ShardConfig, UnitsConfig,
-};
+use crate::config::{AtomicsConfig, Config, NanGuardConfig, UnitsConfig};
 use crate::parser::{base_type_name, parse_file, Expr, FnItem, ParsedFile, Stmt};
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -55,10 +53,6 @@ pub struct Workspace {
     pub lib_crates: Vec<String>,
     /// Physical-units configuration from `lint.toml`.
     pub units: UnitsConfig,
-    /// Hot-path cost configuration from `lint.toml`.
-    pub hotpath: HotPathConfig,
-    /// Shard-safety configuration from `lint.toml`.
-    pub shard: ShardConfig,
     /// Declared lock-acquisition order from `lint.toml` (coarsest first).
     pub lock_order: Vec<String>,
     /// NaN-guard configuration from `lint.toml`.
@@ -112,8 +106,6 @@ impl Workspace {
             files,
             lib_crates: config.lib_crates.clone(),
             units: config.units.clone(),
-            hotpath: config.hotpath.clone(),
-            shard: config.shard.clone(),
             lock_order: config.lock_order.clone(),
             nanguard: config.nanguard.clone(),
             atomics: config.atomics.clone(),
@@ -162,26 +154,6 @@ impl Workspace {
             Some(t) => format!("{t}::{}", n.name),
             None => n.name.clone(),
         }
-    }
-
-    /// All non-test nodes matching a `Type::name` label (exact) or a bare
-    /// name (free functions and methods of any type). Used to resolve
-    /// configured function names (`[hotpath] roots`, allow lists).
-    pub fn nodes_labelled(&self, wanted: &str) -> Vec<usize> {
-        self.graph
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.is_test)
-            .filter(|(i, n)| {
-                if wanted.contains("::") {
-                    self.label(*i) == wanted
-                } else {
-                    n.name == wanted
-                }
-            })
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// All non-test `type` aliases of the workspace, name → aliased type

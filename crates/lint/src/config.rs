@@ -4,9 +4,10 @@
 //! parses the small INI-style subset the lint engine needs — `[section]`
 //! headers and `key = "value"` pairs, `#` comments, blank lines. Unknown
 //! keys are rejected so typos fail loudly instead of silently disabling
-//! a rule.
+//! a rule — including a `[severity]` key that names no shipped rule.
 
 use crate::report::Severity;
+use crate::rules;
 use std::collections::BTreeMap;
 
 /// A declared unit-conversion function: calling `name(x)` takes a value
@@ -64,27 +65,6 @@ impl UnitsConfig {
     pub fn conversion_for(&self, fn_name: &str) -> Option<&Conversion> {
         self.conversions.iter().find(|c| c.name == fn_name)
     }
-}
-
-/// Hot-path cost configuration for the `hot-path-cost` rule
-/// (`[hotpath]` in `lint.toml`). Empty roots disable the rule.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HotPathConfig {
-    /// Ingest-root functions, as `Type::name` labels or bare free-fn
-    /// names. The rule walks their transitive call closure.
-    pub roots: Vec<String>,
-    /// Functions (same label syntax) the walk does not descend into —
-    /// reviewed cold seams such as snapshot or eviction cadence code.
-    pub allow: Vec<String>,
-}
-
-/// Shard-safety configuration for the `shard-safety` rule
-/// (`[shard]` in `lint.toml`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Root state types whose reachable field closure must stay free of
-    /// single-threaded shared-ownership types (`Rc`, `RefCell`, …).
-    pub roots: Vec<String>,
 }
 
 /// NaN-guard configuration for the `nan-guard` rule
@@ -177,10 +157,6 @@ pub struct Config {
     pub skip_dirs: Vec<String>,
     /// Physical-units checking configuration.
     pub units: UnitsConfig,
-    /// Hot-path cost roots and allow list.
-    pub hotpath: HotPathConfig,
-    /// Shard-safety root state types.
-    pub shard: ShardConfig,
     /// Declared lock-acquisition order (`[locks] order`), coarsest lock
     /// first. Empty means no ordering is enforced.
     pub lock_order: Vec<String>,
@@ -199,8 +175,6 @@ impl Default for Config {
                 .to_vec(),
             skip_dirs: ["target", ".git", "fixtures"].map(String::from).to_vec(),
             units: UnitsConfig::default(),
-            hotpath: HotPathConfig::default(),
-            shard: ShardConfig::default(),
             lock_order: Vec::new(),
             nanguard: NanGuardConfig::default(),
             atomics: AtomicsConfig::default(),
@@ -237,8 +211,7 @@ impl Config {
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = name.trim().to_string();
                 let known = [
-                    "severity", "engine", "units", "hotpath", "shard", "locks", "nanguard",
-                    "atomics",
+                    "severity", "engine", "units", "locks", "nanguard", "atomics",
                 ];
                 if !known.contains(&section.as_str()) {
                     return Err(ConfigError {
@@ -256,6 +229,12 @@ impl Config {
             let value = value.trim().trim_matches('"');
             match section.as_str() {
                 "severity" => {
+                    if !is_rule_id(key) {
+                        return Err(ConfigError {
+                            line: lineno,
+                            message: format!("[severity] key {key:?} names no rule"),
+                        });
+                    }
                     let sev = Severity::parse(value).ok_or_else(|| ConfigError {
                         line: lineno,
                         message: format!(
@@ -283,25 +262,6 @@ impl Config {
                         return Err(ConfigError {
                             line: lineno,
                             message: format!("unknown units key {key:?}"),
-                        })
-                    }
-                },
-                "hotpath" => match key {
-                    "roots" => config.hotpath.roots = split_list(value),
-                    "allow" => config.hotpath.allow = split_list(value),
-                    _ => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!("unknown hotpath key {key:?}"),
-                        })
-                    }
-                },
-                "shard" => match key {
-                    "roots" => config.shard.roots = split_list(value),
-                    _ => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!("unknown shard key {key:?}"),
                         })
                     }
                 },
@@ -357,6 +317,12 @@ impl Config {
     pub fn severity_for(&self, rule: &str, default: Severity) -> Severity {
         self.severity.get(rule).copied().unwrap_or(default)
     }
+}
+
+/// Whether `id` names a shipped token or semantic rule.
+fn is_rule_id(id: &str) -> bool {
+    rules::all_rules().iter().any(|r| r.id() == id)
+        || rules::semantic_rules().iter().any(|r| r.id() == id)
 }
 
 fn split_list(value: &str) -> Vec<String> {
@@ -418,14 +384,9 @@ mod tests {
     #[test]
     fn parses_semantic_pass_sections() -> Result<(), ConfigError> {
         let cfg = Config::parse(
-            "[hotpath]\nroots = \"UserStreamState::push, ingest\"\nallow = \"snapshot\"\n\
-             [shard]\nroots = \"UserStreamState\"\n\
-             [locks]\norder = \"registry, ring\"\n\
+            "[locks]\norder = \"registry, ring\"\n\
              [nanguard]\npaths = \"crates/dsp, crates/tagbreathe/src/quality.rs\"\n",
         )?;
-        assert_eq!(cfg.hotpath.roots, vec!["UserStreamState::push", "ingest"]);
-        assert_eq!(cfg.hotpath.allow, vec!["snapshot"]);
-        assert_eq!(cfg.shard.roots, vec!["UserStreamState"]);
         assert_eq!(cfg.lock_order, vec!["registry", "ring"]);
         assert_eq!(cfg.nanguard.paths.len(), 2);
         Ok(())
@@ -465,7 +426,7 @@ mod tests {
 
     #[test]
     fn unknown_keys_in_new_sections_rejected() {
-        assert!(Config::parse("[hotpath]\nrootz = \"x\"\n").is_err());
+        assert!(Config::parse("[nanguard]\npathz = \"x\"\n").is_err());
         assert!(Config::parse("[locks]\nordering = \"x\"\n").is_err());
     }
 
@@ -473,6 +434,22 @@ mod tests {
     fn unknown_section_rejected() {
         let err = Config::parse("[rulez]\n").err();
         assert_eq!(err.map(|e| e.line), Some(1));
+        // The sections of the retired passes are unknown too.
+        assert!(Config::parse("[hotpath]\nroots = \"Engine::push\"\n").is_err());
+        assert!(Config::parse("[shard]\nroots = \"Engine\"\n").is_err());
+    }
+
+    #[test]
+    fn severity_key_naming_no_rule_rejected_with_its_line() {
+        let err = Config::parse("[severity]\nfloat-eq = \"warn\"\nflaot-eq = \"off\"\n").err();
+        assert_eq!(err.as_ref().map(|e| e.line), Some(3));
+        assert!(
+            err.is_some_and(|e| e.to_string().contains("flaot-eq")),
+            "the error names the key"
+        );
+        // A retired rule's key is stale, not silently ignored.
+        assert!(Config::parse("[severity]\nhot-path-cost = \"error\"\n").is_err());
+        assert!(Config::parse("[severity]\natomics = \"warn\"\n").is_ok());
     }
 
     #[test]

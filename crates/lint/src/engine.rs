@@ -85,8 +85,8 @@ pub fn scan(root: &Path, config: &Config) -> io::Result<ScanOutcome> {
 }
 
 /// Parses the whole workspace into the semantic model without running
-/// any rules — used by the `hotpath` CLI report, which wants the raw
-/// [`crate::hotpath::inventory`] rather than violations.
+/// any rules — used by the `atomics` CLI report, which wants the raw
+/// [`crate::atomics::analyze`] report rather than violations.
 ///
 /// # Errors
 ///

@@ -14,9 +14,7 @@
 //!   (fn signatures, impls, use-trees, statement/expression bodies);
 //! * [`callgraph`] — a workspace model + heuristic call graph feeding the
 //!   semantic rules (panic reachability, unit dataflow, lock discipline,
-//!   hot-path cost, shard safety, NaN guarding);
-//! * [`hotpath`] — the hot-path cost inventory behind the
-//!   `hot-path-cost` rule and the `hotpath` CLI report;
+//!   NaN guarding, atomics discipline);
 //! * [`atomics`] — the atomics-discipline pass behind the `atomics`
 //!   rule and CLI report: every atomic call site must follow the
 //!   ordering protocol declared for it in `[atomics]` in `lint.toml`;
@@ -35,6 +33,7 @@
 #![deny(
     missing_docs,
     unreachable_pub,
+    unsafe_code,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -46,7 +45,6 @@ pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod engine;
-pub mod hotpath;
 pub mod lexer;
 pub mod parser;
 pub mod report;

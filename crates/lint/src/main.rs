@@ -3,7 +3,6 @@
 //! ```text
 //! tagbreathe-lint check   [--root DIR] [--update-baseline] [--format F] [--out FILE]
 //! tagbreathe-lint report  [--root DIR] [--format F] [--out FILE]
-//! tagbreathe-lint hotpath [--root DIR] [--out FILE] [--max-sites N]
 //! tagbreathe-lint atomics [--root DIR] [--out FILE] [--max-violations N] [--cfg NAME]...
 //! tagbreathe-lint rules
 //! tagbreathe-lint validate-json FILE
@@ -12,20 +11,18 @@
 //! `check` exits non-zero iff an error-severity rule found more
 //! violations in some file than the ratchet baseline allows. `--format
 //! sarif` additionally renders the scan as a SARIF 2.1.0 log (written to
-//! `--out`, or stdout for `report`); `hotpath` emits the machine-readable
-//! hot-path cost inventory (self-validated JSON) and exits non-zero when
-//! a configured root matches nothing or the site count exceeds
-//! `--max-sites`, so CI can ratchet the inventory downward;
-//! `validate-json` runs the in-tree RFC 8259 validator over a file so CI
-//! can prove the artifact parses; `atomics` emits the atomics-discipline
-//! report (self-validated JSON) and exits non-zero when findings exceed
-//! `--max-violations` — `--cfg sync_mutant` re-resolves the workspace's
-//! `Ordering` constants under that cfg so CI can prove the seeded
-//! ordering mutant is caught without rebuilding anything.
+//! `--out`, or stdout for `report`); `validate-json` runs the in-tree
+//! RFC 8259 validator over a file so CI can prove the artifact parses;
+//! `atomics` emits the atomics-discipline report (self-validated JSON)
+//! and exits non-zero when findings exceed `--max-violations` —
+//! `--cfg sync_mutant` re-resolves the workspace's `Ordering` constants
+//! under that cfg so CI can prove the seeded ordering mutant is caught
+//! without rebuilding anything.
 
 #![deny(
     missing_docs,
     unreachable_pub,
+    unsafe_code,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -39,7 +36,7 @@ use tagbreathe_lint::engine::{
     check, load_config, load_workspace, regressed_violations, scan, BASELINE_FILE,
 };
 use tagbreathe_lint::sarif::{self, RuleMeta};
-use tagbreathe_lint::{atomics, baseline, hotpath, rules};
+use tagbreathe_lint::{atomics, baseline, rules};
 
 /// Parsed command line.
 struct Cli {
@@ -50,8 +47,6 @@ struct Cli {
     out: Option<PathBuf>,
     /// Positional argument of `validate-json`.
     file: Option<PathBuf>,
-    /// `hotpath --max-sites`: fail when the inventory exceeds this.
-    max_sites: Option<usize>,
     /// `atomics --max-violations`: fail when findings exceed this.
     max_violations: Option<usize>,
     /// `atomics --cfg`: active cfg flags for const resolution.
@@ -68,7 +63,6 @@ fn main() -> ExitCode {
         "rules" => run_rules(),
         "report" => run_report(&cli),
         "check" => run_check(&cli),
-        "hotpath" => run_hotpath(&cli),
         "atomics" => run_atomics(&cli),
         "validate-json" => run_validate_json(&cli),
         other => usage(&format!("unknown command {other:?}")),
@@ -83,14 +77,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         sarif: false,
         out: None,
         file: None,
-        max_sites: None,
         max_violations: None,
         cfgs: Vec::new(),
     };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "check" | "report" | "rules" | "hotpath" | "atomics" | "validate-json"
+            "check" | "report" | "rules" | "atomics" | "validate-json"
                 if cli.command.is_empty() =>
             {
                 cli.command = args[i].clone();
@@ -121,13 +114,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
             }
             "--update-baseline" => cli.update_baseline = true,
-            "--max-sites" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse().ok()) {
-                    Some(n) => cli.max_sites = Some(n),
-                    None => return Err("--max-sites needs a number".to_string()),
-                }
-            }
             "--max-violations" => {
                 i += 1;
                 match args.get(i).and_then(|n| n.parse().ok()) {
@@ -144,6 +130,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             other if cli.command == "validate-json" && cli.file.is_none() => {
                 cli.file = Some(PathBuf::from(other));
+            }
+            other if cli.command.is_empty() && !other.starts_with('-') => {
+                return Err(format!("unknown command {other:?}"))
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -255,51 +244,6 @@ fn run_check(cli: &Cli) -> ExitCode {
         "lint: OK — {} tracked violations within baseline, {} files scanned",
         result.outcome.enforced.len(),
         result.outcome.files_scanned
-    );
-    ExitCode::SUCCESS
-}
-
-fn run_hotpath(cli: &Cli) -> ExitCode {
-    let config = match load_config(&cli.root) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let ws = match load_workspace(&cli.root, &config) {
-        Ok(w) => w,
-        Err(e) => return fail(&format!("scan failed: {e}")),
-    };
-    let inv = hotpath::inventory(&ws);
-    let text = hotpath::render_json(&ws, &inv);
-    // The report validates itself before anything consumes it.
-    if let Err(e) = tagbreathe_obs::json::validate(&text) {
-        return fail(&format!(
-            "internal error: hotpath report is invalid JSON at offset {}: {}",
-            e.offset, e.what
-        ));
-    }
-    let status = emit(cli.out.as_deref(), &text);
-    if status != ExitCode::SUCCESS {
-        return status;
-    }
-    for root in &inv.unmatched_roots {
-        eprintln!("lint: [hotpath] root `{root}` matches no workspace function");
-    }
-    if !inv.unmatched_roots.is_empty() {
-        return ExitCode::FAILURE;
-    }
-    if let Some(max) = cli.max_sites {
-        if inv.sites.len() > max {
-            eprintln!(
-                "lint: hot-path inventory has {} cost sites, budget is {max}",
-                inv.sites.len()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!(
-        "lint: hot path has {} cost sites across {} reachable fns",
-        inv.sites.len(),
-        inv.reachable_fns
     );
     ExitCode::SUCCESS
 }
@@ -422,7 +366,7 @@ fn emit(out: Option<&std::path::Path>, text: &str) -> ExitCode {
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!(
-        "tagbreathe-lint: {problem}\n\nusage:\n  tagbreathe-lint check   [--root DIR] [--update-baseline] [--format human|sarif] [--out FILE]\n  tagbreathe-lint report  [--root DIR] [--format human|sarif] [--out FILE]\n  tagbreathe-lint hotpath [--root DIR] [--out FILE] [--max-sites N]\n  tagbreathe-lint atomics [--root DIR] [--out FILE] [--max-violations N] [--cfg NAME]...\n  tagbreathe-lint rules\n  tagbreathe-lint validate-json FILE"
+        "tagbreathe-lint: {problem}\n\nusage:\n  tagbreathe-lint check   [--root DIR] [--update-baseline] [--format human|sarif] [--out FILE]\n  tagbreathe-lint report  [--root DIR] [--format human|sarif] [--out FILE]\n  tagbreathe-lint atomics [--root DIR] [--out FILE] [--max-violations N] [--cfg NAME]...\n  tagbreathe-lint rules\n  tagbreathe-lint validate-json FILE"
     );
     ExitCode::FAILURE
 }

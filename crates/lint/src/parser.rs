@@ -30,8 +30,6 @@ pub struct ParsedFile {
     pub uses: Vec<Vec<String>>,
     /// All `struct`/`enum`/`union` definitions, in source order.
     pub types: Vec<TypeItem>,
-    /// All `static` items, in source order.
-    pub statics: Vec<StaticItem>,
     /// All `type` aliases (including associated types), in source order.
     pub aliases: Vec<AliasItem>,
     /// All `const NAME: T = …;` items (free and associated), in source
@@ -113,19 +111,6 @@ pub struct TypeItem {
     /// Fields with their flat type text (enum variants contribute their
     /// payload types).
     pub fields: Vec<FieldItem>,
-    /// Lies in test code (`#[cfg(test)]` module or test-only path).
-    pub is_test: bool,
-}
-
-/// One parsed `static` item.
-#[derive(Debug)]
-pub struct StaticItem {
-    /// Item name.
-    pub name: String,
-    /// Declared with `static mut`.
-    pub is_mut: bool,
-    /// 1-indexed line of the `static` keyword.
-    pub line: u32,
     /// Lies in test code (`#[cfg(test)]` module or test-only path).
     pub is_test: bool,
 }
@@ -440,9 +425,6 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
     for t in &mut out.types {
         t.is_test = file.test_only || file.is_test_line(t.line);
     }
-    for s in &mut out.statics {
-        s.is_test = file.test_only || file.is_test_line(s.line);
-    }
     for a in &mut out.aliases {
         a.is_test = file.test_only || file.is_test_line(a.line);
     }
@@ -731,18 +713,6 @@ impl Parser<'_> {
         } else if self.at_ident("struct") || self.at_ident("enum") || self.at_ident("union") {
             self.parse_type_def(is_pub);
         } else if self.at_ident("static") {
-            let line = self.line();
-            self.bump();
-            let is_mut = self.eat_ident("mut");
-            if let Some(name) = self.ident_text() {
-                self.bump();
-                self.out.statics.push(StaticItem {
-                    name,
-                    is_mut,
-                    line,
-                    is_test: false,
-                });
-            }
             self.skip_to_semi();
         } else if self.at_ident("type") {
             let line = self.line();
@@ -852,7 +822,9 @@ impl Parser<'_> {
         }
         let ty = self.type_text_until(&["=", ";"]);
         let mut value = String::new();
-        if self.eat_punct("=") {
+        // A block value (`const _: () = { …; … };`) holds statements; the
+        // brace-aware skip below steps over it whole.
+        if self.eat_punct("=") && !self.at_punct("{") {
             value = self.type_text_until(&[";"]);
         }
         self.out.consts.push(ConstItem {
@@ -978,8 +950,8 @@ impl Parser<'_> {
 
     /// Parses a `struct` / `enum` / `union` definition into a
     /// [`TypeItem`]. Field types are kept as flat token text so the
-    /// shard-safety rule can walk the field-type closure; generics and
-    /// `where` clauses are skipped.
+    /// call graph and the atomics pass can type receivers field by field;
+    /// generics and `where` clauses are skipped.
     fn parse_type_def(&mut self, is_pub: bool) {
         let line = self.line();
         let is_enum = self.at_ident("enum");
@@ -2299,15 +2271,12 @@ mod tests {
     }
 
     #[test]
-    fn statics_are_captured_with_mutability() {
+    fn static_items_are_skipped() {
         let pf = parse(
             "static COUNT: u64 = 0;\npub static mut SCRATCH: [f64; 8] = [0.0; 8];\nfn f() {}\n",
         );
-        assert_eq!(pf.statics.len(), 2);
-        assert_eq!(pf.statics[0].name, "COUNT");
-        assert!(!pf.statics[0].is_mut);
-        assert_eq!(pf.statics[1].name, "SCRATCH");
-        assert!(pf.statics[1].is_mut);
+        // Neither is taken for a const, and the fn after them still parses.
+        assert!(pf.consts.is_empty());
         assert!(find(&pf, "f").is_some());
     }
 
@@ -2339,6 +2308,15 @@ mod tests {
         // The bodiless associated type is not an alias, and items after
         // the alias still parse.
         assert!(find(&pf, "f").is_some());
+    }
+
+    #[test]
+    fn block_valued_const_does_not_swallow_later_items() {
+        let pf = parse(
+            "const _: () = {\n  const fn send<T: Send>() {}\n  send::<u8>();\n  send::<u16>();\n};\n\
+             pub fn after() {}\n",
+        );
+        assert!(find(&pf, "after").is_some(), "{:?}", pf.fns);
     }
 
     #[test]

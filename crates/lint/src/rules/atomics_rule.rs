@@ -6,7 +6,7 @@
 //! reachable through the dedicated CLI subcommand, which is how CI
 //! proves the seeded ordering mutant is caught). Each finding carries
 //! the witness call chain from the nearest public entry point, like
-//! `panic-reach` and `hot-path-cost`.
+//! `panic-reach`.
 
 use crate::atomics;
 use crate::callgraph::Workspace;

@@ -8,13 +8,11 @@
 mod allow_audit;
 mod atomics_rule;
 mod float_eq;
-mod hot_path;
 mod lock_discipline;
 mod lossy_cast;
 mod must_use;
 mod nan_guard;
 mod panic_reach;
-mod shard_safety;
 mod unit_flow;
 
 use crate::callgraph::Workspace;
@@ -24,13 +22,11 @@ use crate::source::SourceFile;
 pub use allow_audit::AllowAudit;
 pub use atomics_rule::Atomics;
 pub use float_eq::FloatEq;
-pub use hot_path::HotPathCost;
 pub use lock_discipline::LockDiscipline;
 pub use lossy_cast::LossyCast;
 pub use must_use::MissingMustUse;
 pub use nan_guard::NanGuard;
 pub use panic_reach::PanicReach;
-pub use shard_safety::ShardSafety;
 pub use unit_flow::UnitDataflow;
 
 /// A lint rule.
@@ -74,8 +70,6 @@ pub fn semantic_rules() -> Vec<Box<dyn SemanticRule>> {
         Box::new(PanicReach),
         Box::new(UnitDataflow),
         Box::new(LockDiscipline),
-        Box::new(HotPathCost),
-        Box::new(ShardSafety),
         Box::new(NanGuard),
         Box::new(Atomics),
     ]

@@ -6,8 +6,8 @@
 //!   the ratchet actually bites;
 //! * the real `tagbreathe-lint` binary must exit 0 on the shipped tree
 //!   and non-zero on a tree with a new violation;
-//! * every library crate's root must hand the panic and doc standards to
-//!   rustc and clippy with a crate-level `deny`.
+//! * every library crate's root must hand the panic, doc and `unsafe`
+//!   standards to rustc and clippy with a crate-level `deny`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -99,11 +99,13 @@ fn fixture_triggers_every_error_rule() {
     );
 }
 
-/// The lints every library crate root denies, so that rustc (docs) and
-/// clippy (panicking calls) hold the crate to library standards.
-const CRATE_ROOT_DENY: [&str; 6] = [
+/// The lints every library crate root denies, so that rustc (docs, and
+/// `unsafe` code, which a `static mut` needs) and clippy (panicking calls)
+/// hold the crate to library standards.
+const CRATE_ROOT_DENY: [&str; 7] = [
     "missing_docs",
     "unreachable_pub",
+    "unsafe_code",
     "clippy::unwrap_used",
     "clippy::expect_used",
     "clippy::panic",
@@ -111,7 +113,8 @@ const CRATE_ROOT_DENY: [&str; 6] = [
 ];
 
 /// The lint paths named by the crate-level `#![deny(…)]` attributes in
-/// `source`, e.g. `missing_docs` or `clippy::panic`.
+/// `source`, e.g. `missing_docs` or `clippy::panic`, and by its
+/// `#![forbid(…)]` ones, which are stricter still.
 fn crate_level_denies(source: &str) -> Vec<String> {
     let code: Vec<TokenKind> = lex(source)
         .into_iter()
@@ -123,7 +126,7 @@ fn crate_level_denies(source: &str) -> Vec<String> {
         let opens = head[0].is_punct("#")
             && head[1].is_punct("!")
             && head[2].is_punct("[")
-            && head[3].is_ident("deny")
+            && (head[3].is_ident("deny") || head[3].is_ident("forbid"))
             && head[4].is_punct("(");
         if !opens {
             continue;
@@ -183,8 +186,6 @@ fn semantic_error_rules_are_registered() {
             "panic-reach",
             "unit-dataflow",
             "lock-discipline",
-            "hot-path-cost",
-            "shard-safety",
             "nan-guard",
             "atomics"
         ]

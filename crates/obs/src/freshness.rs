@@ -19,7 +19,9 @@
 //! Everything here is wall-clock-reading and therefore **hot-path
 //! hostile**: callers must gate every `stamp`/`lag` call behind
 //! `Recorder::enabled`, keeping the disabled path free of clock reads and
-//! allocation (the `hotpath` lint pass pins this for the fleet router).
+//! allocation. With a registry attached, the streaming engine's
+//! per-report stamps allocate nothing either (`tests/allocation_oracle.rs`
+//! at the workspace root counts them).
 //!
 //! # Examples
 //!

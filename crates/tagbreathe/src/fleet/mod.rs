@@ -90,6 +90,30 @@ const RING_SLOTS: usize = 1024;
 /// Empty polls a shard worker spins through before it parks.
 const SPINS_BEFORE_PARK: u32 = 64;
 
+// Compile-time thread-safety contract. A user's state must be able to
+// move to whichever worker owns its shard, and an engine with either
+// executor to whichever thread drives it (the server's engine thread
+// owns one), so each of these types is `Send`; both ends of a ring share
+// it, so the ring is `Sync` too. An `Rc` or raw pointer in any of them
+// fails the build here.
+const _: () = {
+    const fn send<T: Send>() {}
+    const fn sync<T: Sync>() {}
+    /// Checked for every `R` and `X`, not only the ones instantiated.
+    const fn engine<R: Send, X: Send>() {
+        send::<Engine<R, X>>();
+    }
+    send::<crate::operators::UserStreamState>();
+    engine::<(), ()>();
+    send::<crate::engine::Inline>();
+    send::<Threaded>();
+    send::<ShardCore>();
+    send::<ring::SpscRing>();
+    sync::<ring::SpscRing>();
+    send::<RingProducer>();
+    send::<RingConsumer>();
+};
+
 /// The multi-core streaming engine: [`Engine`] over the [`Threaded`]
 /// executor.
 ///

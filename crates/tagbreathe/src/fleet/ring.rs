@@ -3,9 +3,9 @@
 //! Each fleet shard is fed over one of these rings by the router thread: one
 //! producer (the router), one consumer (the shard worker). The design is the
 //! classic Lamport queue with monotonically increasing head/tail sequence
-//! counters, built entirely from `AtomicU64` words so the shard-safety lint
-//! can verify there is no interior mutability or raw-pointer aliasing in the
-//! shard state closure.
+//! counters, built entirely from `AtomicU64` words with no raw pointer and no
+//! `unsafe`, so the ring is `Send` and `Sync` by construction; `fleet/mod.rs`
+//! asserts both at compile time.
 //!
 //! Slots are fixed at [`SLOT_WORDS`] `u64` words: large enough for an encoded
 //! [`ShardMsg`](super::msg::ShardMsg), small enough to keep a slot within one

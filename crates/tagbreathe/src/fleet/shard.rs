@@ -23,8 +23,8 @@
 //! message a worker pops, and the shard state it mutates in response,
 //! is ordered after the router's writes and before the router observes
 //! the shard's snapshot parts. The `atomics` lint pass additionally
-//! checks that no `pub` signature of a `[shard]`-rooted type leaks an
-//! undeclared atomic, and the `crates/syncmodel` bounded model checker
+//! checks that no `pub` method signature leaks an undeclared atomic,
+//! and the `crates/syncmodel` bounded model checker
 //! explores the ring edge this argument leans on.
 
 use super::msg::ShardMsg;
