@@ -8,7 +8,8 @@
 #   3. release build      cargo build --release               (every crate)
 #   4. test suite         cargo test -q                       (every crate)
 #   5. rustdoc, zero-warn RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-#   6. equivalence suite  cargo test -q --release --test equivalence
+#   6. release suites     cargo test -q --release --test equivalence
+#                         cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server --lib
 #   7. server suites x6   cargo test -q --release --test server_loopback --test slo --test idle_cpu
 #                         (5 passes, default threads; 1 pass, RUST_TEST_THREADS=1)
 #   8. bench smoke        cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace
@@ -32,7 +33,11 @@
 # doctests, not only the suite's. Step 5 keeps the API docs
 # buildable (broken intra-doc links are errors). Step 6 pins the batch/streaming agreement of the shared
 # operator graph: bit-identical rates on time-ordered traces, within
-# 0.1 bpm when timestamps arrive out of order. Step 7 repeats the three real-socket server
+# 0.1 bpm when timestamps arrive out of order. It also runs the codec's
+# and the ingest server's unit tests in an optimised build (CRC and
+# fixed-layout record oracles, the run-release merge oracle, the
+# chunked-read session tests), so their arithmetic and bounds hold where
+# debug assertions and overflow checks are compiled out. Step 7 repeats the three real-socket server
 # suites (loopback bit-identity, SLO/freshness, idle CPU) five times
 # with the default test threads and once with RUST_TEST_THREADS=1: they
 # must pass every time on any core count, so a timing-dependent wait, an
@@ -106,6 +111,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo test -q --release --test equivalence"
 cargo test -q --release --test equivalence
+
+echo "==> cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server --lib"
+cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server --lib
 
 echo "==> server suites: 5 passes with default threads, 1 with RUST_TEST_THREADS=1"
 for pass in 1 2 3 4 5; do

@@ -287,11 +287,14 @@ impl Message {
 /// The reflected CRC-32/ISO-HDLC polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Byte-at-a-time table for [`crc32`], built at compile time: entry `i`
-/// is the register after shifting byte `i` through the eight bitwise
-/// polynomial steps.
-static CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 tables for [`crc32`], built at compile time. Table 0 is
+/// the byte-at-a-time table: entry `i` is the register after shifting
+/// byte `i` through the eight bitwise polynomial steps. Table `k` is
+/// table `k - 1` advanced through one more zero byte, so each of sixteen
+/// bytes in a block gets its own lookup and the lookups do not depend on
+/// one another.
+static CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut byte = 0u32;
     while byte < 256 {
         let mut crc = byte;
@@ -301,21 +304,64 @@ static CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (CRC32_POLY & mask);
             step += 1;
         }
-        table[byte as usize] = crc;
+        tables[0][byte as usize] = crc;
         byte += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// One table entry; a `u8` index is always in range.
+#[inline]
+fn crc_entry(table: &[u32; 256], index: u8) -> u32 {
+    table.get(usize::from(index)).copied().unwrap_or(0)
+}
+
 /// CRC-32/ISO-HDLC (the zlib `crc32`): reflected polynomial
-/// `0xEDB88320`, init and xorout `0xFFFF_FFFF`. Table-driven, one lookup
-/// per byte; the frames are identical to the bitwise definition's.
+/// `0xEDB88320`, init and xorout `0xFFFF_FFFF`. Slicing-by-16: sixteen
+/// independent table lookups per 16-byte block, then one lookup per byte
+/// of the tail; the frames are identical to the bitwise definition's.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let at = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE.get(at).copied().unwrap_or(0);
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let Ok(&[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15]) =
+            <&[u8; 16]>::try_from(block)
+        else {
+            continue;
+        };
+        let [c0, c1, c2, c3] = crc.to_le_bytes();
+        crc = crc_entry(t15, b0 ^ c0)
+            ^ crc_entry(t14, b1 ^ c1)
+            ^ crc_entry(t13, b2 ^ c2)
+            ^ crc_entry(t12, b3 ^ c3)
+            ^ crc_entry(t11, b4)
+            ^ crc_entry(t10, b5)
+            ^ crc_entry(t9, b6)
+            ^ crc_entry(t8, b7)
+            ^ crc_entry(t7, b8)
+            ^ crc_entry(t6, b9)
+            ^ crc_entry(t5, b10)
+            ^ crc_entry(t4, b11)
+            ^ crc_entry(t3, b12)
+            ^ crc_entry(t2, b13)
+            ^ crc_entry(t1, b14)
+            ^ crc_entry(t0, b15);
+    }
+    for &b in blocks.remainder() {
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ crc_entry(t0, low ^ b);
     }
     !crc
 }
@@ -334,10 +380,32 @@ fn encode_report(out: &mut Vec<u8>, r: &TagReport) {
     push_f64(out, r.doppler_hz);
 }
 
-/// Encodes `msg` as one complete frame (length prefix through checksum).
+/// Reports a Batch carries: the first [`MAX_BATCH_REPORTS`] of `reports`.
+fn batch_count(reports: &[TagReport]) -> u16 {
+    u16::try_from(reports.len().min(MAX_BATCH_REPORTS)).unwrap_or(u16::MAX)
+}
+
+/// Body bytes of `msg`: everything between the 4-byte header and the CRC.
+fn body_len(msg: &Message) -> usize {
+    match msg {
+        Message::Hello { .. } => 24,
+        // seq, reader clock and count, then the records.
+        Message::Batch { reports, .. } => 14 + usize::from(batch_count(reports)) * REPORT_WIRE_LEN,
+        Message::Heartbeat { .. } | Message::Ack { .. } => 8,
+        Message::Goodbye => 0,
+        Message::Reject { .. } => 1,
+    }
+}
+
+/// Encodes `msg` as one complete frame (length prefix through checksum),
+/// written once into a buffer sized up front.
 #[must_use]
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let mut payload = vec![WIRE_VERSION, msg.type_byte(), 0, 0];
+    // Header, body and CRC: what the length prefix counts.
+    let declared = 4 + body_len(msg) + 4;
+    let mut out = Vec::with_capacity(4 + declared);
+    out.extend_from_slice(&u32::try_from(declared).unwrap_or(u32::MAX).to_be_bytes());
+    out.extend_from_slice(&[WIRE_VERSION, msg.type_byte(), 0, 0]);
     match msg {
         Message::Hello {
             reader_id,
@@ -345,37 +413,33 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
             clock_offset_s,
             reader_clock_s,
         } => {
-            payload.extend_from_slice(&reader_id.to_be_bytes());
-            payload.extend_from_slice(&features.to_be_bytes());
-            push_f64(&mut payload, *clock_offset_s);
-            push_f64(&mut payload, *reader_clock_s);
+            out.extend_from_slice(&reader_id.to_be_bytes());
+            out.extend_from_slice(&features.to_be_bytes());
+            push_f64(&mut out, *clock_offset_s);
+            push_f64(&mut out, *reader_clock_s);
         }
         Message::Batch {
             seq,
             reader_clock_s,
             reports,
         } => {
-            payload.extend_from_slice(&seq.to_be_bytes());
-            push_f64(&mut payload, *reader_clock_s);
-            let count = u16::try_from(reports.len().min(MAX_BATCH_REPORTS)).unwrap_or(u16::MAX);
-            payload.extend_from_slice(&count.to_be_bytes());
+            out.extend_from_slice(&seq.to_be_bytes());
+            push_f64(&mut out, *reader_clock_s);
+            let count = batch_count(reports);
+            out.extend_from_slice(&count.to_be_bytes());
             for r in reports.iter().take(usize::from(count)) {
-                encode_report(&mut payload, r);
+                encode_report(&mut out, r);
             }
         }
-        Message::Heartbeat { reader_clock_s } => push_f64(&mut payload, *reader_clock_s),
+        Message::Heartbeat { reader_clock_s } => push_f64(&mut out, *reader_clock_s),
         Message::Goodbye => {}
         Message::Ack { session, features } => {
-            payload.extend_from_slice(&session.to_be_bytes());
-            payload.extend_from_slice(&features.to_be_bytes());
+            out.extend_from_slice(&session.to_be_bytes());
+            out.extend_from_slice(&features.to_be_bytes());
         }
-        Message::Reject { code } => payload.push(code.as_u8()),
+        Message::Reject { code } => out.push(code.as_u8()),
     }
-    let crc = crc32(&payload);
-    let total = payload.len() + 4;
-    let mut out = Vec::with_capacity(total + 4);
-    out.extend_from_slice(&u32::try_from(total).unwrap_or(u32::MAX).to_be_bytes());
-    out.extend_from_slice(&payload);
+    let crc = crc32(out.get(4..).unwrap_or_default());
     out.extend_from_slice(&crc.to_be_bytes());
     out
 }
@@ -434,29 +498,29 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn epc(&mut self) -> Result<Epc96, WireError> {
-        let c = self.take(12)?;
-        let mut raw = [0u8; 12];
-        for (slot, &b) in raw.iter_mut().zip(c) {
-            *slot = b;
-        }
-        Ok(Epc96::from_bytes(raw))
-    }
-
     fn remaining(&self) -> usize {
         self.bytes.len().saturating_sub(self.at)
     }
 }
 
-fn decode_report(c: &mut Cursor<'_>) -> Result<TagReport, WireError> {
-    Ok(TagReport {
-        time_s: c.f64_bits()?,
-        epc: c.epc()?,
-        antenna_port: c.u8()?,
-        channel_index: c.u16()?,
-        phase_rad: c.f64_bits()?,
-        rssi_dbm: c.f64_bits()?,
-        doppler_hz: c.f64_bits()?,
+/// Decodes one fixed-layout report record. Every split is within the
+/// record's fixed length, so the `None` paths are never taken.
+fn decode_record(record: &[u8; REPORT_WIRE_LEN]) -> Option<TagReport> {
+    let (time, rest) = record.split_first_chunk::<8>()?;
+    let (epc, rest) = rest.split_first_chunk::<12>()?;
+    let (&[antenna_port], rest) = rest.split_first_chunk::<1>()?;
+    let (channel, rest) = rest.split_first_chunk::<2>()?;
+    let (phase, rest) = rest.split_first_chunk::<8>()?;
+    let (rssi, rest) = rest.split_first_chunk::<8>()?;
+    let doppler = rest.first_chunk::<8>()?;
+    Some(TagReport {
+        time_s: f64::from_bits(u64::from_be_bytes(*time)),
+        epc: Epc96::from_bytes(*epc),
+        antenna_port,
+        channel_index: u16::from_be_bytes(*channel),
+        phase_rad: f64::from_bits(u64::from_be_bytes(*phase)),
+        rssi_dbm: f64::from_bits(u64::from_be_bytes(*rssi)),
+        doppler_hz: f64::from_bits(u64::from_be_bytes(*doppler)),
     })
 }
 
@@ -490,9 +554,14 @@ fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             if c.remaining() != count * REPORT_WIRE_LEN {
                 return Err(WireError::Malformed("batch body length mismatch"));
             }
+            let body = c.take(count * REPORT_WIRE_LEN)?;
             let mut reports = Vec::with_capacity(count);
-            for _ in 0..count {
-                reports.push(decode_report(&mut c)?);
+            for chunk in body.chunks_exact(REPORT_WIRE_LEN) {
+                let record = <&[u8; REPORT_WIRE_LEN]>::try_from(chunk)
+                    .ok()
+                    .and_then(decode_record)
+                    .ok_or(WireError::Truncated)?;
+                reports.push(record);
             }
             Message::Batch {
                 seq,
@@ -613,7 +682,7 @@ mod tests {
         }
     }
 
-    /// The bitwise definition the table is built from: eight polynomial
+    /// The bitwise definition the tables are built from: eight polynomial
     /// steps per byte.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
@@ -644,6 +713,142 @@ mod tests {
             let data = bytes.get(..len).unwrap_or(&[]);
             assert_eq!(crc32(data), crc32_bitwise(data), "length {len}");
         }
+        // One 256-report Batch payload, and the largest frame.
+        let long: Vec<u8> = (0..MAX_FRAME_LEN)
+            .map(|_| (rng.next_u64() >> 56) as u8)
+            .collect();
+        for len in [4 + 14 + 256 * REPORT_WIRE_LEN, long.len()] {
+            let data = long.get(..len).unwrap_or(&[]);
+            assert_eq!(crc32(data), crc32_bitwise(data), "length {len}");
+        }
+    }
+
+    impl Cursor<'_> {
+        fn epc(&mut self) -> Result<Epc96, WireError> {
+            let c = self.take(12)?;
+            let mut raw = [0u8; 12];
+            for (slot, &b) in raw.iter_mut().zip(c) {
+                *slot = b;
+            }
+            Ok(Epc96::from_bytes(raw))
+        }
+    }
+
+    /// The per-field record decoder the fixed-layout one replaced.
+    fn decode_report(c: &mut Cursor<'_>) -> Result<TagReport, WireError> {
+        Ok(TagReport {
+            time_s: c.f64_bits()?,
+            epc: c.epc()?,
+            antenna_port: c.u8()?,
+            channel_index: c.u16()?,
+            phase_rad: c.f64_bits()?,
+            rssi_dbm: c.f64_bits()?,
+            doppler_hz: c.f64_bits()?,
+        })
+    }
+
+    /// Oracle: decodes a Batch frame field by field through [`Cursor`],
+    /// with the same length checks as [`decode_payload`].
+    fn decode_batch_per_field(frame: &[u8]) -> Result<Vec<TagReport>, WireError> {
+        let payload = frame.get(4..frame.len().saturating_sub(4)).unwrap_or(&[]);
+        let mut c = Cursor::new(payload);
+        let _header = c.u32()?;
+        let _seq = c.u32()?;
+        let _reader_clock_s = c.f64_bits()?;
+        let count = usize::from(c.u16()?);
+        if count > MAX_BATCH_REPORTS {
+            return Err(WireError::Malformed("batch count over limit"));
+        }
+        if c.remaining() != count * REPORT_WIRE_LEN {
+            return Err(WireError::Malformed("batch body length mismatch"));
+        }
+        (0..count).map(|_| decode_report(&mut c)).collect()
+    }
+
+    /// Every field of a report as bits, so NaN payloads compare too.
+    fn report_bits(r: &TagReport) -> (u64, [u8; 12], u8, u16, u64, u64, u64) {
+        (
+            r.time_s.to_bits(),
+            r.epc.to_bytes(),
+            r.antenna_port,
+            r.channel_index,
+            r.phase_rad.to_bits(),
+            r.rssi_dbm.to_bits(),
+            r.doppler_hz.to_bits(),
+        )
+    }
+
+    /// Re-frames `payload` with a fresh length prefix and CRC.
+    fn frame_of(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = u32::try_from(payload.len() + 4)
+            .unwrap_or(0)
+            .to_be_bytes()
+            .to_vec();
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&crc32(payload).to_be_bytes());
+        bytes
+    }
+
+    #[test]
+    fn fixed_layout_decode_matches_the_per_field_oracle() -> Result<(), WireError> {
+        use prng::{Rng, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from_u64(0x0047_0047);
+        for n in [0usize, 1, 256, 4096] {
+            let reports: Vec<TagReport> = (0..n)
+                .map(|_| TagReport {
+                    time_s: f64::from_bits(rng.next_u64()),
+                    epc: Epc96::monitor(rng.next_u64() >> 24, (rng.next_u64() >> 32) as u32),
+                    antenna_port: (rng.next_u64() >> 56) as u8,
+                    channel_index: (rng.next_u64() >> 48) as u16,
+                    phase_rad: f64::from_bits(rng.next_u64()),
+                    rssi_dbm: f64::from_bits(rng.next_u64()),
+                    doppler_hz: f64::from_bits(rng.next_u64()),
+                })
+                .collect();
+            let frame = encode_frame(&Message::Batch {
+                seq: 3,
+                reader_clock_s: 1.25,
+                reports: reports.clone(),
+            });
+            let Message::Batch { reports: fixed, .. } = decode_frame(&frame)?.0 else {
+                return Err(WireError::Malformed("decoded to the wrong message type"));
+            };
+            let per_field = decode_batch_per_field(&frame)?;
+            let bits = |rs: &[TagReport]| rs.iter().map(report_bits).collect::<Vec<_>>();
+            assert_eq!(bits(&fixed), bits(&per_field), "{n} reports");
+            assert_eq!(bits(&fixed), bits(&reports), "{n} reports");
+
+            // Wrong body lengths: a count one off either way, a record
+            // short by a byte, a trailing byte.
+            let payload = frame.get(4..frame.len() - 4).unwrap_or(&[]).to_vec();
+            let mut cases = Vec::new();
+            for count in [n + 1, n.wrapping_sub(1), MAX_BATCH_REPORTS + 1] {
+                let Ok(count) = u16::try_from(count) else {
+                    continue;
+                };
+                let mut bad = payload.clone();
+                if let Some(field) = bad.get_mut(16..18) {
+                    field.copy_from_slice(&count.to_be_bytes());
+                }
+                cases.push(bad);
+            }
+            cases.push(payload.get(..payload.len() - 1).unwrap_or(&[]).to_vec());
+            let mut longer = payload.clone();
+            longer.push(0xA5);
+            cases.push(longer);
+            for bad in cases {
+                let bad = frame_of(&bad);
+                let fixed = decode_frame(&bad).map(|_| ()).err();
+                let per_field = decode_batch_per_field(&bad).map(|_| ()).err();
+                assert!(fixed.is_some(), "{n} reports: bad body accepted");
+                assert_eq!(
+                    format!("{fixed:?}"),
+                    format!("{per_field:?}"),
+                    "{n} reports"
+                );
+            }
+        }
+        Ok(())
     }
 
     #[test]

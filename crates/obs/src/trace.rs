@@ -322,6 +322,41 @@ impl FlightRecorder {
         out
     }
 
+    /// Records `events` in order under one lock, as if each were passed
+    /// to [`Tracer::emit`]: a batch takes the ring lock once, and adds
+    /// its overwrites to [`FlightRecorder::dropped`] once.
+    pub fn emit_all<I: IntoIterator<Item = TraceEvent>>(&self, events: I) {
+        let mut overwritten = 0u64;
+        {
+            let mut guard = self.lock();
+            let ring = &mut *guard;
+            for event in events {
+                if ring.len < self.capacity {
+                    // Still filling the preallocated buffer.
+                    ring.buf.push(event);
+                    ring.len += 1;
+                    ring.head = if ring.len == self.capacity {
+                        0
+                    } else {
+                        ring.len
+                    };
+                } else {
+                    if let Some(slot) = ring.buf.get_mut(ring.head) {
+                        *slot = event;
+                    }
+                    ring.head += 1;
+                    if ring.head == self.capacity {
+                        ring.head = 0;
+                    }
+                    overwritten += 1;
+                }
+            }
+        }
+        if overwritten > 0 {
+            self.dropped.fetch_add(overwritten, Ordering::Relaxed);
+        }
+    }
+
     /// Discards all retained events and resets the dropped counter.
     pub fn clear(&self) {
         // The counter is a standalone relaxed statistic — reset it outside
@@ -340,18 +375,7 @@ impl Tracer for FlightRecorder {
     }
 
     fn emit(&self, event: TraceEvent) {
-        let mut ring = self.lock();
-        if ring.len < self.capacity {
-            // Still filling the preallocated buffer.
-            ring.buf.push(event);
-            ring.len += 1;
-            ring.head = ring.len % self.capacity;
-        } else {
-            let head = ring.head;
-            ring.buf[head] = event;
-            ring.head = (head + 1) % self.capacity;
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        self.emit_all([event]);
     }
 }
 
@@ -601,6 +625,38 @@ mod tests {
         assert_eq!(times, expect);
         assert_eq!(ring.dropped(), 93);
         assert_eq!(ring.capacity(), 7);
+        Ok(())
+    }
+
+    #[test]
+    fn emit_all_equals_repeated_emit() -> TestResult {
+        for capacity in [1usize, 2, 7, 4096] {
+            // Runs that fill part way, reach the seam, and straddle it.
+            let runs = [capacity / 2, 1, capacity, capacity + 3, 2 * capacity + 1, 0];
+            let one = FlightRecorder::with_capacity(capacity)?;
+            let batched = FlightRecorder::with_capacity(capacity)?;
+            let mut next = 0usize;
+            for run in runs {
+                let events = ticks(next + run).split_off(next);
+                next += run;
+                for &e in &events {
+                    one.emit(e);
+                }
+                batched.emit_all(events);
+                let times = |r: &FlightRecorder| -> Vec<u64> {
+                    r.snapshot().iter().map(|e| e.time_s.to_bits()).collect()
+                };
+                assert_eq!(times(&batched), times(&one), "capacity {capacity}");
+                assert_eq!(batched.len(), one.len(), "capacity {capacity}");
+                assert_eq!(batched.dropped(), one.dropped(), "capacity {capacity}");
+                // And both keep the newest `capacity` events, oldest first.
+                let newest: Vec<u64> = (next.saturating_sub(capacity)..next)
+                    .map(|i| (i as f64).to_bits())
+                    .collect();
+                assert_eq!(times(&batched), newest, "capacity {capacity}");
+            }
+            assert_eq!(one.dropped() as usize, next.saturating_sub(capacity));
+        }
         Ok(())
     }
 

@@ -27,7 +27,7 @@ use obs::recorder::{Label, Recorder, SharedRecorder};
 use obs::registry::Registry;
 use obs::slo::{SloState, SloTable};
 use obs::trace::TraceEvent;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -117,7 +117,7 @@ impl SharedStore {
 pub(crate) struct SnapshotStore {
     /// Every snapshot emitted, in epoch order (bounded by the server's
     /// `snapshot_log` config; oldest dropped first).
-    pub log: Vec<RateSnapshot>,
+    pub log: VecDeque<RateSnapshot>,
     /// Snapshots dropped from the front of `log` to honour the bound.
     pub trimmed: u64,
     /// Latest per-user analysis.
@@ -132,6 +132,16 @@ impl SnapshotStore {
     /// Snapshots published so far: the log plus those trimmed from it.
     fn published(&self) -> u64 {
         self.log.len() as u64 + self.trimmed
+    }
+
+    /// Appends `snap` to the log and trims the oldest entries beyond
+    /// `cap` (at least 1).
+    fn append(&mut self, snap: RateSnapshot, cap: usize) {
+        self.log.push_back(snap);
+        while self.log.len() > cap.max(1) {
+            self.log.pop_front();
+            self.trimmed += 1;
+        }
     }
 }
 
@@ -275,10 +285,12 @@ fn feed<R: IdentityResolver>(
         None,
         released.len() as u64,
     );
-    let tracer = state.publisher.flight.tracer();
-    if tracer.as_dyn().enabled() {
-        for r in &released {
-            tracer.as_dyn().emit(TraceEvent::read(
+    state
+        .publisher
+        .flight
+        .ring()
+        .emit_all(released.iter().map(|r| {
+            TraceEvent::read(
                 r.time_s,
                 r.epc.user_id(),
                 r.epc.tag_id(),
@@ -286,9 +298,8 @@ fn feed<R: IdentityResolver>(
                 r.channel_index,
                 r.phase_rad,
                 r.rssi_dbm,
-            ));
-        }
-    }
+            )
+        }));
     let snapshots = state.fleet.push(released);
     for snap in snapshots {
         state.publisher.publish(store, snap);
@@ -331,12 +342,7 @@ impl Publisher {
         if fresh.is_some() {
             guard.bundle = fresh;
         }
-        guard.log.push(snap);
-        if guard.log.len() > self.log_cap.max(1) {
-            let excess = guard.log.len() - self.log_cap.max(1);
-            guard.log.drain(..excess);
-            guard.trimmed += excess as u64;
-        }
+        guard.append(snap, self.log_cap);
         drop(guard);
         store.published.notify_all();
     }
@@ -388,5 +394,26 @@ impl Publisher {
                 f64::from(slo.state().code()),
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_log_keeps_the_newest_snapshots_and_counts_the_trimmed() {
+        let mut store = SnapshotStore::default();
+        for i in 0..10u32 {
+            let snap = RateSnapshot {
+                time_s: f64::from(i),
+                ..RateSnapshot::default()
+            };
+            store.append(snap, 3);
+        }
+        let times: Vec<f64> = store.log.iter().map(|s| s.time_s).collect();
+        assert_eq!(times, vec![7.0, 8.0, 9.0]);
+        assert_eq!(store.trimmed, 7);
+        assert_eq!(store.published(), 10);
     }
 }

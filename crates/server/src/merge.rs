@@ -14,9 +14,19 @@
 //! dropped connection) closes the lane, which releases everything it
 //! still holds. An idle reader therefore stalls the merge until its next
 //! heartbeat — by design: releasing early would let a late batch travel
-//! backwards in stream time.
+//! backwards in stream time. A reader that reconnects before its closed
+//! lane has drained reopens that lane, queued reports and watermark
+//! included, so it holds back the merge again.
+//!
+//! Release pops whole runs, and scans the lanes once per run rather than
+//! once per report: the lane with the smallest head gives up reports for
+//! as long as its head stays within the safe watermark and below every
+//! other lane's head (ties go to the lower reader id). The order is the
+//! same as a report-by-report k-way merge; a test-only copy of that merge
+//! is the oracle.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 use tagbreathe::TagReport;
 
 /// One reader's FIFO of not-yet-released reports.
@@ -28,6 +38,14 @@ struct Lane {
 }
 
 impl Lane {
+    fn new() -> Self {
+        Lane {
+            queue: VecDeque::new(),
+            watermark_s: f64::NEG_INFINITY,
+            closed: false,
+        }
+    }
+
     /// Raises the watermark to `time_s` if that is finite and ahead.
     fn advance(&mut self, time_s: f64) {
         if time_s.is_finite() && time_s > self.watermark_s {
@@ -36,10 +54,17 @@ impl Lane {
     }
 }
 
+/// The release order: time (IEEE total order, so `-0.0` before `+0.0`),
+/// then reader id.
+fn release_order(a: (f64, u32), b: (f64, u32)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
 /// Watermark-driven k-way merge over per-reader lanes.
 #[derive(Debug, Default)]
 pub struct LaneMerger {
-    lanes: BTreeMap<u32, Lane>,
+    /// Lanes by ascending reader id: a handful, one per connected reader.
+    lanes: Vec<(u32, Lane)>,
 }
 
 impl LaneMerger {
@@ -49,14 +74,23 @@ impl LaneMerger {
         LaneMerger::default()
     }
 
-    /// Opens a lane for `reader` (idempotent; reopening a closed lane
-    /// starts a fresh one).
+    /// Opens a lane for `reader` (idempotent). Reopening a closed lane
+    /// that still holds reports keeps them and its watermark, and makes
+    /// the lane hold back the merge again.
     pub fn open(&mut self, reader: u32) {
-        self.lanes.entry(reader).or_insert(Lane {
-            queue: VecDeque::new(),
-            watermark_s: f64::NEG_INFINITY,
-            closed: false,
-        });
+        self.lane(reader).closed = false;
+    }
+
+    /// `reader`'s lane, created open and empty if it does not exist.
+    fn lane(&mut self, reader: u32) -> &mut Lane {
+        let at = match self.lanes.binary_search_by_key(&reader, |(r, _)| *r) {
+            Ok(at) => at,
+            Err(at) => {
+                self.lanes.insert(at, (reader, Lane::new()));
+                at
+            }
+        };
+        &mut self.lanes[at].1
     }
 
     /// Appends a batch to `reader`'s lane and advances its watermark to
@@ -65,37 +99,29 @@ impl LaneMerger {
     /// `±inf` would pin the lane's watermark so that it no longer holds
     /// back the merge); the count of dropped reports is returned. A
     /// non-finite reader clock is ignored.
-    pub fn push(&mut self, reader: u32, reports: Vec<TagReport>, reader_clock_s: f64) -> usize {
-        self.open(reader);
-        let Some(lane) = self.lanes.get_mut(&reader) else {
-            return reports.len();
-        };
-        let mut dropped = 0;
-        for r in reports {
-            if !r.time_s.is_finite() {
-                dropped += 1;
-                continue;
-            }
+    pub fn push(&mut self, reader: u32, mut reports: Vec<TagReport>, reader_clock_s: f64) -> usize {
+        let lane = self.lane(reader);
+        let before = reports.len();
+        reports.retain(|r| {
             lane.advance(r.time_s);
-            lane.queue.push_back(r);
-        }
+            r.time_s.is_finite()
+        });
         lane.advance(reader_clock_s);
+        let dropped = before - reports.len();
+        lane.queue.extend(reports);
         dropped
     }
 
     /// Advances `reader`'s watermark from a heartbeat; a non-finite clock
     /// is ignored.
     pub fn heartbeat(&mut self, reader: u32, reader_clock_s: f64) {
-        self.open(reader);
-        if let Some(lane) = self.lanes.get_mut(&reader) {
-            lane.advance(reader_clock_s);
-        }
+        self.lane(reader).advance(reader_clock_s);
     }
 
     /// Closes `reader`'s lane: its watermark stops constraining the merge
     /// and its remaining reports release as other lanes allow.
     pub fn close(&mut self, reader: u32) {
-        if let Some(lane) = self.lanes.get_mut(&reader) {
+        if let Some((_, lane)) = self.lanes.iter_mut().find(|(r, _)| *r == reader) {
             lane.closed = true;
         }
     }
@@ -105,9 +131,9 @@ impl LaneMerger {
     #[must_use]
     pub fn safe_watermark(&self) -> f64 {
         self.lanes
-            .values()
-            .filter(|l| !l.closed)
-            .map(|l| l.watermark_s)
+            .iter()
+            .filter(|(_, l)| !l.closed)
+            .map(|(_, l)| l.watermark_s)
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -119,62 +145,73 @@ impl LaneMerger {
         self.lanes
             .iter()
             .filter(|(_, l)| !l.closed)
-            .map(|(&reader, l)| (reader, l.watermark_s))
+            .map(|(reader, l)| (*reader, l.watermark_s))
             .collect()
     }
 
     /// Reports buffered across all lanes.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.lanes.values().map(|l| l.queue.len()).sum()
+        self.lanes.iter().map(|(_, l)| l.queue.len()).sum()
     }
 
     /// Releases every report at or below the safe watermark, smallest
-    /// `(time_s, reader_id)` first. Fully drained closed lanes are
-    /// removed.
+    /// `(time_s, reader_id)` first, one run per lane at a time. Fully
+    /// drained closed lanes are removed.
     pub fn release(&mut self) -> Vec<TagReport> {
         let safe = self.safe_watermark();
         let mut out = Vec::new();
         loop {
-            let mut best: Option<(f64, u32)> = None;
-            for (&reader, lane) in &self.lanes {
+            // The smallest releasable head, and the smallest head of any
+            // other lane: the run ends where the first lane's reports stop
+            // sorting before it.
+            let mut best: Option<(f64, u32, usize)> = None;
+            let mut bound: Option<(f64, u32)> = None;
+            for (at, (reader, lane)) in self.lanes.iter().enumerate() {
                 let Some(head) = lane.queue.front() else {
                     continue;
                 };
-                if head.time_s > safe {
-                    continue;
-                }
-                let key = (head.time_s, reader);
-                let better = match best {
-                    None => true,
-                    Some((t, r)) => match head.time_s.total_cmp(&t) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => reader < r,
-                        std::cmp::Ordering::Greater => false,
-                    },
-                };
-                if better {
-                    best = Some(key);
+                let key = (head.time_s, *reader);
+                if head.time_s <= safe
+                    && best.is_none_or(|(t, r, _)| release_order(key, (t, r)).is_lt())
+                {
+                    // The old best sorts before every other head seen so far.
+                    bound = best.map(|(t, r, _)| (t, r)).or(bound);
+                    best = Some((head.time_s, *reader, at));
+                } else if bound.is_none_or(|b| release_order(key, b).is_lt()) {
+                    bound = Some(key);
                 }
             }
-            let Some((_, reader)) = best else {
+            let Some((_, reader, at)) = best else {
                 break;
             };
-            if let Some(lane) = self.lanes.get_mut(&reader) {
+            if out.capacity() == 0 {
+                // Sized once, and only when something releases.
+                out.reserve_exact(self.pending());
+            }
+            let Some((_, lane)) = self.lanes.get_mut(at) else {
+                break;
+            };
+            while let Some(head) = lane.queue.front() {
+                let in_run = head.time_s <= safe
+                    && bound.is_none_or(|b| release_order((head.time_s, reader), b).is_lt());
+                if !in_run {
+                    break;
+                }
                 if let Some(report) = lane.queue.pop_front() {
                     out.push(report);
                 }
             }
         }
-        self.lanes.retain(|_, l| !(l.closed && l.queue.is_empty()));
+        self.lanes
+            .retain(|(_, l)| !(l.closed && l.queue.is_empty()));
         out
     }
 
     /// Closes every lane and releases everything still buffered.
     pub fn drain_all(&mut self) -> Vec<TagReport> {
-        let readers: Vec<u32> = self.lanes.keys().copied().collect();
-        for r in readers {
-            self.close(r);
+        for (_, lane) in &mut self.lanes {
+            lane.closed = true;
         }
         self.release()
     }
@@ -184,6 +221,7 @@ impl LaneMerger {
 mod tests {
     use super::*;
     use epcgen2::Epc96;
+    use std::collections::BTreeMap;
 
     fn report(reader_hint: u64, t: f64) -> TagReport {
         TagReport {
@@ -285,5 +323,196 @@ mod tests {
         let dropped = m.push(1, vec![report(1, f64::NAN), report(1, 1.0)], 1.0);
         assert_eq!(dropped, 1);
         assert_eq!(times(&m.drain_all()), vec![1.0]);
+    }
+
+    #[test]
+    fn a_reopened_lane_holds_back_the_merge_again() {
+        let mut m = LaneMerger::new();
+        m.open(1);
+        m.open(2);
+        m.push(1, vec![report(1, 5.0)], 5.0);
+        m.close(1);
+        m.open(1);
+        m.push(2, vec![report(2, 10.0), report(2, 20.0)], 20.0);
+        assert_eq!(times(&m.release()), vec![5.0]);
+        assert_eq!(m.lane_watermarks(), vec![(1, 5.0), (2, 20.0)]);
+        m.push(1, vec![report(1, 15.0)], 15.0);
+        assert_eq!(times(&m.release()), vec![10.0, 15.0]);
+    }
+
+    /// The report-at-a-time merge that run release replaced: one lane
+    /// scan and one map lookup per released report. Same lane rules,
+    /// reopening included.
+    #[derive(Default)]
+    struct Oracle {
+        lanes: BTreeMap<u32, Lane>,
+    }
+
+    impl Oracle {
+        fn open(&mut self, reader: u32) {
+            self.lanes.entry(reader).or_insert_with(Lane::new).closed = false;
+        }
+
+        fn push(&mut self, reader: u32, reports: Vec<TagReport>, reader_clock_s: f64) -> usize {
+            let lane = self.lanes.entry(reader).or_insert_with(Lane::new);
+            let mut dropped = 0;
+            for r in reports {
+                if !r.time_s.is_finite() {
+                    dropped += 1;
+                    continue;
+                }
+                lane.advance(r.time_s);
+                lane.queue.push_back(r);
+            }
+            lane.advance(reader_clock_s);
+            dropped
+        }
+
+        fn heartbeat(&mut self, reader: u32, reader_clock_s: f64) {
+            let lane = self.lanes.entry(reader).or_insert_with(Lane::new);
+            lane.advance(reader_clock_s);
+        }
+
+        fn close(&mut self, reader: u32) {
+            if let Some(lane) = self.lanes.get_mut(&reader) {
+                lane.closed = true;
+            }
+        }
+
+        fn release(&mut self) -> Vec<TagReport> {
+            let safe = self
+                .lanes
+                .values()
+                .filter(|l| !l.closed)
+                .map(|l| l.watermark_s)
+                .fold(f64::INFINITY, f64::min);
+            let mut out = Vec::new();
+            loop {
+                let mut best: Option<(f64, u32)> = None;
+                for (&reader, lane) in &self.lanes {
+                    let Some(head) = lane.queue.front() else {
+                        continue;
+                    };
+                    if head.time_s > safe {
+                        continue;
+                    }
+                    let key = (head.time_s, reader);
+                    if best.is_none_or(|b| release_order(key, b).is_lt()) {
+                        best = Some(key);
+                    }
+                }
+                let Some((_, reader)) = best else {
+                    break;
+                };
+                if let Some(report) = self
+                    .lanes
+                    .get_mut(&reader)
+                    .and_then(|l| l.queue.pop_front())
+                {
+                    out.push(report);
+                }
+            }
+            self.lanes.retain(|_, l| !(l.closed && l.queue.is_empty()));
+            out
+        }
+
+        fn drain_all(&mut self) -> Vec<TagReport> {
+            let readers: Vec<u32> = self.lanes.keys().copied().collect();
+            for r in readers {
+                self.close(r);
+            }
+            self.release()
+        }
+    }
+
+    /// Released reports as bits: time, then the EPC that names the lane
+    /// and the report's sequence number.
+    fn bits(reports: &[TagReport]) -> Vec<(u64, [u8; 12])> {
+        reports
+            .iter()
+            .map(|r| (r.time_s.to_bits(), r.epc.to_bytes()))
+            .collect()
+    }
+
+    #[test]
+    fn run_release_matches_the_report_at_a_time_oracle() {
+        use prng::{Rng, Xoshiro256};
+        // Few distinct times, so lanes tie often; both zeros, and the
+        // non-finite values the merge must drop or ignore.
+        const TIMES: [f64; 11] = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            1.5,
+            2.0,
+            3.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for seed in 0..64u64 {
+            let mut rng = Xoshiro256::seed_from_u64(0x6D65_7267_6500 + seed);
+            let lanes = 2 + rng.gen_range(0..4) as u32;
+            let mut merger = LaneMerger::new();
+            let mut oracle = Oracle::default();
+            let mut base = 0.0;
+            let mut sequence = 0u32;
+            let pick = |rng: &mut Xoshiro256, base: f64| {
+                let t = TIMES[rng.gen_range(0..TIMES.len())];
+                if t.is_finite() && rng.gen_bool() {
+                    base + t
+                } else {
+                    t
+                }
+            };
+            for step in 0..400 {
+                let reader = 1 + rng.gen_range(0..lanes as usize) as u32;
+                match rng.gen_range(0..10) {
+                    0 => {
+                        merger.open(reader);
+                        oracle.open(reader);
+                    }
+                    1 => {
+                        merger.close(reader);
+                        oracle.close(reader);
+                    }
+                    2 | 3 => {
+                        let clock = pick(&mut rng, base);
+                        merger.heartbeat(reader, clock);
+                        oracle.heartbeat(reader, clock);
+                    }
+                    _ => {
+                        // Times mostly rise with the stream, but a batch
+                        // may also go backwards.
+                        base += 0.25 * rng.gen_range(0..3) as f64;
+                        let n = rng.gen_range(0..12);
+                        let batch: Vec<TagReport> = (0..n)
+                            .map(|_| {
+                                sequence += 1;
+                                let mut r = report(u64::from(reader), pick(&mut rng, base));
+                                r.epc = Epc96::monitor(u64::from(reader), sequence);
+                                r
+                            })
+                            .collect();
+                        let clock = pick(&mut rng, base);
+                        let dropped = merger.push(reader, batch.clone(), clock);
+                        assert_eq!(dropped, oracle.push(reader, batch, clock));
+                    }
+                }
+                let (got, want) = (merger.release(), oracle.release());
+                assert_eq!(bits(&got), bits(&want), "seed {seed} step {step}");
+                assert_eq!(
+                    merger.pending(),
+                    oracle.lanes.values().map(|l| l.queue.len()).sum()
+                );
+            }
+            assert_eq!(
+                bits(&merger.drain_all()),
+                bits(&oracle.drain_all()),
+                "seed {seed}"
+            );
+        }
     }
 }

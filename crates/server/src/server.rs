@@ -154,7 +154,7 @@ impl ServerHandle {
         }
         self.store
             .lock()
-            .map(|mut g| std::mem::take(&mut g.log))
+            .map(|mut g| Vec::from(std::mem::take(&mut g.log)))
             .unwrap_or_default()
     }
 }
