@@ -9,7 +9,7 @@
 #   4. test suite         cargo test -q                       (every crate)
 #   5. rustdoc, zero-warn RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #   6. release suites     cargo test -q --release --test equivalence
-#                         cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server --lib
+#                         cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server -p tagbreathe --lib
 #   7. server suites x6   cargo test -q --release --test server_loopback --test slo --test idle_cpu
 #                         (5 passes, default threads; 1 pass, RUST_TEST_THREADS=1)
 #   8. bench smoke        cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace
@@ -20,6 +20,7 @@
 #  13. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
 #  14. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
 #  15. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+#                         perfbench --workload fleet_flood --seed 1 --seconds 2 --trace 0
 #
 # Step 2 enforces the library-crate rules: every crate listed in
 # lint.toml's `lib-crates` denies `missing_docs`, `unreachable_pub`,
@@ -33,11 +34,13 @@
 # doctests, not only the suite's. Step 5 keeps the API docs
 # buildable (broken intra-doc links are errors). Step 6 pins the batch/streaming agreement of the shared
 # operator graph: bit-identical rates on time-ordered traces, within
-# 0.1 bpm when timestamps arrive out of order. It also runs the codec's
-# and the ingest server's unit tests in an optimised build (CRC and
-# fixed-layout record oracles, the run-release merge oracle, the
-# chunked-read session tests), so their arithmetic and bounds hold where
-# debug assertions and overflow checks are compiled out. Step 7 repeats the three real-socket server
+# 0.1 bpm when timestamps arrive out of order. It also runs the codec's,
+# the ingest server's and the core library's unit tests in an optimised
+# build (CRC and fixed-layout record oracles, the run-release merge
+# oracle, the chunked-read session tests, the router's table probe
+# arithmetic and its chunked-routing oracle, the shard oracles), so their
+# arithmetic and bounds hold where debug assertions and overflow checks
+# are compiled out. Step 7 repeats the three real-socket server
 # suites (loopback bit-identity, SLO/freshness, idle CPU) five times
 # with the default test threads and once with RUST_TEST_THREADS=1: they
 # must pass every time on any core count, so a timing-dependent wait, an
@@ -90,7 +93,11 @@
 # counts allocations at run time in step 4. Step 15 builds
 # the end-to-end benchmark (perfbench/, a package of its own with path
 # dependencies on crates/*) and runs its self-tests, so a workspace API
-# change that would break the benchmark fails here.
+# change that would break the benchmark fails here. It then runs one
+# short `fleet_flood` round (~2 s) and requires `"correct": true` on the
+# benchmark's last line: a library change that makes the served
+# snapshots differ from the benchmark's inline replay fails here rather
+# than in the next benchmark run.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -112,8 +119,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q --release --test equivalence"
 cargo test -q --release --test equivalence
 
-echo "==> cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server --lib"
-cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server --lib
+echo "==> cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server -p tagbreathe --lib"
+cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server -p tagbreathe --lib
 
 echo "==> server suites: 5 passes with default threads, 1 with RUST_TEST_THREADS=1"
 for pass in 1 2 3 4 5; do
@@ -195,5 +202,13 @@ echo "ci: lint passes took ${lint_elapsed_s}s (budget 20 s)"
 
 echo "==> cargo test --manifest-path perfbench/Cargo.toml"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench --workload fleet_flood --seed 1 --seconds 2 --trace 0"
+flood_last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload fleet_flood --seed 1 --seconds 2 --trace 0 | tail -n 1)
+case "$flood_last" in
+    *'"correct": true'*) echo "ci: fleet_flood round bit-identical to the inline replay" ;;
+    *) echo "ci: fleet_flood round not correct: ${flood_last}" >&2; exit 1 ;;
+esac
 
 echo "ci: all green"

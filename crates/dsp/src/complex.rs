@@ -6,7 +6,7 @@
 
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number with `f64` components.
 ///
@@ -188,14 +188,6 @@ impl Mul<f64> for Complex {
     }
 }
 
-impl Div<f64> for Complex {
-    type Output = Complex;
-    #[inline]
-    fn div(self, rhs: f64) -> Complex {
-        self.scale(1.0 / rhs)
-    }
-}
-
 impl Neg for Complex {
     type Output = Complex;
     #[inline]
@@ -280,7 +272,6 @@ mod tests {
     fn scalar_ops() {
         let z = Complex::new(1.0, -2.0);
         assert_eq!(z * 2.0, Complex::new(2.0, -4.0));
-        assert_eq!(z / 2.0, Complex::new(0.5, -1.0));
         assert_eq!(-z, Complex::new(-1.0, 2.0));
     }
 

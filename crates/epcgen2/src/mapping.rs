@@ -23,6 +23,11 @@ pub enum TagIdentity {
 }
 
 /// Resolves raw EPCs to identities.
+///
+/// The streaming engine calls [`IdentityResolver::resolve`] once per
+/// report, so it sits on the per-report path: [`OpenAdmission`], the
+/// ingest server's default, is a field decode, [`EmbeddedIdentity`] a
+/// binary search and [`MappingTable`] a `HashMap` get.
 pub trait IdentityResolver {
     /// Classifies an EPC.
     fn resolve(&self, epc: Epc96) -> TagIdentity;
@@ -33,21 +38,24 @@ pub trait IdentityResolver {
 /// from unrelated tags that happen to be in range.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EmbeddedIdentity {
+    /// Sorted and deduplicated, for binary search.
     known_users: Vec<u64>,
 }
 
 impl EmbeddedIdentity {
-    /// Creates a resolver accepting the given user IDs.
+    /// Creates a resolver accepting the given user IDs, in any order and
+    /// with any repeats.
     pub fn new(known_users: impl IntoIterator<Item = u64>) -> Self {
-        EmbeddedIdentity {
-            known_users: known_users.into_iter().collect(),
-        }
+        let mut known_users: Vec<u64> = known_users.into_iter().collect();
+        known_users.sort_unstable();
+        known_users.dedup();
+        EmbeddedIdentity { known_users }
     }
 }
 
 impl IdentityResolver for EmbeddedIdentity {
     fn resolve(&self, epc: Epc96) -> TagIdentity {
-        if self.known_users.contains(&epc.user_id()) {
+        if self.known_users.binary_search(&epc.user_id()).is_ok() {
             TagIdentity::Monitor {
                 user_id: epc.user_id(),
                 tag_id: epc.tag_id(),
@@ -134,6 +142,37 @@ mod tests {
             }
         );
         assert_eq!(r.resolve(Epc96::monitor(9, 5)), TagIdentity::Unknown);
+    }
+
+    #[test]
+    fn embedded_resolver_matches_a_linear_scan() {
+        use prng::{Rng, Xoshiro256};
+        for seed in 0..16 {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            // Draw order, with repeats: ids come from a narrow range, plus
+            // the extremes of the id space.
+            let mut ids: Vec<u64> = (0..rng.gen_range(0..300))
+                .map(|_| rng.gen_range(0..200) as u64)
+                .collect();
+            if rng.gen_bool() {
+                ids.extend([u64::MAX, 0, u64::MAX]);
+            }
+            let resolver = EmbeddedIdentity::new(ids.iter().copied());
+            let probes = (0..220).chain([u64::MAX - 1, u64::MAX, rng.next_u64()]);
+            for user in probes {
+                let tag = (rng.next_u64() >> 32) as u32;
+                let want = if ids.contains(&user) {
+                    TagIdentity::Monitor {
+                        user_id: user,
+                        tag_id: tag,
+                    }
+                } else {
+                    TagIdentity::Unknown
+                };
+                let got = resolver.resolve(Epc96::monitor(user, tag));
+                assert_eq!(got, want, "seed {seed}, user {user}");
+            }
+        }
     }
 
     #[test]

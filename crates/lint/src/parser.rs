@@ -1220,9 +1220,11 @@ impl Parser<'_> {
                 angle -= 1;
             } else if k.is_punct(">>") {
                 angle -= 2;
-            } else if k.is_punct("(") || k.is_punct("[") {
+            } else if k.is_punct("(") || k.is_punct("[") || k.is_punct("{") {
+                // Braces nest too: a struct-literal `const` value holds
+                // top-level commas and ends in a `}` of its own.
                 depth += 1;
-            } else if k.is_punct(")") || k.is_punct("]") {
+            } else if k.is_punct(")") || k.is_punct("]") || k.is_punct("}") {
                 if depth == 0 {
                     break; // enclosing close
                 }
@@ -2377,6 +2379,36 @@ mod tests {
         let active = vec!["sync_mutant".to_string()];
         assert!(on.satisfied(&active) && !on.satisfied(&[]));
         assert!(!off.satisfied(&active) && off.satisfied(&[]));
+    }
+
+    #[test]
+    fn struct_literal_consts_do_not_end_their_impl() {
+        let pf = parse(
+            "pub struct C { re: f64, im: f64 }\n\
+             impl C {\n\
+               pub const ZERO: C = C { re: 0.0, im: 0.0 };\n\
+               pub fn norm(self) -> f64 { self.re * self.re + self.im * self.im }\n\
+             }\n\
+             impl Neg for C {\n\
+               type Output = C;\n\
+               fn neg(self) -> C { C { re: -self.re, im: -self.im } }\n\
+             }\n",
+        );
+        assert_eq!(pf.consts.len(), 1, "{:?}", pf.consts);
+        assert_eq!(pf.consts[0].name, "ZERO");
+        assert!(
+            pf.consts[0].value.contains("im : 0.0 }"),
+            "{}",
+            pf.consts[0].value
+        );
+        for name in ["norm", "neg"] {
+            assert_eq!(
+                find(&pf, name).and_then(|f| f.impl_type.clone()).as_deref(),
+                Some("C"),
+                "{name}: {:?}",
+                pf.fns
+            );
+        }
     }
 
     #[test]

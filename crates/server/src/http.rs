@@ -1,9 +1,10 @@
 //! Minimal HTTP/1.1 observability surface (std-only).
 //!
 //! One thread accepts connections and answers each request inline —
-//! every response closes the connection, requests are capped at 8 KiB,
-//! and only `GET` is implemented. This is an *operator* surface (curl,
-//! Prometheus scrapes, the soak harness), not a general web server.
+//! every response closes the connection, requests are capped at 8 KiB
+//! and must arrive within 1 s of accept, and only `GET` is implemented.
+//! This is an *operator* surface (curl, Prometheus scrapes, the soak
+//! harness), not a general web server.
 //!
 //! Endpoints (`docs/OPERATIONS.md` documents them for operators):
 //!
@@ -33,6 +34,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const MAX_REQUEST: usize = 8 * 1024;
+/// Time from accept within which the whole request must arrive, or the
+/// connection is dropped unanswered: a client trickling header bytes
+/// would otherwise hold the only HTTP thread.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(1);
+/// Silence after which a request is taken as complete.
+const READ_IDLE: Duration = Duration::from_millis(500);
 
 pub(crate) struct HttpState {
     pub registry: Arc<Registry>,
@@ -53,8 +60,7 @@ pub(crate) fn run_http(listener: &TcpListener, state: &HttpState, stop: &AtomicB
 }
 
 fn serve_one(mut stream: TcpStream, state: &HttpState) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let Some(request) = read_request(&mut stream) else {
+    let Some(request) = read_request(&mut stream, Instant::now() + REQUEST_DEADLINE) else {
         return;
     };
     let started = Instant::now();
@@ -75,12 +81,17 @@ fn serve_one(mut stream: TcpStream, state: &HttpState) {
     let _ = stream.flush();
 }
 
-/// Reads up to the end of the request headers and returns the request
-/// line (method + target).
-fn read_request(stream: &mut TcpStream) -> Option<String> {
+/// Reads up to the end of the request headers, or [`READ_IDLE`] of
+/// silence, and returns the request line (method + target). `None` once
+/// `deadline` passes.
+fn read_request(stream: &mut TcpStream, deadline: Instant) -> Option<String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|left| !left.is_zero())?;
+        let _ = stream.set_read_timeout(Some(left.min(READ_IDLE)));
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -92,6 +103,8 @@ fn read_request(stream: &mut TcpStream) -> Option<String> {
                     break;
                 }
             }
+            // A timeout the deadline set drops the request unanswered.
+            Err(_) if left <= READ_IDLE => return None,
             Err(_) => break,
         }
     }

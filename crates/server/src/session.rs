@@ -14,6 +14,9 @@
 //! and closes the connection; the server never panics on hostile input
 //! (the malformed-input suite in `tests/failure_injection.rs` pins this).
 //!
+//! A connection that has not completed its Hello 2 s after accept is
+//! closed without a reply.
+//!
 //! Backpressure: accepted batches go to the engine over a bounded
 //! channel. When it is full the session stalls in 1 ms steps (counted as
 //! queue stalls) up to the configured budget, then sheds the batch
@@ -38,6 +41,10 @@ const HANDSHAKE_READ: usize = 4096;
 /// Bytes a session reads per call once batches flow: a few hundred
 /// reports per system call.
 const BATCH_READ: usize = 64 * 1024;
+/// Time from accept within which a session must complete its Hello, or
+/// be closed: a connection that never sends one would otherwise hold its
+/// session thread until shutdown.
+const HELLO_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Tuning knobs a session needs from the server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -55,6 +62,8 @@ pub(crate) enum SessionEnd {
     Eof,
     /// The client disconnected mid-frame.
     MidFrame,
+    /// The client did not complete its Hello within [`HELLO_DEADLINE`].
+    NoHello,
     /// The session was terminated for a protocol violation.
     Violation(ErrorCode),
     /// The transport failed or the server is shutting down.
@@ -72,6 +81,7 @@ struct SessionCtx<'a> {
     granted: u32,
     clock_offset_s: f64,
     hello_clock_s: f64,
+    /// When the session started, then when its Hello arrived.
     started: Instant,
     min_skew_s: f64,
 }
@@ -184,6 +194,10 @@ fn frame_loop<S: Read + Write>(stream: &mut S, ctx: &mut SessionCtx<'_>) -> Sess
                     return reject(stream, ctx, code);
                 }
             }
+        }
+        // Checked after every read and every read timeout.
+        if ctx.reader.is_none() && ctx.started.elapsed() >= HELLO_DEADLINE {
+            return SessionEnd::NoHello;
         }
         if start > 0 {
             buf.copy_within(start..end, 0);

@@ -2,11 +2,14 @@
 //!
 //! TagBreathe's host software processes the reader's low-level stream "in
 //! a pipelined manner" and shows breathing in real time (Section V).
-//! [`Engine`] is that processor. Its router is written once: it interns
-//! each EPC ([`IdentityCache`]), admits a new user to a shard and a dense
-//! slot, runs the cadence/eviction clock over the stream watermark, and
-//! merges per-shard snapshot parts in epoch order. The [`Executor`]
-//! decides where the shards run:
+//! [`Engine`] is that processor. Its router is written once: it resolves
+//! each report to its user, looks the user up in one table from user ID
+//! to shard and dense slot (admitting a new user there), runs the
+//! cadence/eviction clock over the stream watermark, and merges per-shard
+//! snapshot parts in epoch order. It routes a push a chunk at a time: one
+//! pass resolves and looks up every report of the chunk, so the table's
+//! cache misses overlap, and a second routes them in stream order.
+//! The [`Executor`] decides where the shards run:
 //!
 //! * [`Inline`] applies every message to one [`ShardCore`] on the caller's
 //!   thread — the [`StreamingMonitor`] shape, for one reader and a handful
@@ -31,7 +34,7 @@
 
 use crate::config::{InvalidConfigError, PipelineConfig};
 use crate::demux::{classify, LinkQualityTracker};
-use crate::fleet::interner::{shard_of_user, IdentityCache, Route};
+use crate::fleet::interner::{shard_of_user, ProbeTable};
 use crate::fleet::msg::ShardMsg;
 use crate::fleet::shard::{ShardCore, ShardEnv, ShardPart};
 use crate::metrics;
@@ -43,6 +46,20 @@ use obs::trace::{SharedTracer, TraceEvent, Tracer};
 use obs::{Label, Recorder, SharedRecorder};
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Reports per routing chunk: [`Engine::push`] resolves and looks up this
+/// many before routing them.
+const CHUNK: usize = 64;
+
+/// One report of a routing chunk, with what the lookup pass found for it.
+#[derive(Debug, Clone, Copy)]
+struct Resolved {
+    report: TagReport,
+    /// The resolver's `(user_id, tag_id)`; `None` for an unknown EPC.
+    identity: Option<(u64, u32)>,
+    /// The user's `(shard, slot)`, if the user table held the user then.
+    placed: Option<(u32, u32)>,
+}
 
 /// Runs the shards the router feeds.
 pub trait Executor {
@@ -142,11 +159,10 @@ pub struct Engine<R, X> {
     /// Cached `recorder.enabled()`.
     recording: bool,
     counts: RouterCounts,
-    /// Hot-path EPC → route cache; consulted before the resolver.
-    routes: IdentityCache,
-    /// Cold-path user → (shard, slot) assignments, for users wearing
-    /// several tags.
-    user_slots: BTreeMap<u64, (u32, u32)>,
+    /// User ID → (shard, dense slot), one entry per admitted user.
+    users: ProbeTable<u64, (u32, u32)>,
+    /// The chunk being routed; sized on the first push.
+    chunk: Vec<Resolved>,
     /// Next dense user slot per shard.
     next_slot: Vec<u32>,
     update_every_s: f64,
@@ -196,8 +212,8 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
             recording: recorder.enabled(),
             recorder,
             counts: RouterCounts::default(),
-            routes: IdentityCache::new(),
-            user_slots: BTreeMap::new(),
+            users: ProbeTable::new(),
+            chunk: Vec::new(),
             next_slot: vec![0; exec.shard_count()],
             env,
             exec,
@@ -230,64 +246,28 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
         // only: the ring-handoff stage is the router-side cost of a batch.
         let handoff_started = (X::RINGS && self.recording).then(Instant::now);
         let mut routed_any = false;
-        for r in reports {
-            // A report that cannot be placed in stream time is dropped
-            // before it can move the watermark: a `+inf` one would leave
-            // the cadence clock unable to ever catch up.
-            if !r.time_s.is_finite() {
-                continue;
+        let mut reports = reports.into_iter();
+        let mut chunk = std::mem::take(&mut self.chunk);
+        loop {
+            // Pass 1 resolves and looks up a chunk of reports, so the
+            // lookups' cache misses overlap instead of each waiting behind
+            // a send. A report that cannot be placed in stream time is
+            // dropped here, before it can move the watermark: a `+inf` one
+            // would leave the cadence clock unable to ever catch up.
+            chunk.clear();
+            chunk.reserve(CHUNK);
+            let finite = reports.by_ref().filter(|r| r.time_s.is_finite());
+            chunk.extend(finite.take(CHUNK).map(|report| self.resolve(report)));
+            // Pass 2 routes the chunk in stream order.
+            for &resolved in &chunk {
+                self.route(resolved);
             }
-            routed_any = true;
-            self.counts.reports_ingested += 1;
-            self.watermark_s = self.watermark_s.max(r.time_s);
-            if self.recording || self.env.tracing {
-                self.observe(&r);
-            }
-            let route = match self.routes.probe(r.epc.user_id(), r.epc.tag_id()) {
-                Some(route) => route,
-                None => self.admit_report(&r),
-            };
-            match route {
-                Route::User {
-                    shard,
-                    slot,
-                    tag_id,
-                } => self.deliver(
-                    shard,
-                    ShardMsg::Report {
-                        slot,
-                        tag_id,
-                        antenna_port: r.antenna_port,
-                        channel_index: r.channel_index,
-                        time_s: r.time_s,
-                        phase_rad: r.phase_rad,
-                        rssi_dbm: r.rssi_dbm,
-                        doppler_hz: r.doppler_hz,
-                    },
-                ),
-                Route::Unknown => {
-                    self.counts.reports_unknown += 1;
-                    if self.env.tracing {
-                        self.env.tracer.emit(
-                            TraceEvent::instant("unknown_report", r.time_s)
-                                .with_port(r.antenna_port)
-                                .with_channel(r.channel_index),
-                        );
-                    }
-                }
-            }
-            if self.watermark_s >= self.next_update_s {
-                self.request_due_snapshots();
-            }
-            // Keep state bounded even when the snapshot cadence is long
-            // relative to the window.
-            if self.watermark_s - self.last_evict_s >= self.env.window_s.min(self.update_every_s) {
-                self.broadcast(ShardMsg::Evict {
-                    watermark_s: self.watermark_s,
-                });
-                self.last_evict_s = self.watermark_s;
+            routed_any |= !chunk.is_empty();
+            if chunk.len() < CHUNK {
+                break;
             }
         }
+        self.chunk = chunk;
         if let (Some(started), true) = (handoff_started, routed_any) {
             self.recorder.observe(
                 metrics::SNAPSHOT_LAG_NS,
@@ -342,41 +322,86 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
         }
     }
 
-    /// Cold path on a route-cache miss: resolve the EPC, place a new user
-    /// on its shard at the next dense slot (telling the shard), and cache
-    /// the route. Unknown EPCs are cached too, so item traffic stays one
-    /// probe per read.
-    fn admit_report(&mut self, r: &TagReport) -> Route {
-        let route = match classify(&self.resolver, r) {
-            Some((user_id, tag_id)) => {
-                let (shard, slot) = match self.user_slots.get(&user_id) {
-                    Some(&assigned) => assigned,
-                    None => {
-                        let shard = shard_of_user(user_id, self.exec.shard_count());
-                        let slot = match self.next_slot.get_mut(shard as usize) {
-                            Some(next) => {
-                                let slot = *next;
-                                *next = slot.wrapping_add(1);
-                                slot
-                            }
-                            None => 0,
-                        };
-                        self.user_slots.insert(user_id, (shard, slot));
-                        self.deliver(shard, ShardMsg::Admit { slot, user_id });
-                        (shard, slot)
-                    }
-                };
-                Route::User {
-                    shard,
+    /// Pass 1 for one report: its identity, and its user's placement if
+    /// the user is admitted.
+    fn resolve(&self, report: TagReport) -> Resolved {
+        let identity = classify(&self.resolver, &report);
+        Resolved {
+            report,
+            identity,
+            placed: identity.and_then(|(user_id, _)| self.users.get(user_id)),
+        }
+    }
+
+    /// Pass 2 for one report: advances the watermark, delivers the report
+    /// to its user's shard (admitting the user first if new) or counts it
+    /// unknown, then runs the cadence and eviction clock.
+    fn route(&mut self, resolved: Resolved) {
+        let r = resolved.report;
+        self.counts.reports_ingested += 1;
+        self.watermark_s = self.watermark_s.max(r.time_s);
+        if self.recording || self.env.tracing {
+            self.observe(&r);
+        }
+        if let Some((user_id, tag_id)) = resolved.identity {
+            // A miss is looked up again: an earlier report of the chunk
+            // may have admitted the user since.
+            let (shard, slot) = match resolved.placed.or_else(|| self.users.get(user_id)) {
+                Some(placed) => placed,
+                None => self.admit(user_id),
+            };
+            self.deliver(
+                shard,
+                ShardMsg::Report {
                     slot,
                     tag_id,
-                }
+                    antenna_port: r.antenna_port,
+                    channel_index: r.channel_index,
+                    time_s: r.time_s,
+                    phase_rad: r.phase_rad,
+                    rssi_dbm: r.rssi_dbm,
+                    doppler_hz: r.doppler_hz,
+                },
+            );
+        } else {
+            self.counts.reports_unknown += 1;
+            if self.env.tracing {
+                self.env.tracer.emit(
+                    TraceEvent::instant("unknown_report", r.time_s)
+                        .with_port(r.antenna_port)
+                        .with_channel(r.channel_index),
+                );
             }
-            None => Route::Unknown,
+        }
+        if self.watermark_s >= self.next_update_s {
+            self.request_due_snapshots();
+        }
+        // Keep state bounded even when the snapshot cadence is long
+        // relative to the window.
+        if self.watermark_s - self.last_evict_s >= self.env.window_s.min(self.update_every_s) {
+            self.broadcast(ShardMsg::Evict {
+                watermark_s: self.watermark_s,
+            });
+            self.last_evict_s = self.watermark_s;
+        }
+    }
+
+    /// Cold path, once per user: places a new user on its shard at the
+    /// shard's next dense slot, telling the shard, and records the
+    /// placement.
+    fn admit(&mut self, user_id: u64) -> (u32, u32) {
+        let shard = shard_of_user(user_id, self.exec.shard_count());
+        let slot = match self.next_slot.get_mut(shard as usize) {
+            Some(next) => {
+                let slot = *next;
+                *next = slot.wrapping_add(1);
+                slot
+            }
+            None => 0,
         };
-        self.routes
-            .admit_route(r.epc.user_id(), r.epc.tag_id(), route);
-        route
+        self.users.insert(user_id, (shard, slot));
+        self.deliver(shard, ShardMsg::Admit { slot, user_id });
+        (shard, slot)
     }
 
     /// Cold path at a cadence boundary: requests a snapshot for every due
@@ -544,10 +569,10 @@ impl<R, X: Executor> Engine<R, X> {
         self.exec.shard_count()
     }
 
-    /// Users admitted (interned and assigned a shard) so far.
+    /// Users admitted (assigned a shard and a slot) so far.
     #[must_use]
     pub fn routed_users(&self) -> usize {
-        self.user_slots.len()
+        self.users.len()
     }
 }
 
@@ -675,10 +700,282 @@ impl<R: IdentityResolver> Engine<R, Inline> {
 
 #[cfg(test)]
 mod tests {
+    use super::{Engine, Executor, CHUNK};
+    use crate::fleet::interner::{shard_of_user, IdentityCache, Route};
+    use crate::fleet::msg::ShardMsg;
+    use crate::fleet::ring::SLOT_WORDS;
+    use crate::fleet::shard::{ShardEnv, ShardPart};
     use crate::fleet::FleetEngine;
+    use crate::metrics;
     use crate::pipeline::StreamingMonitor;
     use crate::PipelineConfig;
-    use epcgen2::mapping::EmbeddedIdentity;
+    use epcgen2::epc::Epc96;
+    use epcgen2::mapping::{EmbeddedIdentity, IdentityResolver};
+    use epcgen2::report::TagReport;
+    use obs::{Recorder, Registry, SharedRecorder};
+    use prng::{Rng, Xoshiro256};
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Arc;
+
+    /// An executor that records every message the router sends and
+    /// answers none, so no epoch ever completes.
+    #[derive(Debug, Default)]
+    struct Recording {
+        shards: usize,
+        sent: Vec<(u32, ShardMsg)>,
+    }
+
+    impl Executor for Recording {
+        const RINGS: bool = false;
+
+        fn shard_count(&self) -> usize {
+            self.shards
+        }
+
+        fn send(&mut self, shard: u32, msg: ShardMsg, _env: &ShardEnv) -> Option<ShardPart> {
+            self.sent.push((shard, msg));
+            None
+        }
+
+        fn fold(&mut self, _rec: &dyn Recorder) {}
+    }
+
+    /// The router as it was before it routed by user a chunk at a time:
+    /// per report, an EPC route cache consulted before the resolver and a
+    /// user → (shard, slot) map on its misses. The oracle of the chunked
+    /// router.
+    struct PerEpcRouter<R> {
+        resolver: R,
+        exec: Recording,
+        routes: IdentityCache,
+        user_slots: BTreeMap<u64, (u32, u32)>,
+        next_slot: Vec<u32>,
+        window_s: f64,
+        update_every_s: f64,
+        watermark_s: f64,
+        next_update_s: f64,
+        last_evict_s: f64,
+        next_epoch: u64,
+        reports_unknown: u64,
+    }
+
+    impl<R: IdentityResolver> PerEpcRouter<R> {
+        fn new(resolver: R, window_s: f64, update_every_s: f64, shards: usize) -> Self {
+            PerEpcRouter {
+                resolver,
+                exec: Recording {
+                    shards,
+                    sent: Vec::new(),
+                },
+                routes: IdentityCache::new(),
+                user_slots: BTreeMap::new(),
+                next_slot: vec![0; shards],
+                window_s,
+                update_every_s,
+                watermark_s: 0.0,
+                next_update_s: update_every_s,
+                last_evict_s: 0.0,
+                next_epoch: 0,
+                reports_unknown: 0,
+            }
+        }
+
+        fn push(&mut self, reports: &[TagReport]) {
+            for r in reports.iter().filter(|r| r.time_s.is_finite()) {
+                self.watermark_s = self.watermark_s.max(r.time_s);
+                let route = match self.routes.probe(r.epc.user_id(), r.epc.tag_id()) {
+                    Some(route) => route,
+                    None => self.admit_report(r),
+                };
+                match route {
+                    Route::User {
+                        shard,
+                        slot,
+                        tag_id,
+                    } => self.exec.sent.push((
+                        shard,
+                        ShardMsg::Report {
+                            slot,
+                            tag_id,
+                            antenna_port: r.antenna_port,
+                            channel_index: r.channel_index,
+                            time_s: r.time_s,
+                            phase_rad: r.phase_rad,
+                            rssi_dbm: r.rssi_dbm,
+                            doppler_hz: r.doppler_hz,
+                        },
+                    )),
+                    Route::Unknown => self.reports_unknown += 1,
+                }
+                while self.watermark_s >= self.next_update_s {
+                    self.broadcast(ShardMsg::Snapshot {
+                        watermark_s: self.watermark_s,
+                        time_s: self.next_update_s,
+                        epoch: self.next_epoch,
+                    });
+                    self.next_epoch += 1;
+                    self.last_evict_s = self.watermark_s;
+                    self.next_update_s += self.update_every_s;
+                }
+                if self.watermark_s - self.last_evict_s >= self.window_s.min(self.update_every_s) {
+                    self.broadcast(ShardMsg::Evict {
+                        watermark_s: self.watermark_s,
+                    });
+                    self.last_evict_s = self.watermark_s;
+                }
+            }
+        }
+
+        fn admit_report(&mut self, r: &TagReport) -> Route {
+            let route = match crate::demux::classify(&self.resolver, r) {
+                Some((user_id, tag_id)) => {
+                    let (shard, slot) = match self.user_slots.get(&user_id) {
+                        Some(&assigned) => assigned,
+                        None => {
+                            let shard = shard_of_user(user_id, self.exec.shards);
+                            let next = &mut self.next_slot[shard as usize];
+                            let slot = *next;
+                            *next += 1;
+                            self.user_slots.insert(user_id, (shard, slot));
+                            self.exec
+                                .sent
+                                .push((shard, ShardMsg::Admit { slot, user_id }));
+                            (shard, slot)
+                        }
+                    };
+                    Route::User {
+                        shard,
+                        slot,
+                        tag_id,
+                    }
+                }
+                None => Route::Unknown,
+            };
+            self.routes
+                .admit_route(r.epc.user_id(), r.epc.tag_id(), route);
+            route
+        }
+
+        fn broadcast(&mut self, msg: ShardMsg) {
+            for shard in 0..self.exec.shards as u32 {
+                self.exec.sent.push((shard, msg));
+            }
+        }
+    }
+
+    fn read(user: u64, tag: u32, time_s: f64, rng: &mut Xoshiro256) -> TagReport {
+        TagReport {
+            time_s,
+            epc: Epc96::monitor(user, tag),
+            antenna_port: 1 + rng.gen_range(0..2) as u8,
+            channel_index: rng.gen_range(0..16) as u16,
+            phase_rad: rng.gen_f64() * std::f64::consts::TAU,
+            rssi_dbm: -60.0 + rng.gen_f64() * 10.0,
+            doppler_hz: rng.gen_f64() - 0.5,
+        }
+    }
+
+    /// Seeded pushes over known users, unknown EPCs and non-finite times,
+    /// most of them longer than a chunk. The first push puts one new
+    /// user's first two tags in one chunk and another's first two reads on
+    /// either side of the first chunk boundary, after a dropped
+    /// non-finite read of that user.
+    fn pushes(seed: u64, known: &[u64], unknown: &[u64]) -> Vec<Vec<TagReport>> {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut t = 0.0;
+        let mut next = |user: u64, tag: u32, rng: &mut Xoshiro256| {
+            t += rng.gen_f64() * 0.02;
+            read(user, tag, t, rng)
+        };
+        let (first, second, rest) = (known[0], known[1], &known[2..]);
+        let mut lead = vec![next(first, 0, &mut rng), next(first, 1, &mut rng)];
+        while lead.len() < CHUNK - 1 {
+            let user = unknown[rng.gen_range(0..unknown.len())];
+            lead.push(next(user, 0, &mut rng));
+        }
+        let mut dropped = next(second, 2, &mut rng);
+        dropped.time_s = f64::NAN;
+        lead.insert(CHUNK / 2, dropped);
+        lead.push(next(second, 0, &mut rng));
+        lead.push(next(second, 1, &mut rng));
+        let mut out = vec![lead];
+        for _ in 0..60 {
+            let len = rng.gen_range(0..4 * CHUNK + 2);
+            let batch = (0..len)
+                .map(|_| {
+                    let user = if rng.gen_f64() < 0.8 {
+                        rest[rng.gen_range(0..rest.len())]
+                    } else {
+                        unknown[rng.gen_range(0..unknown.len())]
+                    };
+                    let mut r = next(user, rng.gen_range(0..3) as u32, &mut rng);
+                    if rng.gen_f64() < 0.04 {
+                        r.time_s =
+                            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3)];
+                    }
+                    r
+                })
+                .collect();
+            out.push(batch);
+        }
+        out
+    }
+
+    #[test]
+    fn chunked_router_sends_what_the_per_epc_router_sent() -> Result<(), String> {
+        let (window_s, cadence_s) = (4.0, 1.0);
+        for (seed, shards) in [(1, 1), (2, 2), (3, 3), (4, 4)] {
+            let mut rng = Xoshiro256::seed_from_u64(100 + seed);
+            let known: Vec<u64> = (0..40).map(|_| rng.next_u64()).collect();
+            let unknown: Vec<u64> = (0..10).map(|_| rng.next_u64()).collect();
+            let resolver = || EmbeddedIdentity::new(known.iter().copied());
+            let registry = Arc::new(Registry::new());
+            let mut chunked = Engine::build(
+                PipelineConfig::paper_default(),
+                resolver(),
+                window_s,
+                cadence_s,
+                SharedRecorder::new(registry.clone()),
+                |_| Recording {
+                    shards,
+                    sent: Vec::new(),
+                },
+            )
+            .map_err(|e| e.to_string())?;
+            let mut per_epc = PerEpcRouter::new(resolver(), window_s, cadence_s, shards);
+            for batch in pushes(seed, &known, &unknown) {
+                per_epc.push(&batch);
+                let _ = chunked.push(batch);
+            }
+            let bits = |sent: &[(u32, ShardMsg)]| -> Vec<(u32, [u64; SLOT_WORDS])> {
+                sent.iter()
+                    .map(|(shard, msg)| (*shard, msg.encode()))
+                    .collect()
+            };
+            let (got, want) = (&chunked.exec.sent, &per_epc.exec.sent);
+            assert_eq!(got.len(), want.len(), "seed {seed}, {shards} shards");
+            assert_eq!(bits(got), bits(want), "seed {seed}, {shards} shards");
+            let snapshots = want
+                .iter()
+                .filter(|(_, m)| matches!(m, ShardMsg::Snapshot { .. }))
+                .count();
+            assert!(snapshots >= 10 * shards, "{snapshots} snapshot requests");
+            let admitted: BTreeSet<u64> = got
+                .iter()
+                .filter_map(|(_, m)| match *m {
+                    ShardMsg::Admit { user_id, .. } => Some(user_id),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(chunked.routed_users(), admitted.len());
+            assert_eq!(chunked.routed_users(), per_epc.user_slots.len());
+            assert_eq!(admitted.len(), known.len());
+            let unknown_count = registry.counter(metrics::REPORTS_UNKNOWN);
+            assert_eq!(unknown_count, per_epc.reports_unknown);
+            assert!(unknown_count > 0);
+        }
+        Ok(())
+    }
 
     #[test]
     fn invalid_window_and_cadence_are_named_by_both_constructors() {

@@ -1,24 +1,132 @@
-//! EPC-to-route interning: the fleet's user-ID partitioner and hot-path
-//! route cache.
+//! The router's lookup tables: the fleet's user-ID partitioner, the
+//! user table, and the per-EPC route cache.
 //!
-//! The streaming hot path used to resolve every report through the identity
-//! resolver (a linear scan for [`epcgen2::mapping::EmbeddedIdentity`]) and then a
-//! `BTreeMap::entry` per-user lookup. The fleet engine replaces both with
-//! one open-addressed probe over a flat table of 24-byte entries: EPC bits
-//! in, a [`Route`] out — which shard owns the user, the dense slot the user's
-//! state occupies on that shard, and the short tag ID. Unknown EPCs (item
-//! tags) are cached too, so contending item traffic costs one probe instead
-//! of one resolver scan per read.
+//! TagBreathe overwrites each EPC with a 64-bit user ID and a 32-bit tag
+//! ID (Figure 9) and fuses a user's tags per bin (Eq. 6), so everything
+//! after identification is keyed by user. The router resolves every report
+//! ([`crate::demux::classify`]) and looks its user up in one
+//! `ProbeTable` from user ID to the owning shard and the dense slot the
+//! user's state occupies there. A miss is the cold path, once per user: it
+//! assigns the shard via [`shard_of_user`] and the next dense slot from
+//! the shard's counter, and inserts the placement.
 //!
-//! Admission (cache miss) is the cold path: it consults the real resolver,
-//! assigns the user a shard via [`shard_of_user`] and a dense slot from the
-//! shard's counter, and inserts the route. The table is kept at most half
-//! full and grows by rebuild, so probes always terminate.
+//! [`IdentityCache`] is the same table keyed by EPC bits, caching one
+//! [`Route`] per EPC, unknown EPCs included. The router used to consult it
+//! before the resolver; perfbench's layered replay still models that
+//! per-EPC router with it.
 
-/// Sentinel shard value marking an empty table entry.
-const SHARD_EMPTY: u32 = u32::MAX;
-/// Sentinel shard value caching a "not a monitoring tag" resolution.
-const SHARD_UNKNOWN: u32 = u32::MAX - 1;
+/// Deterministic user-to-shard partitioner (SplitMix64 finalizer, reduced
+/// modulo the shard count). Stable across runs and shard layouts, so the
+/// same user always lands on the same shard for a given fleet width.
+#[must_use]
+pub fn shard_of_user(user_id: u64, n_shards: usize) -> u32 {
+    let n = n_shards.max(1) as u64;
+    u32::try_from(mix(user_id) % n).unwrap_or(0)
+}
+
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ z >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ z >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ z >> 31
+}
+
+/// A key of a [`ProbeTable`]: compared by value, placed by its hash.
+pub(crate) trait ProbeKey: Copy + Eq {
+    /// Spreads the key over 64 bits; the table keeps the low bits.
+    fn hash(self) -> u64;
+}
+
+/// A user ID.
+impl ProbeKey for u64 {
+    fn hash(self) -> u64 {
+        mix(self)
+    }
+}
+
+/// An EPC as its (user bits, tag bits) words.
+impl ProbeKey for (u64, u32) {
+    fn hash(self) -> u64 {
+        mix(self.0 ^ u64::from(self.1).rotate_left(32))
+    }
+}
+
+/// Open-addressed map over one flat table of entries.
+///
+/// Linear probing, power-of-two capacity, at most half full, so a probe
+/// always reaches an empty entry. [`ProbeTable::get`] allocates nothing and
+/// cannot panic; all growth happens in [`ProbeTable::insert`], by rebuild.
+#[derive(Debug)]
+pub(crate) struct ProbeTable<K, V> {
+    entries: Vec<Option<(K, V)>>,
+    len: usize,
+}
+
+impl<K: ProbeKey, V: Copy> ProbeTable<K, V> {
+    /// An empty table of 64 entries.
+    pub(crate) fn new() -> Self {
+        Self::with_capacity(64)
+    }
+
+    fn with_capacity(capacity: usize) -> Self {
+        ProbeTable {
+            entries: vec![None; capacity],
+            len: 0,
+        }
+    }
+
+    /// The entry `key` hashes to, and the mask that wraps a probe.
+    fn start(&self, key: K) -> (usize, usize) {
+        let mask = self.entries.len().saturating_sub(1);
+        (key.hash() as usize & mask, mask)
+    }
+
+    /// The value stored for `key`.
+    pub(crate) fn get(&self, key: K) -> Option<V> {
+        let (mut at, mask) = self.start(key);
+        loop {
+            match self.entries.get(at)? {
+                Some((k, v)) if *k == key => return Some(*v),
+                Some(_) => at = (at + 1) & mask,
+                None => return None,
+            }
+        }
+    }
+
+    /// Stores `value` for `key`, replacing any value stored before;
+    /// doubles the table first if it would become more than half full.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
+        if (self.len + 1) * 2 > self.entries.len() {
+            let bigger = Self::with_capacity(self.entries.len().max(32) * 2);
+            let old = std::mem::replace(self, bigger);
+            for (k, v) in old.entries.into_iter().flatten() {
+                self.place(k, v);
+            }
+        }
+        self.place(key, value);
+    }
+
+    /// Writes `(key, value)` into `key`'s entry, or into the first empty
+    /// one on its probe sequence, counting a new key.
+    fn place(&mut self, key: K, value: V) {
+        let (mut at, mask) = self.start(key);
+        while let Some(entry) = self.entries.get_mut(at) {
+            match entry {
+                Some((k, _)) if *k != key => at = (at + 1) & mask,
+                _ => {
+                    self.len += usize::from(entry.is_none());
+                    *entry = Some((key, value));
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Number of keys stored.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
 
 /// Where a report goes after identity resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,67 +145,14 @@ pub enum Route {
     Unknown,
 }
 
-/// Deterministic user-to-shard partitioner (SplitMix64 finalizer, reduced
-/// modulo the shard count). Stable across runs and shard layouts, so the
-/// same user always lands on the same shard for a given fleet width.
-#[must_use]
-pub fn shard_of_user(user_id: u64, n_shards: usize) -> u32 {
-    let n = n_shards.max(1) as u64;
-    u32::try_from(mix(user_id) % n).unwrap_or(0)
-}
-
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ z >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ z >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ z >> 31
-}
-
-fn hash_epc(user_bits: u64, tag_bits: u32) -> u64 {
-    mix(user_bits ^ u64::from(tag_bits).rotate_left(32))
-}
-
-/// One table entry of [`IdentityCache`]: the EPC key and its cached route,
-/// 24 bytes, so a probe reads one cache line. `shard` holds the sentinels.
-#[derive(Debug, Clone, Copy)]
-struct RouteEntry {
-    user: u64,
-    tag: u32,
-    shard: u32,
-    slot: u32,
-    tag_id: u32,
-}
-
-impl RouteEntry {
-    const EMPTY: RouteEntry = RouteEntry {
-        user: 0,
-        tag: 0,
-        shard: SHARD_EMPTY,
-        slot: 0,
-        tag_id: 0,
-    };
-
-    fn route(self) -> Route {
-        if self.shard == SHARD_UNKNOWN {
-            return Route::Unknown;
-        }
-        Route::User {
-            shard: self.shard,
-            slot: self.slot,
-            tag_id: self.tag_id,
-        }
-    }
-}
-
-/// Open-addressed EPC → [`Route`] cache over one flat table of entries.
+/// Open-addressed EPC → [`Route`] cache: the router's probe table, keyed
+/// by the EPC's (user bits, tag bits).
 ///
-/// Linear probing, power-of-two capacity, ≤ 50 % load factor. The probe is
-/// allocation-free and panic-free; all growth happens on the cold admission
-/// path.
+/// The probe is allocation-free and panic-free; all growth happens when a
+/// route is admitted.
 #[derive(Debug)]
 pub struct IdentityCache {
-    entries: Vec<RouteEntry>,
-    len: usize,
+    routes: ProbeTable<(u64, u32), Route>,
 }
 
 impl Default for IdentityCache {
@@ -110,103 +165,35 @@ impl IdentityCache {
     /// An empty cache with a small initial table.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_pow2_capacity(64)
-    }
-
-    fn with_pow2_capacity(capacity: usize) -> Self {
         IdentityCache {
-            entries: vec![RouteEntry::EMPTY; capacity],
-            len: 0,
+            routes: ProbeTable::new(),
         }
     }
 
-    fn mask(&self) -> u64 {
-        (self.entries.len() as u64).saturating_sub(1)
-    }
-
-    /// Hot-path lookup: the route cached for this EPC, or `None` on a miss
-    /// (the caller then takes the cold admission path).
+    /// Hot-path lookup: the route cached for this EPC, or `None` on a miss.
     #[must_use]
     pub fn probe(&self, user_bits: u64, tag_bits: u32) -> Option<Route> {
-        let mask = self.mask();
-        let mut at = hash_epc(user_bits, tag_bits) & mask;
-        loop {
-            let entry = self.entries.get(at as usize)?;
-            if entry.shard == SHARD_EMPTY {
-                return None;
-            }
-            if entry.user == user_bits && entry.tag == tag_bits {
-                return Some(entry.route());
-            }
-            at = at.wrapping_add(1) & mask;
-        }
+        self.routes.get((user_bits, tag_bits))
     }
 
     /// Cold path: caches `route` for this EPC, growing the table if needed.
     /// A duplicate key overwrites the cached route.
     pub fn admit_route(&mut self, user_bits: u64, tag_bits: u32, route: Route) {
-        if (self.len + 1) * 2 > self.entries.len() {
-            self.grow_table();
-        }
-        let (shard, slot, tag_id) = match route {
-            Route::User {
-                shard,
-                slot,
-                tag_id,
-            } => (shard, slot, tag_id),
-            Route::Unknown => (SHARD_UNKNOWN, 0, 0),
-        };
-        self.place(RouteEntry {
-            user: user_bits,
-            tag: tag_bits,
-            shard,
-            slot,
-            tag_id,
-        });
+        self.routes.insert((user_bits, tag_bits), route);
     }
 
     /// Cached route count (including cached Unknown resolutions).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.routes.len()
     }
 
     /// True when nothing has been admitted yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Writes `new` into its key's entry, or into the first empty one on
-    /// its probe sequence, counting a new key.
-    fn place(&mut self, new: RouteEntry) {
-        let mask = self.mask();
-        let mut at = hash_epc(new.user, new.tag) & mask;
-        loop {
-            let Some(entry) = self.entries.get_mut(at as usize) else {
-                return; // unreachable: `at` is masked into the table
-            };
-            let empty = entry.shard == SHARD_EMPTY;
-            if empty || (entry.user == new.user && entry.tag == new.tag) {
-                *entry = new;
-                self.len += usize::from(empty);
-                return;
-            }
-            at = at.wrapping_add(1) & mask;
-        }
-    }
-
-    fn grow_table(&mut self) {
-        let bigger = Self::with_pow2_capacity(self.entries.len().max(32) * 2);
-        let old = std::mem::replace(self, bigger);
-        for entry in old.entries {
-            if entry.shard != SHARD_EMPTY {
-                self.place(entry);
-            }
-        }
+        self.routes.len() == 0
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,6 +332,30 @@ mod tests {
                 (rng.next_u64(), 7)
             };
             assert_eq!(cache.probe(user, tag), model.get(&(user, tag)).copied());
+        }
+    }
+
+    #[test]
+    fn user_table_matches_a_map_at_flood_scale() {
+        use prng::{Rng, Xoshiro256};
+        use std::collections::HashMap;
+        // The router's instance: 100k dense user ids, as the flood sends,
+        // and 20k random ones, each placed once; then absent ids.
+        let mut rng = Xoshiro256::seed_from_u64(100_000);
+        let (mut table, mut model) = (ProbeTable::new(), HashMap::new());
+        let users = (0..100_000u64).chain((0..20_000).map(|_| rng.next_u64()));
+        for (slot, user) in (0u32..).zip(users) {
+            let placed = (shard_of_user(user, 2), slot);
+            table.insert(user, placed);
+            model.insert(user, placed);
+        }
+        assert_eq!(table.len(), model.len());
+        for (&user, &placed) in &model {
+            assert_eq!(table.get(user), Some(placed), "user {user}");
+        }
+        for _ in 0..50_000 {
+            let user = rng.next_u64();
+            assert_eq!(table.get(user), model.get(&user).copied());
         }
     }
 

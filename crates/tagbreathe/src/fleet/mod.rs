@@ -21,10 +21,12 @@
 //! ```
 //!
 //! * The **router** (shared with the inline executor, [`crate::engine`])
-//!   interns each EPC once ([`interner::IdentityCache`]), partitions users
-//!   over shards by hash ([`interner::shard_of_user`]), and hands every
-//!   report to the executor, which forwards it over a bounded lock-free
-//!   [`ring`](ring::SpscRing) to the owning shard.
+//!   resolves each report to its user, looks the user up in one
+//!   user-keyed table ([`interner`]), admits a new user once to the shard
+//!   its hash picks ([`interner::shard_of_user`]), and hands every report
+//!   to the executor, which forwards it over a bounded lock-free
+//!   [`ring`](ring::SpscRing) to the owning shard. It routes a chunk of
+//!   reports at a time, looking all of them up before routing any.
 //! * Each **shard worker** owns the [`shard::ShardCore`] slab for its
 //!   users and applies each popped message with [`shard::ShardCore`]'s
 //!   one step; the ring is its only input, so no user state is ever
@@ -446,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_epcs_are_cached_not_fatal() -> Result<(), &'static str> {
+    fn unknown_epcs_are_dropped_not_fatal() -> Result<(), &'static str> {
         let mut fleet = FleetEngine::new(
             PipelineConfig::paper_default(),
             EmbeddedIdentity::new([1]),

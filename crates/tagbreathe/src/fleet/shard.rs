@@ -283,7 +283,7 @@ impl ShardCore {
                         rssi_dbm,
                     ));
                 }
-                // The EPC was consumed by the router's interner; per-user
+                // The router resolved the EPC to this slot and tag; per-user
                 // operators only read the measurement fields.
                 let report = TagReport {
                     time_s,

@@ -210,7 +210,7 @@ mod wire_abuse {
     use server::{ServerConfig, ServerHandle};
     use std::io::{Read, Write};
     use std::net::TcpStream;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn start_server() -> ServerHandle {
         server::start(ServerConfig {
@@ -379,6 +379,82 @@ mod wire_abuse {
             "trickled hello got {reply:?}"
         );
         drop(stream);
+        let _ = handle.shutdown();
+    }
+
+    #[test]
+    fn a_silent_ingest_connection_is_closed_at_the_hello_deadline() {
+        // No Hello ever: the server closes the connection 2 s after
+        // accept instead of holding its session thread until shutdown.
+        let handle = start_server();
+        let mut stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
+        let connected = Instant::now();
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+        let mut byte = [0u8; 1];
+        let read = stream
+            .read(&mut byte)
+            .expect("an orderly close, not a timeout");
+        let took = connected.elapsed();
+        assert_eq!(read, 0, "the server sent bytes to a silent client");
+        assert!(
+            took <= Duration::from_millis(2500),
+            "closed {took:?} after connect"
+        );
+        // The session thread lowers the gauge once the session returns.
+        let open = || {
+            handle
+                .registry()
+                .gauge_value("tagbreathe_server_sessions_open")
+        };
+        let waited = Instant::now();
+        while open() != Some(0.0) && waited.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(open(), Some(0.0));
+        let _ = handle.shutdown();
+    }
+
+    #[test]
+    fn a_trickling_http_client_holds_others_back_by_the_deadline_at_most() {
+        // One header byte per 100 ms never leaves a read idle for long
+        // enough to end the request; only the 1 s whole-request deadline
+        // does. The trickler gives up after 5 s, so without a deadline the
+        // /healthz behind it is late rather than stuck.
+        let handle = start_server();
+        let addr = handle.http_addr();
+        let (first_byte_tx, first_byte) = std::sync::mpsc::channel();
+        let trickler = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("http connect");
+            let head = b"GET /metrics HTTP/1.1\r\nX-Slow: ".iter();
+            let began = Instant::now();
+            for &b in head.chain(std::iter::repeat(&b'a')) {
+                if began.elapsed() > Duration::from_secs(5) || stream.write_all(&[b]).is_err() {
+                    break;
+                }
+                let _ = first_byte_tx.send(());
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        first_byte
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the trickler connects");
+        let asked = Instant::now();
+        let mut stream = TcpStream::connect(handle.http_addr()).expect("http connect");
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+        write!(
+            stream,
+            "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .expect("http write");
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        let took = asked.elapsed();
+        assert!(response.ends_with("ok\n"), "{response:?}");
+        assert!(
+            took <= Duration::from_secs(2),
+            "/healthz took {took:?} behind a trickling client"
+        );
+        trickler.join().expect("trickler thread");
         let _ = handle.shutdown();
     }
 
