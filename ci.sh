@@ -8,7 +8,7 @@
 #   3. release build      cargo build --release               (every crate)
 #   4. test suite         cargo test -q                       (every crate)
 #   5. rustdoc, zero-warn RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-#   6. release suites     cargo test -q --release --test equivalence
+#   6. release suites     cargo test -q --release --test equivalence --test allocation_oracle
 #                         cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server -p tagbreathe --lib
 #   7. server suites x6   cargo test -q --release --test server_loopback --test slo --test idle_cpu
 #                         (5 passes, default threads; 1 pass, RUST_TEST_THREADS=1)
@@ -21,6 +21,7 @@
 #  14. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
 #  15. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 #                         perfbench --workload fleet_flood --seed 1 --seconds 2 --trace 0
+#                         perfbench --workload ward_paced --seed 1 --seconds 2 --trace 0
 #
 # Step 2 enforces the library-crate rules: every crate listed in
 # lint.toml's `lib-crates` denies `missing_docs`, `unreachable_pub`,
@@ -34,7 +35,10 @@
 # doctests, not only the suite's. Step 5 keeps the API docs
 # buildable (broken intra-doc links are errors). Step 6 pins the batch/streaming agreement of the shared
 # operator graph: bit-identical rates on time-ordered traces, within
-# 0.1 bpm when timestamps arrive out of order. It also runs the codec's,
+# 0.1 bpm when timestamps arrive out of order. It runs the allocation
+# oracle (0 allocations per ward- and per flood-shaped report) in the
+# optimised build that perfbench measures, not only in step 4's debug
+# build (~0.1 s). It also runs the codec's,
 # the ingest server's and the core library's unit tests in an optimised
 # build (CRC and fixed-layout record oracles, the run-release merge
 # oracle, the chunked-read session tests, the router's table probe
@@ -94,10 +98,12 @@
 # the end-to-end benchmark (perfbench/, a package of its own with path
 # dependencies on crates/*) and runs its self-tests, so a workspace API
 # change that would break the benchmark fails here. It then runs one
-# short `fleet_flood` round (~2 s) and requires `"correct": true` on the
-# benchmark's last line: a library change that makes the served
-# snapshots differ from the benchmark's inline replay fails here rather
-# than in the next benchmark run.
+# short `fleet_flood` round (~2 s) and one short `ward_paced` round
+# (~2.3 s) and requires `"correct": true` on each benchmark's last line:
+# a library change that makes the served snapshots differ from the
+# benchmark's inline replay fails here rather than in the next benchmark
+# run. Flood users never hold enough reads to be rated, so only the ward
+# round compares served rates: 896 rated (cadence point, user) pairs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -116,8 +122,8 @@ cargo test -q
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> cargo test -q --release --test equivalence"
-cargo test -q --release --test equivalence
+echo "==> cargo test -q --release --test equivalence --test allocation_oracle"
+cargo test -q --release --test equivalence --test allocation_oracle
 
 echo "==> cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server -p tagbreathe --lib"
 cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server -p tagbreathe --lib
@@ -209,6 +215,14 @@ flood_last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.to
 case "$flood_last" in
     *'"correct": true'*) echo "ci: fleet_flood round bit-identical to the inline replay" ;;
     *) echo "ci: fleet_flood round not correct: ${flood_last}" >&2; exit 1 ;;
+esac
+
+echo "==> perfbench --workload ward_paced --seed 1 --seconds 2 --trace 0"
+ward_last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload ward_paced --seed 1 --seconds 2 --trace 0 | tail -n 1)
+case "$ward_last" in
+    *'"correct": true'*) echo "ci: ward_paced round's served rates match the inline replay" ;;
+    *) echo "ci: ward_paced round not correct: ${ward_last}" >&2; exit 1 ;;
 esac
 
 echo "ci: all green"

@@ -15,8 +15,9 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{Builder, JoinHandle};
 use std::time::Duration;
+use tagbreathe::fleet::FleetError;
 use tagbreathe::flight::{FlightDiagnostics, TriggerConfig};
 use tagbreathe::{FleetEngine, PipelineConfig, RateSnapshot};
 
@@ -127,6 +128,12 @@ impl ServerHandle {
         self.store.wait_published(snapshots, timeout)
     }
 
+    /// Shuts down a server whose start failed with `e`, and returns `e`.
+    fn abandon(self, e: io::Error) -> io::Error {
+        let _ = self.shutdown();
+        e
+    }
+
     /// Stops accepting, drains open sessions and the merge lanes,
     /// finishes the fleet engine, and returns the full snapshot log in
     /// emission order (minus any trimmed by the log bound).
@@ -200,10 +207,16 @@ fn wake_acceptor(mut addr: SocketAddr) {
 /// ([`OpenAdmission`]) — the deployment default, where reader hosts
 /// commission only monitoring tags.
 ///
+/// Its long-lived threads are named by role: `tb-engine`, `tb-ingest`
+/// (the acceptor), `tb-http`, one `tb-session-<id>` per connection and
+/// the fleet's `tb-shard-<i>`, so per-role CPU can be read from
+/// `/proc/<pid>/task/*/{comm,schedstat}` on Linux.
+///
 /// # Errors
 ///
-/// Propagates listener bind failures and fleet-engine configuration
-/// errors (as [`io::ErrorKind::InvalidInput`]).
+/// Propagates listener bind failures, fleet-engine configuration errors
+/// (as [`io::ErrorKind::InvalidInput`]) and the error of a thread that
+/// cannot start, after stopping the threads that did.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     start_with_resolver(config, OpenAdmission)
 }
@@ -232,7 +245,10 @@ where
         config.shards,
         recorder.clone(),
     )
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    .map_err(|e| match e {
+        FleetError::Spawn(e) => e,
+        FleetError::Config(e) => io::Error::new(io::ErrorKind::InvalidInput, e.to_string()),
+    })?;
 
     let ingest = TcpListener::bind(&config.ingest_addr)?;
     let http = TcpListener::bind(&config.http_addr)?;
@@ -252,7 +268,7 @@ where
     let log_cap = config.snapshot_log;
     let shards = config.shards;
     let total_clock = WatermarkClock::new(1024, config.update_every_s / 8.0);
-    let engine = std::thread::spawn(move || {
+    let engine = Builder::new().name("tb-engine".into()).spawn(move || {
         let state = EngineState {
             fleet,
             publisher: Publisher {
@@ -266,14 +282,26 @@ where
             },
         };
         run_engine(&rx, state, &engine_store);
-    });
+    })?;
+    // From here on, a thread that cannot start shuts down those that did.
+    let mut handle = ServerHandle {
+        ingest_addr,
+        http_addr,
+        registry: registry.clone(),
+        slo: slo_table.clone(),
+        store: store.clone(),
+        stop: stop.clone(),
+        acceptor: None,
+        engine: Some(engine),
+        http: None,
+    };
 
     let limits = SessionLimits {
         stall_budget: config.stall_budget,
     };
     let accept_stop = stop.clone();
     let accept_recorder = recorder.clone();
-    let acceptor = std::thread::spawn(move || {
+    let acceptor = Builder::new().name("tb-ingest".into()).spawn(move || {
         let open = Arc::new(AtomicU64::new(0));
         let mut sessions: Vec<JoinHandle<()>> = Vec::new();
         let mut next_session: u32 = 1;
@@ -288,13 +316,24 @@ where
             let session_id = next_session;
             next_session = next_session.wrapping_add(1);
             sessions.retain(|h| !h.is_finished());
-            sessions.push(std::thread::spawn(move || {
-                let _ = run_session(stream, &tx, &rec, limits, &session_stop, session_id);
-                let left = session_open
-                    .fetch_sub(1, Ordering::Relaxed)
-                    .saturating_sub(1);
-                rec.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, left as f64);
-            }));
+            let session = Builder::new()
+                .name(format!("tb-session-{session_id}"))
+                .spawn(move || {
+                    let _ = run_session(stream, &tx, &rec, limits, &session_stop, session_id);
+                    let left = session_open
+                        .fetch_sub(1, Ordering::Relaxed)
+                        .saturating_sub(1);
+                    rec.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, left as f64);
+                });
+            match session {
+                Ok(session) => sessions.push(session),
+                // The unstarted closure was dropped, closing this one
+                // connection; the acceptor keeps its listener.
+                Err(_) => {
+                    let left = open.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
+                    accept_recorder.set_gauge(metrics::SERVER_SESSIONS_OPEN, None, left as f64);
+                }
+            }
         });
         // Drop our event sender before joining sessions; theirs hang up as
         // they observe the stop flag.
@@ -303,29 +342,25 @@ where
             let _ = h.join();
         }
     });
+    match acceptor {
+        Ok(acceptor) => handle.acceptor = Some(acceptor),
+        Err(e) => return Err(handle.abandon(e)),
+    }
 
     let http_state = HttpState {
-        registry: registry.clone(),
-        store: store.clone(),
-        slo: slo_table.clone(),
+        registry,
+        store,
+        slo: slo_table,
         shards: config.shards,
     };
-    let http_stop = stop.clone();
-    let http_thread = std::thread::spawn(move || {
-        run_http(&http, &http_state, &http_stop);
+    let http_thread = Builder::new().name("tb-http".into()).spawn(move || {
+        run_http(&http, &http_state, &stop);
     });
-
-    Ok(ServerHandle {
-        ingest_addr,
-        http_addr,
-        registry,
-        slo: slo_table,
-        store,
-        stop,
-        acceptor: Some(acceptor),
-        engine: Some(engine),
-        http: Some(http_thread),
-    })
+    match http_thread {
+        Ok(http_thread) => handle.http = Some(http_thread),
+        Err(e) => return Err(handle.abandon(e)),
+    }
+    Ok(handle)
 }
 
 #[cfg(test)]

@@ -185,28 +185,31 @@ pub struct Engine<R, X> {
 
 impl<R: IdentityResolver, X: Executor> Engine<R, X> {
     /// The shared constructor: validates the configuration, the window and
-    /// the cadence, then builds the executor from the shard environment.
-    pub(crate) fn build(
+    /// the cadence, then builds the executor from the shard environment,
+    /// passing on the executor's error if it cannot start.
+    pub(crate) fn build<E: From<InvalidConfigError>>(
         config: PipelineConfig,
         resolver: R,
         window_s: f64,
         update_every_s: f64,
         recorder: SharedRecorder,
-        executor: impl FnOnce(&ShardEnv) -> X,
-    ) -> Result<Self, InvalidConfigError> {
+        executor: impl FnOnce(&ShardEnv) -> Result<X, E>,
+    ) -> Result<Self, E> {
         config.validate()?;
         if window_s.is_nan() || window_s <= 0.0 {
             return Err(InvalidConfigError {
                 what: "analysis window must be positive",
-            });
+            }
+            .into());
         }
         if update_every_s.is_nan() || update_every_s <= 0.0 {
             return Err(InvalidConfigError {
                 what: "snapshot cadence must be positive",
-            });
+            }
+            .into());
         }
         let env = ShardEnv::new(config, window_s);
-        let exec = executor(&env);
+        let exec = executor(&env)?;
         Ok(Engine {
             resolver,
             recording: recorder.enabled(),
@@ -598,7 +601,7 @@ impl<R: IdentityResolver> Engine<R, Inline> {
             window_s,
             update_every_s,
             SharedRecorder::noop(),
-            |_| Inline::default(),
+            |_| Ok(Inline::default()),
         )
     }
 
@@ -936,9 +939,11 @@ mod tests {
                 window_s,
                 cadence_s,
                 SharedRecorder::new(registry.clone()),
-                |_| Recording {
-                    shards,
-                    sent: Vec::new(),
+                |_| {
+                    Ok::<_, crate::config::InvalidConfigError>(Recording {
+                        shards,
+                        sent: Vec::new(),
+                    })
                 },
             )
             .map_err(|e| e.to_string())?;

@@ -152,15 +152,15 @@ impl<R: IdentityResolver> Engine<R, Threaded> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid or the window /
-    /// cadence are not positive.
+    /// Returns an error if the configuration is invalid, the window /
+    /// cadence are not positive, or a worker thread cannot start.
     pub fn new(
         config: PipelineConfig,
         resolver: R,
         window_s: f64,
         update_every_s: f64,
         shards: usize,
-    ) -> Result<Self, InvalidConfigError> {
+    ) -> Result<Self, FleetError> {
         Self::observed(
             config,
             resolver,
@@ -178,8 +178,9 @@ impl<R: IdentityResolver> Engine<R, Threaded> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid or the window /
-    /// cadence are not positive.
+    /// Returns an error if the configuration is invalid, the window /
+    /// cadence are not positive, or a worker thread cannot start; the
+    /// workers already started are stopped and joined first.
     pub fn observed(
         config: PipelineConfig,
         resolver: R,
@@ -187,15 +188,49 @@ impl<R: IdentityResolver> Engine<R, Threaded> {
         update_every_s: f64,
         shards: usize,
         recorder: SharedRecorder,
-    ) -> Result<Self, InvalidConfigError> {
+    ) -> Result<Self, FleetError> {
         Self::build(
             config,
             resolver,
             window_s,
             update_every_s,
             recorder,
-            |env| Threaded::spawn(shards, env),
+            |env| Threaded::spawn(shards, env).map_err(FleetError::Spawn),
         )
+    }
+}
+
+/// Why a fleet could not be built.
+#[derive(Debug)]
+pub enum FleetError {
+    /// The configuration is invalid, or the window or cadence is not
+    /// positive.
+    Config(InvalidConfigError),
+    /// A shard worker thread could not be started.
+    Spawn(std::io::Error),
+}
+
+impl From<InvalidConfigError> for FleetError {
+    fn from(e: InvalidConfigError) -> Self {
+        FleetError::Config(e)
+    }
+}
+
+impl std::fmt::Display for FleetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FleetError::Config(e) => e.fmt(f),
+            FleetError::Spawn(e) => write!(f, "cannot start a shard worker: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FleetError::Config(e) => Some(e),
+            FleetError::Spawn(e) => Some(e),
+        }
     }
 }
 
@@ -259,28 +294,33 @@ impl Feed {
 }
 
 impl Threaded {
-    fn spawn(shards: usize, env: &ShardEnv) -> Threaded {
+    /// Starts one worker thread per shard, named `tb-shard-<i>`. If one
+    /// cannot start, the executor is dropped, which stops and joins the
+    /// workers already running, and the error is returned.
+    fn spawn(shards: usize, env: &ShardEnv) -> std::io::Result<Threaded> {
         let (results_tx, results) = mpsc::channel();
-        let (mut feeds, mut workers) = (Vec::new(), Vec::new());
+        let mut threaded = Threaded {
+            feeds: Vec::new(),
+            workers: Vec::new(),
+            results,
+            reports_routed: 0,
+            last_counts: Vec::new(),
+        };
         for shard in 0..u32::try_from(shards.max(1)).unwrap_or(u32::MAX) {
             let (ring, consumer) = ring::channel(RING_SLOTS);
             let (env, out) = (env.clone(), results_tx.clone());
-            let worker = thread::spawn(move || shard_worker(shard, consumer, &env, &out));
-            feeds.push(Feed {
+            let worker = thread::Builder::new()
+                .name(format!("tb-shard-{shard}"))
+                .spawn(move || shard_worker(shard, consumer, &env, &out))?;
+            threaded.feeds.push(Feed {
                 ring,
                 worker: worker.thread().clone(),
                 sent: false,
                 ring_stalls: 0,
             });
-            workers.push(worker);
+            threaded.workers.push(worker);
         }
-        Threaded {
-            feeds,
-            workers,
-            results,
-            reports_routed: 0,
-            last_counts: Vec::new(),
-        }
+        Ok(threaded)
     }
 }
 

@@ -11,9 +11,10 @@
 //! machine either way.
 //!
 //! A shard also recycles memory across users: a sweep that empties a
-//! user keeps its cleared tag slab on a spare list, bounded by the live
-//! users, and the next push into an empty user takes it, so a user that
-//! returns after the eviction horizon allocates no slab.
+//! user keeps its tag slab, with the slots eviction emptied and their
+//! channel tables' room, on a spare list bounded by the live users, and
+//! the next push into an empty user takes it, so a user that returns
+//! after the eviction horizon allocates neither a slab nor a table.
 //!
 //! # Synchronisation argument
 //!
@@ -83,35 +84,39 @@ pub struct ShardPart {
 }
 
 /// Slab of user stream states owned by one shard, with the bookkeeping
-/// that keeps its cadence work proportional to the users that changed.
+/// that keeps its cadence work proportional to the users with something
+/// to expire.
 ///
-/// The `Evict` and `Snapshot` sweeps walk only the live list, and visit
-/// (evict) only the live slots that were pushed since their last visit or
-/// whose expiry deadline has come. Every other visit would be a no-op, so
-/// skipping it changes nothing. A slot's analysis is a pure function of
-/// its state, so `snapshot_part` re-runs it only for slots whose state
-/// changed since it last ran, and reuses the cached (rate, effort)
-/// otherwise. The snapshot stream is therefore bit-identical to a full
-/// walk of the slab at every sweep.
+/// Each push keeps its slot's bookkeeping: it marks the slot changed,
+/// updates its cell count and lowers its expiry deadline to one the push
+/// cannot make later (`UserStreamState::push_deadline_s`). The `Evict`
+/// and `Snapshot` sweeps walk only the live list, and visit (evict) only
+/// the live slots whose deadline has come. Every other visit would be a
+/// no-op, so skipping it changes nothing. A slot's analysis is a pure
+/// function of its state, so `snapshot_part` re-runs it only for slots
+/// whose state changed since it last ran, and reuses the cached (rate,
+/// effort) otherwise; a state that cannot have a trajectory caches the
+/// empty analysis without running it. The snapshot stream is therefore
+/// bit-identical to a full walk of the slab at every sweep.
 ///
-/// A sweep that empties a slot keeps the slot's cleared tag slab on a
-/// spare list, and the next push into an empty slot takes it, so a user
-/// that comes back after the eviction horizon does not allocate a slab
-/// again. The list keeps only slabs of the first admission's size and
-/// never more of them than the shard has live slots, so memory stays
-/// bounded by the live population; the kept slabs count in the resident
-/// bytes.
+/// A sweep that empties a slot keeps the slot's tag slab, with its
+/// emptied slots, on a spare list, and the next push into an empty slot
+/// takes it, so a user that comes back after the eviction horizon
+/// allocates neither a slab nor its tag's channel table again. The list
+/// keeps only slabs of the first admission's size and never more of them
+/// than the shard has live slots, so memory stays bounded by the live
+/// population; the kept slabs count in the resident bytes.
 #[derive(Debug, Default)]
 pub struct ShardCore {
     states: Vec<UserStreamState>,
     user_ids: Vec<u64>,
     /// The slots that hold state.
     live: LiveList,
-    /// Cleared tag slabs of emptied slots, for the next pushes into empty
-    /// slots. Never longer than the live list after a sweep.
+    /// Tag slabs of emptied slots, for the next pushes into empty slots.
+    /// Never longer than the live list after a sweep.
     spares: Vec<SpareSlab>,
-    /// State cells summed over the live slots at their last visit: exact
-    /// after every sweep, since a sweep visits every pushed slot.
+    /// State cells summed over the live slots: exact after every message,
+    /// since pushes and visits keep each slot's count.
     cells: usize,
     /// What the shard's graphs did since the block was last taken.
     counts: OperatorCounts,
@@ -134,18 +139,29 @@ struct SweepWork {
 #[derive(Debug, Clone, Copy, Default)]
 struct LiveSlot {
     slot: u32,
-    /// Reports arrived since the slot was last visited.
-    pushed: bool,
     /// The state changed since the cached analysis was made.
     stale: bool,
-    /// State cells at the last visit.
+    /// State cells now.
     cells: usize,
-    /// Below this watermark an eviction of the slot is a no-op
-    /// ([`UserStreamState::expiry_deadline_s`]).
+    /// Below this watermark an eviction of the slot is a no-op: never
+    /// later than [`UserStreamState::expiry_deadline_s`].
     deadline_s: f64,
     /// The cached analysis.
     rate_bpm: Option<f64>,
     effort_rms: Option<f64>,
+}
+
+impl LiveSlot {
+    /// Notes that the slot's state changed: its cached analysis goes
+    /// stale, unless the state cannot have a trajectory, whose analysis
+    /// is the empty one and is cached at once.
+    fn changed(&mut self, state: &UserStreamState, config: &PipelineConfig) {
+        if state.holds_no_trajectory(config) {
+            (self.stale, self.rate_bpm, self.effort_rms) = (false, None, None);
+        } else {
+            self.stale = true;
+        }
+    }
 }
 
 /// `LiveList::index_of` marker of a slot that holds no state.
@@ -173,27 +189,25 @@ impl LiveList {
         }
     }
 
-    /// Marks `slot` pushed, listing it first if it held no state.
-    fn touch(&mut self, slot: u32) {
-        let Some(at) = self.index_of.get_mut(slot as usize) else {
-            return;
-        };
+    /// The entry of `slot`, listing it first, with no cells and no
+    /// deadline, if it held no state.
+    fn touch(&mut self, slot: u32) -> Option<&mut LiveSlot> {
+        let at = self.index_of.get_mut(slot as usize)?;
         if *at == NOT_LIVE {
             let (Some(entry), Ok(index)) =
                 (self.entries.get_mut(self.len), u32::try_from(self.len))
             else {
-                return;
+                return None;
             };
             *entry = LiveSlot {
                 slot,
+                deadline_s: f64::INFINITY,
                 ..LiveSlot::default()
             };
             *at = index;
             self.len += 1;
         }
-        if let Some(entry) = self.entries.get_mut(*at as usize) {
-            entry.pushed = true;
-        }
+        self.entries.get_mut(*at as usize)
     }
 
     /// Unlists the entry at `index`, moving the last live entry into its
@@ -302,7 +316,15 @@ impl ShardCore {
                     }
                     let outcome = state.push(tag_id, &report, &env.config);
                     self.counts.count_push(outcome);
-                    self.live.touch(slot);
+                    if let Some(entry) = self.live.touch(slot) {
+                        let cells = state.state_cells();
+                        self.cells = self.cells - entry.cells + cells;
+                        entry.cells = cells;
+                        let pushed_by =
+                            UserStreamState::push_deadline_s(time_s, env.window_s, &env.config);
+                        entry.deadline_s = entry.deadline_s.min(pushed_by);
+                        entry.changed(state, &env.config);
+                    }
                     if env.tracing {
                         tracer.emit(outcome.trace_event(user_id, tag_id, &report));
                     }
@@ -350,15 +372,14 @@ impl ShardCore {
         std::mem::take(&mut self.counts)
     }
 
-    /// Evicts samples older than the window on every live slot that was
-    /// pushed since its last visit or whose deadline has come; on any
-    /// other slot the eviction would be a no-op. A visited slot whose
-    /// state changed is marked for re-analysis. A slot whose state
-    /// empties is reset to a fresh default and unlisted, as the
-    /// pre-fleet `BTreeMap::retain` dropped the entry, but its cleared
-    /// tag slab joins the spare list. The list stays within the live
-    /// count at the sweep's start while the sweep runs, and is cut to
-    /// the live count at its end. Cold: once per sweep.
+    /// Evicts samples older than the window on every live slot whose
+    /// deadline has come; on any other slot the eviction would be a
+    /// no-op. A visited slot whose state changed is marked for
+    /// re-analysis. A slot whose state empties is reset to a fresh
+    /// default and unlisted, as the pre-fleet `BTreeMap::retain` dropped
+    /// the entry, but its tag slab joins the spare list. The list stays
+    /// within the live count at the sweep's start while the sweep runs,
+    /// and is cut to the live count at its end. Cold: once per sweep.
     fn evict(&mut self, watermark_s: f64, env: &ShardEnv) {
         let _span = TraceSpan::start(env.tracer.as_dyn(), "evict", watermark_s);
         let started = Instant::now();
@@ -366,7 +387,7 @@ impl ShardCore {
         let live_before = self.live.len;
         let mut index = 0;
         while let Some(entry) = self.live.live_mut().get_mut(index) {
-            let due = entry.pushed || watermark_s >= entry.deadline_s;
+            let due = watermark_s >= entry.deadline_s;
             let Some(state) = self.states.get_mut(entry.slot as usize).filter(|_| due) else {
                 index += 1;
                 continue;
@@ -393,9 +414,9 @@ impl ShardCore {
             // mode so do closed channels and dropped samples, which only
             // the cell count shows; increment mode's other cells are
             // phase references, which the analysis never reads.
-            entry.stale |=
-                entry.pushed || evicted.bins + evicted.tags > 0 || (tracks && cells != entry.cells);
-            entry.pushed = false;
+            if evicted.bins + evicted.tags > 0 || (tracks && cells != entry.cells) {
+                entry.changed(state, &env.config);
+            }
             entry.cells = cells;
             entry.deadline_s = state.expiry_deadline_s(env.window_s, &env.config);
             index += 1;
@@ -453,10 +474,11 @@ impl ShardCore {
         self.live.len
     }
 
-    /// Total buffered cells across all slots (samples, bins and tracks).
+    /// Total buffered cells across all slots (samples, bins and tracks):
+    /// the running count pushes and visits keep.
     #[must_use]
     pub fn state_cells(&self) -> usize {
-        self.live_states().map(UserStreamState::state_cells).sum()
+        self.cells
     }
 
     /// Distinct tags currently buffered across all slots.
@@ -502,11 +524,16 @@ mod tests {
     }
 
     fn report(slot: u32, t: f64) -> ShardMsg {
+        read(slot, 0, 0, t)
+    }
+
+    /// A read of `slot`'s tag `tag_id` through port 1 on `channel_index`.
+    fn read(slot: u32, tag_id: u32, channel_index: u16, t: f64) -> ShardMsg {
         ShardMsg::Report {
             slot,
-            tag_id: 0,
+            tag_id,
             antenna_port: 1,
-            channel_index: 0,
+            channel_index,
             time_s: t,
             phase_rad: 1.0 + t.sin() * 0.05,
             rssi_dbm: -55.0,
@@ -638,10 +665,69 @@ mod tests {
         }
     }
 
+    /// Flood-shaped: 2,000 users read in rotation at 40 reads/s, so each
+    /// returns after 50 s, past the 25 s horizon; each rotation reads the
+    /// next of three tags, the channel hops every 0.2 s, and a snapshot
+    /// comes every 5 s of stream. After a 200 s warm-up a report costs at
+    /// most two sweep visits (its phase reference's expiry and its tag's)
+    /// and no analysis, since one read per tag makes no fusion bin.
+    ///
+    /// Read times carry a seeded jitter, as a reader's do. On an exact
+    /// 25 ms lattice one read in 200 would land exactly 5 s or 25 s
+    /// before a sweep's watermark, which keeps its reference or its tag
+    /// (eviction drops only what is older than the gap or the horizon),
+    /// so the sweep after costs it one more visit.
+    #[test]
+    fn a_flood_report_costs_two_visits_and_no_analysis() {
+        const USERS: u32 = 2_000;
+        const WARM_UP_S: f64 = 200.0;
+        let env = env(25.0);
+        let channels = env.config.plan.len();
+        let mut rng = Xoshiro256::seed_from_u64(26);
+        let mut core = ShardCore::new();
+        for slot in 0..USERS {
+            let user_id = u64::from(slot) + 1;
+            core.apply(0, ShardMsg::Admit { slot, user_id }, &env);
+        }
+        let (mut epoch, mut next_snapshot_s) = (0, 5.0);
+        let (mut warm, mut reports) = (None, 0u32);
+        for n in 0..20_000u32 {
+            let t = (f64::from(n) + 0.1 + 0.8 * rng.gen_f64()) / 40.0;
+            let (rotation, slot) = (n / USERS, n % USERS);
+            let hop = u16::try_from((t / 0.2) as usize % channels).unwrap_or(0);
+            core.apply(0, read(slot, rotation % 3, hop, t), &env);
+            if t >= next_snapshot_s {
+                let snapshot = ShardMsg::Snapshot {
+                    watermark_s: t,
+                    time_s: next_snapshot_s,
+                    epoch,
+                };
+                core.apply(0, snapshot, &env);
+                (epoch, next_snapshot_s) = (epoch + 1, next_snapshot_s + 5.0);
+            }
+            if t > WARM_UP_S {
+                reports += 1;
+                warm.get_or_insert(core.work);
+            }
+        }
+        let warm = warm.unwrap_or_default();
+        let per_report = (core.work.visits - warm.visits) as f64 / f64::from(reports);
+        let analyses = core.work.analyses - warm.analyses;
+        assert!(
+            per_report <= 2.0 && analyses == 0,
+            "{per_report:.3} visits and {analyses} analyses per report"
+        );
+        assert!(
+            per_report > 1.9,
+            "{per_report:.3} visits: the stream is flood-shaped"
+        );
+    }
+
     /// One steady user (slot 0) reads at 20 Hz for 120 s beside 10,000
     /// admitted slots. With `churn`, each of those reads once in the
-    /// first 10 s and expires. Slot 1 comes back at 60 s and reads at
-    /// 20 Hz to the end. Snapshots every 5 s, evictions every second.
+    /// first 10 s, with another tag on another channel, and expires.
+    /// Slot 1 comes back at 60 s and reads at 20 Hz to the end. Snapshots
+    /// every 5 s, evictions every second.
     fn one_shot_churn(churn: bool) -> Vec<ShardMsg> {
         const ONE_SHOT: u32 = 10_000;
         let mut msgs: Vec<ShardMsg> = (0..=ONE_SHOT)
@@ -655,7 +741,7 @@ mod tests {
             let t = f64::from(step) * 0.05;
             msgs.push(report(0, t));
             if churn && step <= 200 {
-                msgs.extend((1..=50).map(|k| report((step - 1) * 50 + k, t)));
+                msgs.extend((1..=50).map(|k| read((step - 1) * 50 + k, 2, 3, t)));
             }
             if t >= 60.0 {
                 msgs.push(report(1, t + 0.01));
@@ -687,10 +773,13 @@ mod tests {
             let returning =
                 matches!(msg, ShardMsg::Report { slot: 1, time_s, .. } if time_s > 60.0);
             let spares_before = core.spares.len();
+            let kept_before = core.spares.last().map_or(0, SpareSlab::kept_slots);
             let got = core.apply(0, msg, &env);
             if returning && !readmitted {
-                // The returning user's first read takes a spare slab.
+                // The returning user's first read takes a spare slab, and
+                // its tag the slot a one-shot user's tag left there.
                 assert_eq!((spares_before, core.spares.len()), (1, 0));
+                assert_eq!(kept_before, 1, "kept slots in the spare");
                 readmitted = true;
             }
             let Some(got) = got else {
@@ -699,8 +788,8 @@ mod tests {
             let want = quiet_parts.next().ok_or("the quiet run has fewer parts")?;
             let at = format!("part at {} s", got.time_s);
             assert!(core.spares.len() <= got.occupancy, "{at}: spares");
-            // Slot 1's rates come from a spare slab here and a fresh one
-            // in the quiet run.
+            // Slot 1's rates come from a spare slab's kept slot here and a
+            // fresh slab in the quiet run.
             assert_eq!(bits(&got.rates_bpm), bits(&want.rates_bpm), "{at}: rates");
             assert_eq!(
                 bits(&got.effort_rms),

@@ -87,7 +87,7 @@ pub use config::{AntennaStrategy, FilterKind, PipelineConfig, PreprocessKind};
 pub use demux::{ChannelHop, LinkQualityTracker};
 pub use enhancement::{enhanced_estimates, Agreement, EnhancedEstimate};
 pub use epcgen2::report::TagReport;
-pub use fleet::FleetEngine;
+pub use fleet::{FleetEngine, FleetError};
 pub use flight::{
     Anomaly, AnomalyDetector, AnomalyKind, DiagnosticBundle, FlightDiagnostics, TriggerConfig,
 };

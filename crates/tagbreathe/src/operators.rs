@@ -68,11 +68,14 @@ use obs::trace::TraceEvent;
 use obs::Recorder;
 use std::cmp::Ordering;
 
-/// The per-tag slab: slots sorted by `(antenna_port, tag_id)` so
-/// iteration order (and therefore float summation order) matches the
-/// `BTreeMap` this replaced. Lookup is a binary search behind a
-/// last-hit hint — reader traces revisit the same tag in bursts, so the
-/// per-report path is usually a single key compare.
+/// The per-tag slab. The live slots come first, sorted by
+/// `(antenna_port, tag_id)` so iteration order (and therefore float
+/// summation order) matches the `BTreeMap` this replaced. Behind them
+/// sit the slots that eviction emptied, kept with their channel tables'
+/// room for the next tags the user admits. Lookup is a binary search of
+/// the live slots behind a last-hit hint — reader traces revisit the
+/// same tag in bursts, so the per-report path is usually a single key
+/// compare.
 type TagSlab = Vec<((u8, u32), TagState)>;
 
 /// Tag slots a slab gets at its first admission: the one slab size a
@@ -80,9 +83,11 @@ type TagSlab = Vec<((u8, u32), TagState)>;
 /// order in which a sweep empties its users.
 pub(crate) const FIRST_TAG_SLOTS: usize = 4;
 
-/// An emptied user's tag slab, cleared and kept by its shard for the next
-/// push into an empty user ([`UserStreamState::recycle`],
-/// [`UserStreamState::adopt`]). It always holds [`FIRST_TAG_SLOTS`] slots.
+/// An emptied user's tag slab, kept by its shard for the next push into
+/// an empty user ([`UserStreamState::recycle`],
+/// [`UserStreamState::adopt`]). It has room for [`FIRST_TAG_SLOTS`]
+/// slots, and every slot it holds is an emptied one, kept with its
+/// channel table's room.
 #[derive(Debug)]
 pub(crate) struct SpareSlab(TagSlab);
 
@@ -90,6 +95,12 @@ impl SpareSlab {
     /// Bytes one kept spare costs: its list entry and its slots.
     pub(crate) const RESIDENT_BYTES: usize = std::mem::size_of::<SpareSlab>()
         + FIRST_TAG_SLOTS * std::mem::size_of::<((u8, u32), TagState)>();
+
+    /// Emptied slots the slab holds.
+    #[cfg(test)]
+    pub(crate) fn kept_slots(&self) -> usize {
+        self.0.len()
+    }
 }
 
 /// Per-port fusion accumulators, sorted by port (a handful of entries).
@@ -186,6 +197,23 @@ impl TagState {
             stat: TagStat::default(),
             pre,
         }
+    }
+
+    /// Empties the slot for keeping: an increment slot keeps only its
+    /// channel table's room, a track slot drops everything it held.
+    fn clear(&mut self) {
+        self.stat = TagStat::default();
+        match &mut self.pre {
+            Preprocessor::Increments(unwrapper) => unwrapper.clear(),
+            Preprocessor::Tracks(tracks) => **tracks = TrackAccumulator::new(),
+        }
+    }
+
+    /// Whether the slot's preprocessor is of the `kind` the configuration
+    /// asks for.
+    fn is_kind(&self, kind: PreprocessKind) -> bool {
+        let increments = matches!(self.pre, Preprocessor::Increments(_));
+        increments == (kind == PreprocessKind::IncrementBinning)
     }
 }
 
@@ -324,9 +352,12 @@ impl OperatorCounts {
 /// rates.
 #[derive(Debug, Clone, Default)]
 pub struct UserStreamState {
+    /// The live tag slots, then the kept ones.
     tags: TagSlab,
     /// Hint: slab index of the last slot touched by `push`.
-    last_tag: usize,
+    last_tag: u32,
+    /// Live slots at the front of `tags`.
+    live: u32,
     /// Per-port fusion accumulators (the `BestPort` layout).
     per_port: PortSlab,
     /// Single cross-port accumulator (the `MergeAll` layout), boxed so
@@ -334,10 +365,22 @@ pub struct UserStreamState {
     merged: Option<Box<FusionAccumulator>>,
 }
 
-/// Cold path: first report of a `(antenna_port, tag_id)` key allocates
-/// its slot — amortised once per tag, off the per-report path. A slab's
-/// first admission sizes it to [`FIRST_TAG_SLOTS`].
-fn admit_tag(tags: &mut TagSlab, at: usize, key: (u8, u32), kind: PreprocessKind) {
+/// Cold path: first report of a `(antenna_port, tag_id)` key takes a
+/// slot for it at `at` among the `live` sorted ones — amortised once per
+/// tag, off the per-report path. The first kept slot behind the live ones
+/// serves, with its channel table's room; only a slab without one grows,
+/// and a slab's first admission sizes it to [`FIRST_TAG_SLOTS`].
+fn admit_tag(tags: &mut TagSlab, live: usize, at: usize, key: (u8, u32), kind: PreprocessKind) {
+    if let Some((kept_key, kept)) = tags.get_mut(live) {
+        *kept_key = key;
+        if !kept.is_kind(kind) {
+            *kept = TagState::new(kind);
+        }
+        if let Some(moved) = tags.get_mut(at..=live) {
+            moved.rotate_right(1);
+        }
+        return;
+    }
     if tags.capacity() == 0 {
         tags.reserve_exact(FIRST_TAG_SLOTS);
     }
@@ -417,21 +460,31 @@ impl UserStreamState {
         // interrogate a user's tags in bursts or round-robin, and
         // round-robin walks the sorted slab in order), then the search.
         let key = (report.antenna_port, tag_id);
-        let succ = self.last_tag.wrapping_add(1);
-        if self.tags.get(self.last_tag).is_none_or(|(k, _)| *k != key) {
-            if self.tags.get(succ).is_some_and(|(k, _)| *k == key) {
-                self.last_tag = succ;
-            } else {
-                self.last_tag = match self.tags.binary_search_by_key(&key, |slot| slot.0) {
-                    Ok(i) => i,
-                    Err(i) => {
-                        admit_tag(&mut self.tags, i, key, config.preprocess);
-                        i
-                    }
-                };
-            }
-        }
-        let Some((_, state)) = self.tags.get_mut(self.last_tag) else {
+        let live = self.live_tags();
+        let hint = self.last_tag as usize;
+        let found = if live.get(hint).is_some_and(|(k, _)| *k == key) {
+            Ok(hint)
+        } else if live
+            .get(hint.wrapping_add(1))
+            .is_some_and(|(k, _)| *k == key)
+        {
+            Ok(hint + 1)
+        } else {
+            live.binary_search_by_key(&key, |slot| slot.0)
+        };
+        let at = found.unwrap_or_else(|at| {
+            admit_tag(
+                &mut self.tags,
+                self.live as usize,
+                at,
+                key,
+                config.preprocess,
+            );
+            self.live += 1;
+            at
+        });
+        self.last_tag = u32::try_from(at).unwrap_or(u32::MAX);
+        let Some((_, state)) = self.tags.get_mut(at) else {
             return PushOutcome::Reject; // unreachable: the slot above was just found or admitted
         };
         state.stat.observe(report);
@@ -485,7 +538,12 @@ impl UserStreamState {
     /// rate, ties broken by mean RSSI, then by higher port) over the held
     /// tag statistics.
     pub fn best_antenna(&self) -> Option<u8> {
-        best_port(self.tags.iter().map(|((port, _), tag)| (*port, &tag.stat)))
+        best_port((self.live_tags().iter()).map(|((port, _), tag)| (*port, &tag.stat)))
+    }
+
+    /// The live tag slots, sorted by `(antenna_port, tag_id)`.
+    fn live_tags(&self) -> &[((u8, u32), TagState)] {
+        self.tags.get(..self.live as usize).unwrap_or_default()
     }
 
     /// Snapshots the fused displacement of the currently-held state.
@@ -496,7 +554,7 @@ impl UserStreamState {
     pub fn snapshot(&self, config: &PipelineConfig) -> Option<UserSnapshot> {
         let port = self.best_antenna()?;
         let selected = || {
-            (self.tags.iter())
+            (self.live_tags().iter())
                 .filter(move |((p, _), _)| {
                     matches!(config.antenna, AntennaStrategy::MergeAll) || *p == port
                 })
@@ -536,8 +594,13 @@ impl UserStreamState {
     /// references silent past `max_phase_gap_s`, and whole tags unseen for
     /// longer than both. Returns how many fusion bins and tag slots it
     /// dropped.
+    ///
+    /// A dropped tag's slot is emptied and kept behind the live ones, with
+    /// its channel table's room, for the next tag the user admits. In
+    /// increment mode the table is empty by then anyway: the horizon is
+    /// at least the gap, so every reference expired before its tag did.
     pub fn evict(&mut self, watermark_s: f64, window_s: f64, config: &PipelineConfig) -> Evicted {
-        let (bins_before, tags_before) = (self.fusion_bin_count(), self.tags.len());
+        let (bins_before, tags_before) = (self.fusion_bin_count(), self.live);
         let cutoff = watermark_s - window_s;
         for (_, acc) in &mut self.per_port {
             acc.evict_before(cutoff);
@@ -546,7 +609,13 @@ impl UserStreamState {
             acc.evict_before(cutoff);
         }
         let horizon = window_s.max(config.max_phase_gap_s);
-        self.tags.retain_mut(|(_, tag)| {
+        // Moves each live slot that stays to the front in turn, so the
+        // live slots keep their order; the emptied ones end up behind.
+        let mut live = 0;
+        for at in 0..self.live as usize {
+            let Some((_, tag)) = self.tags.get_mut(at) else {
+                break;
+            };
             match &mut tag.pre {
                 Preprocessor::Increments(unwrapper) => {
                     unwrapper.evict_stale(watermark_s, config.max_phase_gap_s);
@@ -556,14 +625,20 @@ impl UserStreamState {
                     tracks.evict_before(cutoff);
                 }
             }
-            watermark_s - tag.stat.last_seen_s() <= horizon
-        });
+            if watermark_s - tag.stat.last_seen_s() <= horizon {
+                self.tags.swap(live, at);
+                live += 1;
+            } else {
+                tag.clear();
+            }
+        }
+        self.live = u32::try_from(live).unwrap_or(u32::MAX);
         // Slots may have shifted; the hint re-validates by key compare,
         // but point it off the slab so the next push takes the search.
-        self.last_tag = usize::MAX;
+        self.last_tag = u32::MAX;
         Evicted {
             bins: bins_before.saturating_sub(self.fusion_bin_count()),
-            tags: tags_before.saturating_sub(self.tags.len()),
+            tags: tags_before.saturating_sub(self.live) as usize,
         }
     }
 
@@ -591,7 +666,7 @@ impl UserStreamState {
             .chain(self.merged.as_deref())
             .filter_map(FusionAccumulator::oldest_bin_end_s)
             .map(|end| end + window_s);
-        let tags = self.tags.iter().flat_map(|(_, tag)| {
+        let tags = self.live_tags().iter().flat_map(|(_, tag)| {
             let (reference, sample) = match &tag.pre {
                 Preprocessor::Increments(unwrapper) => (unwrapper.oldest_reference_s(), None),
                 Preprocessor::Tracks(tracks) => {
@@ -614,6 +689,35 @@ impl UserStreamState {
         }
     }
 
+    /// A deadline that a push of a report read at `time_s` cannot make
+    /// later: after the push, [`UserStreamState::expiry_deadline_s`] is at
+    /// least the earlier of this and its value before the push. Every
+    /// expiry candidate a push adds or moves is at least `time_s` plus
+    /// `min(max_phase_gap_s, window_s)` late: a channel reference at
+    /// `time_s` (plus the gap), a tag last seen at `time_s` (plus the
+    /// horizon), a track sample at `time_s` or the end of the fusion bin
+    /// holding `time_s` (plus the window). The sum is moved early by twice
+    /// `expiry_deadline_s`'s margin: the second covers any rounding of a
+    /// computed bin end against the read time it holds. `−∞` (always due)
+    /// if the sum is not finite.
+    #[must_use]
+    pub(crate) fn push_deadline_s(time_s: f64, window_s: f64, config: &PipelineConfig) -> f64 {
+        let gap = config.max_phase_gap_s;
+        let earliest = time_s + gap.min(window_s);
+        if earliest.is_finite() {
+            earliest - 2.0 * DEADLINE_SLACK * (1.0 + earliest.abs() + window_s.max(gap))
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
+    /// Whether [`UserStreamState::snapshot`] is `None` for want of a
+    /// fusion bin: in increment mode a state with no bin has no
+    /// trajectory. Always `false` in channel-track mode.
+    pub(crate) fn holds_no_trajectory(&self, config: &PipelineConfig) -> bool {
+        config.preprocess == PreprocessKind::IncrementBinning && self.fusion_bin_count() == 0
+    }
+
     /// Number of live Δt fusion bins across all accumulators.
     fn fusion_bin_count(&self) -> usize {
         self.per_port
@@ -625,22 +729,28 @@ impl UserStreamState {
 
     /// Number of `(antenna_port, tag_id)` keys currently holding state.
     pub fn tag_count(&self) -> usize {
-        self.tags.len()
+        self.live as usize
     }
 
-    /// Resets the graph to a fresh one and returns its cleared tag slab
-    /// if the slab still has its first admission's size. Cold: once per
-    /// user an eviction empties.
+    /// Resets the graph to a fresh one and returns its tag slab, every
+    /// slot emptied and kept, if the slab still has its first admission's
+    /// size. Cold: once per user an eviction empties, whose slots are all
+    /// emptied already.
     pub(crate) fn recycle(&mut self) -> Option<SpareSlab> {
+        let live = self.live as usize;
         let mut tags = std::mem::take(self).tags;
-        tags.clear();
+        for (_, tag) in tags.iter_mut().take(live) {
+            tag.clear();
+        }
         (tags.capacity() == FIRST_TAG_SLOTS).then_some(SpareSlab(tags))
     }
 
     /// Gives a graph that holds no tags a spare slab to admit them into,
-    /// so its next admission does not allocate one.
+    /// so its next admissions take the spare's kept slots, with their
+    /// channel tables' room, and allocate neither a slab nor a table.
     pub(crate) fn adopt(&mut self, spare: SpareSlab) {
         self.tags = spare.0;
+        self.live = 0;
     }
 
     /// Slots the tag slab holds, filled or not.
@@ -651,7 +761,7 @@ impl UserStreamState {
 
     /// Whether the graph holds no per-tag state.
     pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.live == 0
     }
 
     /// Total retained state cells — tag slots, per-channel references,
@@ -659,7 +769,7 @@ impl UserStreamState {
     /// bounded-memory guarantees (and tests) are stated over.
     pub fn state_cells(&self) -> usize {
         let tag_cells: usize = self
-            .tags
+            .live_tags()
             .iter()
             .map(|(_, t)| {
                 1 + match &t.pre {
@@ -894,58 +1004,199 @@ mod tests {
         below.len()
     }
 
-    #[test]
-    fn evictions_below_the_expiry_deadline_are_no_ops() {
-        let layouts = [
-            (PreprocessKind::IncrementBinning, AntennaStrategy::BestPort),
-            (PreprocessKind::IncrementBinning, AntennaStrategy::MergeAll),
-            (PreprocessKind::ChannelTrackMerge, AntennaStrategy::BestPort),
-        ];
-        let mut probes = 0;
-        let mut seed = 0;
-        for (preprocess, antenna) in layouts {
-            let cfg = PipelineConfig {
-                preprocess,
-                antenna,
-                ..PipelineConfig::paper_default()
+    /// One step of [`one_user_stream`].
+    enum Step {
+        Push(u32, TagReport),
+        Evict(f64),
+    }
+
+    /// 400 seeded reads of one user's 3 tags on 2 ports over the plan's
+    /// channels from `t0`, with an eviction every 2 s of stream, each
+    /// handed to `step`. Now and then a gap past the phase gap, a rarer
+    /// one past every horizon, a read slightly behind the newest, or a
+    /// read a hair before a multiple of the fusion bin.
+    fn one_user_stream(
+        rng: &mut Xoshiro256,
+        t0: f64,
+        cfg: &PipelineConfig,
+        mut step: impl FnMut(Step, &mut Xoshiro256),
+    ) {
+        let (mut t, mut last_evict) = (t0, t0);
+        for _ in 0..400 {
+            let u = rng.gen_f64();
+            t += if u < 0.005 {
+                30.0
+            } else if u < 0.025 {
+                6.0
+            } else {
+                0.1 * rng.gen_f64()
             };
+            let u = rng.gen_f64();
+            let time_s = if u < 0.05 {
+                t - 0.3 * rng.gen_f64()
+            } else if u < 0.1 {
+                ((t / cfg.fusion_bin_s).ceil() * cfg.fusion_bin_s).next_down()
+            } else {
+                t
+            };
+            let tag = u32::try_from(rng.gen_range(0..3)).unwrap_or(0);
+            let port = if rng.gen_bool() { 1 } else { 2 };
+            let channel = u16::try_from(rng.gen_range(0..cfg.plan.len())).unwrap_or(0);
+            let phase = 1.0 + 0.2 * rng.gen_f64();
+            let read = report(time_s, tag, port, channel, phase, -55.0);
+            step(Step::Push(tag, read), rng);
+            if t - last_evict >= 2.0 {
+                step(Step::Evict(t), rng);
+                last_evict = t;
+            }
+        }
+    }
+
+    /// Runs `check` over [`one_user_stream`]s in the three layouts, the
+    /// paper's in a second variant whose 0.1 s fusion bin is no power of
+    /// two (so a bin's computed end rounds), at stream times near 0, 10⁶
+    /// and 10⁹ s, with windows shorter and longer than the phase gap.
+    fn each_layout_and_window(mut check: impl FnMut(&mut Xoshiro256, f64, &PipelineConfig, f64)) {
+        use AntennaStrategy::{BestPort, MergeAll};
+        use PreprocessKind::{ChannelTrackMerge, IncrementBinning};
+        let layout = |preprocess, antenna, fusion_bin_s| PipelineConfig {
+            preprocess,
+            antenna,
+            fusion_bin_s,
+            ..PipelineConfig::paper_default()
+        };
+        let paper = PipelineConfig::paper_default().fusion_bin_s;
+        let layouts = [
+            layout(IncrementBinning, BestPort, paper),
+            layout(IncrementBinning, BestPort, 0.1),
+            layout(IncrementBinning, MergeAll, paper),
+            layout(ChannelTrackMerge, BestPort, paper),
+        ];
+        let mut seed = 0;
+        for cfg in &layouts {
             for t0 in [0.0, 1.0e6, 1.0e9] {
                 for window_s in [3.0, 10.0, 25.0] {
                     seed += 1;
-                    let mut rng = Xoshiro256::seed_from_u64(seed);
-                    let mut state = UserStreamState::new();
-                    assert_eq!(state.expiry_deadline_s(window_s, &cfg), f64::INFINITY);
-                    let (mut t, mut last_evict) = (t0, t0);
-                    for i in 0..400 {
-                        // Steady reads, now and then a gap past the phase
-                        // gap or a read slightly behind the newest.
-                        t += if rng.gen_f64() < 0.02 {
-                            6.0
-                        } else {
-                            0.1 * rng.gen_f64()
-                        };
-                        let time_s = if rng.gen_f64() < 0.05 {
-                            t - 0.3 * rng.gen_f64()
-                        } else {
-                            t
-                        };
-                        let tag = u32::try_from(rng.gen_range(0..3)).unwrap_or(0);
-                        let port = if rng.gen_bool() { 1 } else { 2 };
-                        let channel = u16::try_from(rng.gen_range(0..cfg.plan.len())).unwrap_or(0);
-                        let phase = 1.0 + 0.2 * rng.gen_f64();
-                        state.push(tag, &report(time_s, tag, port, channel, phase, -55.0), &cfg);
-                        if t - last_evict >= 2.0 {
-                            state.evict(t, window_s, &cfg);
-                            last_evict = t;
-                        }
-                        if i % 20 == 19 {
-                            probes += probe_deadline(&state, window_s, &cfg, &mut rng);
-                        }
-                    }
+                    check(&mut Xoshiro256::seed_from_u64(seed), t0, cfg, window_s);
                 }
             }
         }
+    }
+
+    #[test]
+    fn evictions_below_the_expiry_deadline_are_no_ops() {
+        let mut probes = 0;
+        each_layout_and_window(|rng, t0, cfg, window_s| {
+            let mut state = UserStreamState::new();
+            assert_eq!(state.expiry_deadline_s(window_s, cfg), f64::INFINITY);
+            let mut pushes = 0;
+            one_user_stream(rng, t0, cfg, |step, rng| match step {
+                Step::Push(tag, read) => {
+                    state.push(tag, &read, cfg);
+                    pushes += 1;
+                    if pushes % 20 == 0 {
+                        probes += probe_deadline(&state, window_s, cfg, rng);
+                    }
+                }
+                Step::Evict(watermark_s) => {
+                    state.evict(watermark_s, window_s, cfg);
+                }
+            });
+        });
         assert!(probes > 1_000, "{probes} watermarks probed");
+    }
+
+    /// A shard's slot deadline, as pushes lower it and visits reset it,
+    /// is never later than the expiry deadline of the state it guards.
+    #[test]
+    fn a_push_never_leaves_a_deadline_later_than_its_bound() {
+        let (mut pushes, mut binding) = (0, 0);
+        each_layout_and_window(|rng, t0, cfg, window_s| {
+            let mut state = UserStreamState::new();
+            let mut held = f64::INFINITY;
+            one_user_stream(rng, t0, cfg, |step, _| match step {
+                Step::Push(tag, read) => {
+                    state.push(tag, &read, cfg);
+                    let bound = UserStreamState::push_deadline_s(read.time_s, window_s, cfg);
+                    held = held.min(bound);
+                    let deadline = state.expiry_deadline_s(window_s, cfg);
+                    assert!(
+                        held <= deadline,
+                        "{cfg:?}, window {window_s} s: holds {held} after a read at {}, \
+                         deadline {deadline}",
+                        read.time_s
+                    );
+                    pushes += 1;
+                    binding += usize::from(held == bound);
+                }
+                Step::Evict(watermark_s) => {
+                    state.evict(watermark_s, window_s, cfg);
+                    held = state.expiry_deadline_s(window_s, cfg);
+                }
+            });
+        });
+        // The bound sets the held deadline after every visit that moved
+        // it later: it is not vacuous.
+        assert!(pushes > 10_000 && binding > 50, "{binding} of {pushes}");
+    }
+
+    /// A state whose evicted tags leave kept slots behaves, read for read
+    /// and bit for bit, as one whose evicted slots are dropped.
+    #[test]
+    fn kept_slots_change_nothing_but_allocations() {
+        let mut reused = 0;
+        each_layout_and_window(|rng, t0, cfg, window_s| {
+            let (mut kept, mut dropped) = (UserStreamState::new(), UserStreamState::new());
+            one_user_stream(rng, t0, cfg, |step, _| {
+                match step {
+                    Step::Push(tag, read) => {
+                        reused += usize::from(kept.tags.len() > kept.tag_count());
+                        let outcome = kept.push(tag, &read, cfg);
+                        assert_eq!(outcome, dropped.push(tag, &read, cfg));
+                    }
+                    Step::Evict(watermark_s) => {
+                        let evicted = kept.evict(watermark_s, window_s, cfg);
+                        assert_eq!(evicted, dropped.evict(watermark_s, window_s, cfg));
+                        dropped.tags.truncate(dropped.tag_count());
+                    }
+                }
+                let deadline = |s: &UserStreamState| s.expiry_deadline_s(window_s, cfg).to_bits();
+                assert_eq!(deadline(&kept), deadline(&dropped));
+                assert_eq!(kept.state_cells(), dropped.state_cells());
+                assert_eq!(kept.tag_count(), dropped.tag_count());
+                let snapshot = |s: &UserStreamState| {
+                    s.snapshot(cfg).map(|snap| {
+                        let bits = snap.displacement.values().iter().map(|v| v.to_bits());
+                        (
+                            snap.antenna_port,
+                            snap.report_count,
+                            bits.collect::<Vec<_>>(),
+                        )
+                    })
+                };
+                assert_eq!(snapshot(&kept), snapshot(&dropped));
+            });
+        });
+        assert!(reused > 100, "{reused} pushes found kept slots");
+    }
+
+    #[test]
+    fn a_kept_slot_takes_the_configured_preprocessor() {
+        let tracks = PipelineConfig {
+            preprocess: PreprocessKind::ChannelTrackMerge,
+            ..PipelineConfig::paper_default()
+        };
+        let increments = PipelineConfig::paper_default();
+        let mut state = UserStreamState::new();
+        state.push(0, &report(0.0, 0, 1, 0, 1.0, -55.0), &increments);
+        state.evict(100.0, 25.0, &increments);
+        assert!(state.is_empty() && state.tags.len() == 1);
+        state.push(0, &report(100.0, 0, 1, 0, 1.0, -55.0), &tracks);
+        assert!(state
+            .live_tags()
+            .iter()
+            .all(|(_, tag)| tag.is_kind(tracks.preprocess)));
+        assert_eq!(state.state_cells(), 3, "tag, channel and one track sample");
     }
 
     #[test]

@@ -135,6 +135,11 @@ impl PhaseUnwrapper {
             .retain(|&(_, (t, _))| watermark_s - t <= max_gap_s);
     }
 
+    /// Drops every channel reference, keeping the table's room.
+    pub(crate) fn clear(&mut self) {
+        self.last.clear();
+    }
+
     /// Number of channels currently holding a reference.
     pub fn tracked_channels(&self) -> usize {
         self.last.len()

@@ -430,3 +430,45 @@ fn idle_session_still_publishes_the_crossing_snapshot() {
         "an idle session must not hold back finished snapshots"
     );
 }
+
+/// Every long-lived server thread carries its role's name, so per-role
+/// CPU can be read from `/proc/<pid>/task/*/{comm,schedstat}`. A thread
+/// takes its name when it first runs, so the test first makes each role
+/// do work it can see: the session acks the Hello, the engine and the
+/// shards publish a snapshot, and the HTTP thread answers a request.
+#[cfg(target_os = "linux")]
+#[test]
+fn server_threads_are_named_by_role() {
+    let mut reports = capture(1, 92, 5.0);
+    let crossing = reports
+        .iter()
+        .position(|r| r.time_s >= 2.5)
+        .expect("capture reaches the 2.5 s cadence point");
+    reports.truncate(crossing + 1);
+    let handle = start_server();
+    let stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
+    let mut client = epcgen2::client::ReaderClient::connect(stream, 1, 0).expect("hello");
+    let clock = reports.last().map_or(0.0, |r| r.time_s);
+    client.send_batch(&reports, clock).expect("batch");
+    let published = handle.wait_published(1, Duration::from_secs(10));
+    let (status, _) = http_get(&handle, "/healthz");
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("task list")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_owned())
+        .collect();
+    drop(client);
+    let _ = handle.shutdown();
+    assert_eq!(published, 1, "a snapshot within 10 s");
+    assert!(status.contains("200"), "/healthz: {status}");
+    for role in [
+        "tb-engine",
+        "tb-ingest",
+        "tb-http",
+        "tb-session-1",
+        "tb-shard-0",
+        "tb-shard-1",
+    ] {
+        assert!(names.iter().any(|n| n == role), "no {role} among {names:?}");
+    }
+}
