@@ -12,14 +12,12 @@
 #                         cargo test -q --release -p tagbreathe-epcgen2 -p tagbreathe-server -p tagbreathe --lib
 #   7. server suites x6   cargo test -q --release --test server_loopback --test slo --test idle_cpu
 #                         (5 passes, default threads; 1 pass, RUST_TEST_THREADS=1)
-#   8. bench smoke        cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace
-#   9. fleet bench smoke  cargo run --release -p tagbreathe-bench --bin stream_bench -- --fleet --smoke
-#  10. CLI slo smoke      cargo run --release --bin tagbreathe-cli -- slo <metrics sidecar>
-#  11. workspace lint     cargo run -p tagbreathe-lint -- check --format sarif
-#  12. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
-#  13. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
-#  14. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
-#  15. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+#   8. fleet bench smoke  cargo run --release -p tagbreathe-bench --bin stream_bench -- --smoke
+#   9. workspace lint     cargo run -p tagbreathe-lint -- check --format sarif
+#  10. atomics report     cargo run -p tagbreathe-lint -- atomics --max-violations 0
+#  11. atomics mutant     cargo run -p tagbreathe-lint -- atomics --cfg sync_mutant  (must FAIL)
+#  12. model checker      cargo run --release -p tagbreathe-syncmodel --bin syncmodel_check -- --deep
+#  13. perfbench tests    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 #                         perfbench --workload fleet_flood --seed 1 --seconds 2 --trace 0
 #                         perfbench --workload ward_paced --seed 1 --seconds 2 --trace 0
 #
@@ -54,47 +52,43 @@
 # loopback suite streams two readers over real TCP in 0.5 s time slices
 # and requires the live `/snapshots` bits to be a prefix of the inline
 # engine's, every sent report accepted and none shed, a valid `/slo` and
-# a complete `/status` page. Step 8 is the
-# streaming-vs-recompute microbench in its one-iteration smoke mode,
-# and also asserts the
-# instrumented metrics sidecar and the flight-recorder Chrome-trace
-# sidecar are written and non-empty (stream_bench itself validates both
-# JSON documents before writing). Step 9 runs the sharded fleet engine
+# a complete `/status` page. Step 8 runs the sharded fleet engine
 # in its one-point smoke mode: the binary exits non-zero unless the
 # fleet's merged snapshot stream is bit-identical to the single-threaded
 # engine's, and its JSON output is re-validated here like the other
-# machine-readable artefacts. Step 9 also ratchets the fleet's memory
+# machine-readable artefacts. Step 8 also ratchets the fleet's memory
 # footprint: the max `bytes_per_resident_user` across smoke points must
 # stay under the ceiling asserted below (observed ~364 B/user at the
 # smoke window; the ceiling leaves ~10x headroom and catches per-user
-# state blowups). Step 10 renders the SLO table offline from the step-8
-# metrics sidecar via `tagbreathe-cli slo` — the same burn-rate code the
-# server runs behind `/slo`. Step 11 is the in-tree
+# state blowups). The CLI's metrics JSON dump, and the offline SLO table
+# `tagbreathe-cli slo` renders from it with the burn-rate code the server
+# runs behind `/slo`, are checked by tests/cli.rs in step 4, as is the
+# `trace` subcommand's Chrome-trace export. Step 9 is the in-tree
 # ratchet linter (crates/lint): it fails on any violation beyond
 # lint-baseline.txt AND on any uncommitted slack (a burn-down that
 # forgot `-- check --update-baseline`). It also emits the full report as
 # SARIF 2.1.0 (lint.sarif), re-validated with the linter's own in-tree
 # JSON validator (`validate-json`, backed by tagbreathe_obs::json).
-# Step 12 is the atomics-discipline gate: every atomic call site must
+# Step 10 is the atomics-discipline gate: every atomic call site must
 # match the ordering protocol declared in lint.toml's `[atomics]` section
-# (`--max-violations 0`), and the JSON report is re-validated. Step 13
+# (`--max-violations 0`), and the JSON report is re-validated. Step 11
 # is the static mutant proof: re-resolving the cfg-switched ordering
 # constants under `--cfg sync_mutant` MUST produce violations — if the
 # weakened orderings pass the gate, the analyzer has gone blind and CI
-# fails. Step 14 runs the bounded model checker (crates/syncmodel): the
+# fails. Step 12 runs the bounded model checker (crates/syncmodel): the
 # declared ring/barrier/drain/idle-wake/low-water-wake protocols must
 # survive exhaustive small-bound exploration AND seeded deep random
 # walks, and each runtime mutant (weakened orderings, an unpark issued
 # before its batch is published, a producer that parks on a full ring
 # without re-checking it) must fail with a counterexample trace. Under
-# `--cfg sync_mutant` steps 13 and 14 both reject the weakened wait
+# `--cfg sync_mutant` steps 11 and 12 both reject the weakened wait
 # handshake too: its ordering is spelled through the same
-# `fleet::ring::protocol` constants. Steps 11-14
+# `fleet::ring::protocol` constants. Steps 9-12
 # together must finish inside the lint wall-clock budget below — the
 # linter re-parses the workspace per invocation, so a runaway pass
 # shows up here before it slows every pre-commit hook. The per-report
 # allocation budget is not a lint step: tests/allocation_oracle.rs
-# counts allocations at run time in step 4. Step 15 builds
+# counts allocations at run time in step 4. Step 13 builds
 # the end-to-end benchmark (perfbench/, a package of its own with path
 # dependencies on crates/*) and runs its self-tests, so a workspace API
 # change that would break the benchmark fails here. It then runs one
@@ -135,15 +129,8 @@ for pass in 1 2 3 4 5; do
 done
 RUST_TEST_THREADS=1 cargo test -q --release --test server_loopback --test slo --test idle_cpu
 
-echo "==> stream_bench --smoke --trace"
-cargo run -q --release -p tagbreathe-bench --bin stream_bench -- --smoke --trace --out /tmp/BENCH_streaming_smoke.json
-test -s /tmp/BENCH_streaming_smoke.metrics.json \
-    || { echo "ci: metrics sidecar missing or empty" >&2; exit 1; }
-test -s /tmp/BENCH_streaming_smoke.trace.json \
-    || { echo "ci: chrome-trace sidecar missing or empty" >&2; exit 1; }
-
-echo "==> stream_bench --fleet --smoke"
-cargo run -q --release -p tagbreathe-bench --bin stream_bench -- --fleet --smoke --out /tmp/BENCH_fleet_smoke.json
+echo "==> stream_bench --smoke"
+cargo run -q --release -p tagbreathe-bench --bin stream_bench -- --smoke --out /tmp/BENCH_fleet_smoke.json
 test -s /tmp/BENCH_fleet_smoke.json \
     || { echo "ci: fleet bench output missing or empty" >&2; exit 1; }
 cargo run -q -p tagbreathe-lint -- validate-json /tmp/BENCH_fleet_smoke.json
@@ -162,14 +149,6 @@ if [ "$bytes_user_max" -gt 4096 ]; then
     exit 1
 fi
 echo "ci: bytes_per_resident_user max ${bytes_user_max} (ceiling 4096)"
-
-echo "==> tagbreathe-cli slo /tmp/BENCH_streaming_smoke.metrics.json"
-cargo run -q --release --bin tagbreathe-cli -- slo /tmp/BENCH_streaming_smoke.metrics.json \
-    > /tmp/tagbreathe-slo.txt
-grep -q "snapshot_lag_p99" /tmp/tagbreathe-slo.txt \
-    || { echo "ci: CLI slo table missing the lag objective" >&2; exit 1; }
-grep -q "bytes_per_resident_user" /tmp/tagbreathe-slo.txt \
-    || { echo "ci: CLI slo table missing the residency objective" >&2; exit 1; }
 
 echo "==> cargo run -p tagbreathe-lint -- check --format sarif --out /tmp/tagbreathe-lint.sarif"
 lint_started_s=$SECONDS

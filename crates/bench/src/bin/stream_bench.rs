@@ -1,38 +1,32 @@
-//! Streaming-vs-recompute microbenchmark driver.
+//! Fleet-engine scaling sweep driver.
 //!
 //! ```text
-//! stream_bench [--smoke] [--trace] [--out PATH]
-//! stream_bench --fleet [--smoke] [--out PATH]
+//! stream_bench [--smoke] [--out PATH]
 //! ```
 //!
-//! Sweeps reports/sec of the incremental `StreamingMonitor` against the
-//! buffer-and-reanalyze baseline over 1 / 10 / 100 users and 12.5 / 25 /
-//! 50 s windows, prints a summary table and writes machine-readable JSON
-//! to `BENCH_streaming.json` (or `--out PATH`). `--smoke` runs a single
-//! tiny point for CI. A metrics sidecar (`<out stem>.metrics.json`) with
-//! the instrumented replay's full registry dump is written next to the
-//! main output. `--trace` additionally replays the smallest point with a
-//! flight recorder attached and writes the session as self-validated
-//! Chrome trace-event JSON (`<out stem>.trace.json`).
-//!
-//! `--fleet` switches to the sharded fleet-engine scaling sweep (users ×
-//! shard threads, default output `BENCH_fleet.json`); the run aborts
-//! non-zero if the fleet's snapshot stream is not bit-identical to the
-//! single-threaded engine's.
+//! Sweeps the sharded fleet engine over users × shard threads, prints a
+//! summary table and writes machine-readable JSON to `BENCH_fleet.json`
+//! (or `--out PATH`). `--smoke` runs a single tiny point for CI. The run
+//! aborts non-zero if the fleet's snapshot stream is not bit-identical to
+//! the single-threaded engine's.
 
-use tagbreathe_bench::streaming::{
-    metrics_sidecar, render, run, to_json, trace_sidecar, StreamBenchConfig,
-};
+use tagbreathe_bench::fleet;
 
-fn fleet_main(smoke: bool, out_path: &str) {
-    use tagbreathe_bench::fleet;
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .map_or("BENCH_fleet.json", String::as_str);
     let config = if smoke {
         fleet::FleetBenchConfig::smoke()
     } else {
         fleet::FleetBenchConfig::quick()
     };
     eprintln!(
-        "# stream_bench --fleet — users {:?}, shards {:?}, {} s @ {} reads/s",
+        "# stream_bench — users {:?}, shards {:?}, {} s @ {} reads/s",
         config.users, config.shards, config.duration_s, config.aggregate_hz
     );
     let host_parallelism = fleet::host_parallelism();
@@ -70,76 +64,4 @@ fn fleet_main(smoke: bool, out_path: &str) {
         std::process::exit(1);
     }
     eprintln!("# wrote {out_path}");
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let with_trace = args.iter().any(|a| a == "--trace");
-    let fleet_mode = args.iter().any(|a| a == "--fleet");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if fleet_mode {
-                "BENCH_fleet.json".to_string()
-            } else {
-                "BENCH_streaming.json".to_string()
-            }
-        });
-    if fleet_mode {
-        fleet_main(smoke, &out_path);
-        return;
-    }
-    let config = if smoke {
-        StreamBenchConfig::smoke()
-    } else {
-        StreamBenchConfig::quick()
-    };
-    eprintln!(
-        "# stream_bench — users {:?}, windows {:?} s, {} s traces",
-        config.users, config.windows_s, config.duration_s
-    );
-    let points = run(&config);
-    print!("{}", render(&points));
-    let json = to_json(&config, &points);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("# wrote {out_path}");
-
-    let metrics = metrics_sidecar(&config);
-    if let Err(e) = obs::json::validate(&metrics) {
-        eprintln!("error: metrics sidecar is not valid JSON: {e}");
-        std::process::exit(1);
-    }
-    let metrics_path = match out_path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.metrics.json"),
-        None => format!("{out_path}.metrics.json"),
-    };
-    if let Err(e) = std::fs::write(&metrics_path, &metrics) {
-        eprintln!("error: could not write {metrics_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("# wrote {metrics_path}");
-
-    if with_trace {
-        let (chrome, dropped) = trace_sidecar(&config);
-        if let Err(e) = obs::json::validate(&chrome) {
-            eprintln!("error: trace sidecar is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-        let trace_path = match out_path.strip_suffix(".json") {
-            Some(stem) => format!("{stem}.trace.json"),
-            None => format!("{out_path}.trace.json"),
-        };
-        if let Err(e) = std::fs::write(&trace_path, &chrome) {
-            eprintln!("error: could not write {trace_path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("# wrote {trace_path} ({dropped} events dropped by the ring)");
-    }
 }

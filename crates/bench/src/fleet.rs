@@ -10,7 +10,7 @@
 //! the widest fleet and the single-threaded engine, and the two snapshot
 //! streams must be bit-identical (`f64::to_bits` equality) or the bench
 //! reports failure. Results are written as machine-readable JSON
-//! (`BENCH_fleet.json`) by the `stream_bench --fleet` driver, including
+//! (`BENCH_fleet.json`) by the `stream_bench` driver, including
 //! `host_parallelism` so scaling numbers are read against the cores that
 //! were actually available.
 

@@ -18,7 +18,6 @@ pub mod characterization;
 pub mod evaluation;
 pub mod fleet;
 pub mod harness;
-pub mod streaming;
 pub mod table;
 
 pub use harness::TrialSetup;

@@ -1,39 +1,44 @@
 //! # tagbreathe-obs
 //!
 //! Zero-dependency observability for the TagBreathe pipeline: counters,
-//! gauges, fixed log-bucket histograms and span-style stage timers behind
-//! the cheap [`Recorder`] trait.
+//! gauges, fixed log-bucket histograms, trace events and span-style stage
+//! timers behind one cheap sink, the [`Recorder`] trait.
 //!
 //! The design centre is the **disabled path**: every instrumented pipeline
 //! stage takes a `&dyn Recorder` (defaulting to [`NoopRecorder`]) and gates
-//! all non-trivial metric work behind [`Recorder::enabled`], so monitoring
-//! costs approximately one virtual call per report when nothing is
-//! listening — the streaming ingest hot path stays amortised O(1) with no
-//! clock reads, no allocation and no floating-point work.
+//! all non-trivial metric work behind [`Recorder::enabled`], and all event
+//! construction behind [`Recorder::tracing`], so monitoring costs
+//! approximately one virtual call per report when nothing is listening —
+//! the streaming ingest hot path stays amortised O(1) with no clock reads,
+//! no allocation and no floating-point work.
 //!
-//! When something *is* listening, the concrete sink is [`Registry`]: a
+//! When something *is* listening, the concrete sink is a [`Registry`] for
+//! metrics or a [`FlightRecorder`] for trace events. The registry is a
 //! thread-safe store keyed by `(name, label)` that exposes a
 //! Prometheus-style plain-text rendering
 //! ([`Registry::render_prometheus`]) and a JSON dump
-//! ([`Registry::render_json`]) for machine consumption (the `stream_bench`
-//! metrics sidecar, the `tagbreathe-cli metrics` subcommand).
+//! ([`Registry::render_json`]) for machine consumption (the
+//! `tagbreathe-cli metrics` subcommand, the server's `/metrics`).
 //!
-//! * [`recorder`] — the [`Recorder`] trait, [`NoopRecorder`], and the
-//!   cloneable [`SharedRecorder`] handle long-lived stages store;
+//! * [`recorder`] — the [`Recorder`] trait with its metric and trace
+//!   halves, [`NoopRecorder`], and the cloneable [`SharedRecorder`]
+//!   handle long-lived stages store;
 //! * [`registry`] — the recording [`Registry`] and its renderings;
 //! * [`histogram`] — [`LogHistogram`], 64 power-of-two buckets plus an
 //!   overflow bucket, integers only on the record path;
-//! * [`span`] — [`StageTimer`], a drop guard that reads the clock only
-//!   when the recorder is enabled;
+//! * [`span`] — [`StageTimer`], a drop guard that records a stage
+//!   histogram, emits a span event, or both, and reads the clock only
+//!   when a half it feeds is on;
 //! * [`freshness`] — ingest→publication lag attribution: the
 //!   [`freshness::Stage`] label codes and the [`freshness::WatermarkClock`]
 //!   watermark-lag tracker;
 //! * [`slo`] — declarative service-level objectives ([`slo::SloTable`])
 //!   evaluated by a windowed multi-rate burn-rate state machine
 //!   (ok → warning → burning);
-//! * [`trace`] — the flight recorder: typed [`trace::TraceEvent`]s behind
-//!   the [`Tracer`] trait, retained in a fixed-capacity overwrite-oldest
-//!   ring ([`FlightRecorder`]) and exportable as Chrome trace-event JSON;
+//! * [`trace`] — the flight recorder: typed [`trace::TraceEvent`]s
+//!   retained in a fixed-capacity overwrite-oldest ring
+//!   ([`FlightRecorder`], a trace-only [`Recorder`]) and exportable as
+//!   Chrome trace-event JSON;
 //! * [`json`] — a minimal JSON well-formedness checker so dependants can
 //!   assert that emitted dumps parse without an external JSON crate.
 //!
@@ -94,4 +99,4 @@ pub use recorder::{Label, NoopRecorder, Recorder, SharedRecorder};
 pub use registry::{MetricsSnapshot, Registry};
 pub use slo::{BurnRatePolicy, SloSpec, SloState, SloTable, SloTransition};
 pub use span::StageTimer;
-pub use trace::{FlightRecorder, NoopTracer, SharedTracer, TraceEvent, TraceSpan, Tracer};
+pub use trace::{FlightRecorder, TraceEvent};

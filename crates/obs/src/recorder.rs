@@ -1,15 +1,21 @@
-//! The [`Recorder`] trait and its no-op / shared implementations.
+//! The [`Recorder`] trait — the one observability sink — and its no-op /
+//! shared implementations.
 //!
 //! Instrumented pipeline code never names a concrete sink: it takes
-//! `&dyn Recorder` and calls [`Recorder::count`] / [`Recorder::gauge`] /
-//! [`Recorder::observe`]. The two shipped implementations are
-//! [`NoopRecorder`] (the default everywhere — `enabled()` is `false`, so
-//! instrumentation costs one virtual call) and
-//! [`crate::registry::Registry`] (records everything). [`SharedRecorder`]
-//! is the cloneable, thread-safe handle long-lived stages store, so a
-//! `StreamingMonitor`-style owner stays `Send + Debug` without generic
-//! plumbing.
+//! `&dyn Recorder`. The sink has two halves, each with its own enable
+//! bit and each off and empty unless an implementation overrides it. The
+//! metric half ([`Recorder::enabled`]) takes [`Recorder::count`] /
+//! [`Recorder::gauge`] / [`Recorder::observe`]; the trace half
+//! ([`Recorder::tracing`]) takes [`Recorder::emit`]. The shipped
+//! implementations are [`NoopRecorder`] (the default everywhere — both
+//! halves off, so instrumentation costs one virtual call),
+//! [`crate::registry::Registry`] (metrics only) and
+//! [`crate::trace::FlightRecorder`] (trace events only).
+//! [`SharedRecorder`] is the cloneable, thread-safe handle long-lived
+//! stages store, so a `StreamingMonitor`-style owner stays `Send + Debug`
+//! without generic plumbing.
 
+use crate::trace::TraceEvent;
 use std::fmt;
 use std::sync::Arc;
 
@@ -63,27 +69,32 @@ impl Label {
     }
 }
 
-/// A metric sink.
+/// An observability sink: a metric half and a trace half.
 ///
-/// Implementations must be cheap and non-blocking enough to call from the
-/// streaming ingest path; instrumented code additionally gates any metric
-/// *computation* (clock reads, length sums, EWMA updates) behind
-/// [`Recorder::enabled`] so a disabled recorder costs ~0.
+/// Each half is off and empty unless an implementation overrides it, so a
+/// sink implements only the half it stores. Implementations must be cheap
+/// and non-blocking enough to call from the streaming ingest path;
+/// instrumented code additionally gates any metric *computation* (clock
+/// reads, length sums, EWMA updates) behind [`Recorder::enabled`], and any
+/// event *construction* behind [`Recorder::tracing`], so a disabled half
+/// costs ~0.
 pub trait Recorder: Send + Sync {
-    /// Whether this recorder stores anything at all. Instrumented code
+    /// Whether the metric half stores anything at all. Instrumented code
     /// checks this once per unit of work and skips metric derivation when
     /// `false`.
-    fn enabled(&self) -> bool;
+    fn enabled(&self) -> bool {
+        false
+    }
 
     /// Adds `delta` to the (optionally labelled) counter `name`.
-    fn add(&self, name: &'static str, label: Option<Label>, delta: u64);
+    fn add(&self, _name: &'static str, _label: Option<Label>, _delta: u64) {}
 
     /// Sets the (optionally labelled) gauge `name` to `value`.
-    fn set_gauge(&self, name: &'static str, label: Option<Label>, value: f64);
+    fn set_gauge(&self, _name: &'static str, _label: Option<Label>, _value: f64) {}
 
     /// Records one observation of `value` into the (optionally labelled)
     /// histogram `name`.
-    fn observe(&self, name: &'static str, label: Option<Label>, value: u64);
+    fn observe(&self, _name: &'static str, _label: Option<Label>, _value: u64) {}
 
     /// Convenience: unlabelled counter add.
     fn count(&self, name: &'static str, delta: u64) {
@@ -99,30 +110,28 @@ pub trait Recorder: Send + Sync {
     fn record(&self, name: &'static str, value: u64) {
         self.observe(name, None, value);
     }
+
+    /// Whether the trace half stores anything at all.
+    fn tracing(&self) -> bool {
+        false
+    }
+
+    /// Accepts one trace event.
+    fn emit(&self, _event: TraceEvent) {}
 }
 
-/// The do-nothing recorder: `enabled()` is `false` and every sink method
-/// is empty. This is the default for every instrumented API, making
+/// The do-nothing recorder: both halves are off and every sink method is
+/// empty. This is the default for every instrumented API, making
 /// observability free until a caller opts in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopRecorder;
 
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
+impl Recorder for NoopRecorder {}
 
-    fn add(&self, _name: &'static str, _label: Option<Label>, _delta: u64) {}
-
-    fn set_gauge(&self, _name: &'static str, _label: Option<Label>, _value: f64) {}
-
-    fn observe(&self, _name: &'static str, _label: Option<Label>, _value: u64) {}
-}
-
-/// A cloneable, thread-safe recorder handle.
+/// A cloneable, thread-safe recorder handle, forwarding both halves.
 ///
 /// The no-op default allocates nothing, so storing a `SharedRecorder`
-/// field in a pipeline struct is free until a registry is attached.
+/// field in a pipeline struct is free until a sink is attached.
 #[derive(Clone, Default)]
 pub struct SharedRecorder {
     inner: Option<Arc<dyn Recorder>>,
@@ -135,7 +144,8 @@ impl SharedRecorder {
         SharedRecorder { inner: None }
     }
 
-    /// Wraps a concrete recorder. `Arc<Registry>` coerces directly:
+    /// Wraps a concrete recorder. `Arc<Registry>` and
+    /// `Arc<FlightRecorder>` coerce directly:
     /// `SharedRecorder::new(registry.clone())`.
     #[must_use]
     pub fn new(recorder: Arc<dyn Recorder>) -> Self {
@@ -158,6 +168,7 @@ impl fmt::Debug for SharedRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedRecorder")
             .field("enabled", &self.enabled())
+            .field("tracing", &self.tracing())
             .finish()
     }
 }
@@ -177,6 +188,14 @@ impl Recorder for SharedRecorder {
 
     fn observe(&self, name: &'static str, label: Option<Label>, value: u64) {
         self.as_dyn().observe(name, label, value);
+    }
+
+    fn tracing(&self) -> bool {
+        self.as_dyn().tracing()
+    }
+
+    fn emit(&self, event: TraceEvent) {
+        self.as_dyn().emit(event);
     }
 }
 

@@ -4,12 +4,12 @@
 //! Aggregate metrics ([`crate::registry`]) say *how often* something
 //! happened; this module records *what happened, in order* — the exact
 //! sequence of per-read provenance, phase accepts/rejects, channel hops
-//! and stage spans that led to one breathing estimate. The design centre
-//! mirrors the [`Recorder`](crate::Recorder) trait:
+//! and stage spans that led to one breathing estimate. Events travel
+//! through the trace half of the one sink, [`Recorder`]:
 //!
-//! * instrumented code takes `&dyn Tracer` and gates all event
-//!   construction behind [`Tracer::enabled`], so a [`NoopTracer`] costs
-//!   one virtual call;
+//! * instrumented code takes `&dyn Recorder` and gates all event
+//!   construction behind [`Recorder::tracing`], so the
+//!   [`NoopRecorder`](crate::NoopRecorder) costs one virtual call;
 //! * [`TraceEvent`] is `Copy` and fixed-size — names are `&'static str`,
 //!   payloads are plain numbers — so emitting into the preallocated ring
 //!   never allocates on the hot path;
@@ -25,7 +25,8 @@
 //! # Examples
 //!
 //! ```
-//! use tagbreathe_obs::trace::{chrome_trace, FlightRecorder, TraceEvent, Tracer};
+//! use tagbreathe_obs::trace::{chrome_trace, FlightRecorder, TraceEvent};
+//! use tagbreathe_obs::Recorder;
 //!
 //! let ring = FlightRecorder::with_capacity(128)?;
 //! ring.emit(TraceEvent::instant("snapshot", 5.0).with_user(1));
@@ -36,10 +37,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::recorder::Recorder;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What a [`TraceEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,33 +172,6 @@ impl TraceEvent {
     }
 }
 
-/// A trace-event sink.
-///
-/// Same contract as [`crate::Recorder`]: implementations must be cheap and
-/// non-blocking enough for the streaming ingest path, and instrumented
-/// code gates event *construction* behind [`Tracer::enabled`] so a
-/// disabled tracer costs ~0.
-pub trait Tracer: Send + Sync {
-    /// Whether this tracer stores anything at all.
-    fn enabled(&self) -> bool;
-
-    /// Accepts one event.
-    fn emit(&self, event: TraceEvent);
-}
-
-/// The do-nothing tracer: `enabled()` is `false`, `emit` is empty. The
-/// default for every traced API.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn emit(&self, _event: TraceEvent) {}
-}
-
 /// Error returned when a [`FlightRecorder`] is configured with zero
 /// capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,7 +198,7 @@ struct Ring {
 /// The flight recorder: a thread-safe, fixed-capacity, overwrite-oldest
 /// ring of [`TraceEvent`]s.
 ///
-/// The buffer is allocated once at construction; [`Tracer::emit`] only
+/// The buffer is allocated once at construction; [`Recorder::emit`] only
 /// moves a `Copy` struct into a slot, so recording never allocates. When
 /// the ring is full the oldest event is overwritten and counted in
 /// [`FlightRecorder::dropped`].
@@ -232,7 +206,8 @@ struct Ring {
 /// # Examples
 ///
 /// ```
-/// use tagbreathe_obs::trace::{FlightRecorder, TraceEvent, Tracer};
+/// use tagbreathe_obs::trace::{FlightRecorder, TraceEvent};
+/// use tagbreathe_obs::Recorder;
 ///
 /// let ring = FlightRecorder::with_capacity(2)?;
 /// for i in 0..3 {
@@ -323,7 +298,7 @@ impl FlightRecorder {
     }
 
     /// Records `events` in order under one lock, as if each were passed
-    /// to [`Tracer::emit`]: a batch takes the ring lock once, and adds
+    /// to [`Recorder::emit`]: a batch takes the ring lock once, and adds
     /// its overwrites to [`FlightRecorder::dropped`] once.
     pub fn emit_all<I: IntoIterator<Item = TraceEvent>>(&self, events: I) {
         let mut overwritten = 0u64;
@@ -369,132 +344,14 @@ impl FlightRecorder {
     }
 }
 
-impl Tracer for FlightRecorder {
-    fn enabled(&self) -> bool {
+/// A flight recorder is a trace-only sink: its metric half is off.
+impl Recorder for FlightRecorder {
+    fn tracing(&self) -> bool {
         true
     }
 
     fn emit(&self, event: TraceEvent) {
         self.emit_all([event]);
-    }
-}
-
-/// A cloneable, thread-safe tracer handle — the [`crate::SharedRecorder`]
-/// twin for trace events. The no-op default allocates nothing.
-#[derive(Clone, Default)]
-pub struct SharedTracer {
-    inner: Option<Arc<dyn Tracer>>,
-}
-
-impl SharedTracer {
-    /// A handle that records nothing (the default).
-    #[must_use]
-    pub fn noop() -> Self {
-        SharedTracer { inner: None }
-    }
-
-    /// Wraps a concrete tracer. `Arc<FlightRecorder>` coerces directly.
-    #[must_use]
-    pub fn new(tracer: Arc<dyn Tracer>) -> Self {
-        SharedTracer {
-            inner: Some(tracer),
-        }
-    }
-
-    /// Borrows the underlying tracer as a trait object.
-    #[must_use]
-    pub fn as_dyn(&self) -> &dyn Tracer {
-        match &self.inner {
-            Some(tracer) => tracer.as_ref(),
-            None => &NoopTracer,
-        }
-    }
-}
-
-impl fmt::Debug for SharedTracer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedTracer")
-            .field("enabled", &self.enabled())
-            .finish()
-    }
-}
-
-impl Tracer for SharedTracer {
-    fn enabled(&self) -> bool {
-        self.as_dyn().enabled()
-    }
-
-    fn emit(&self, event: TraceEvent) {
-        self.as_dyn().emit(event);
-    }
-}
-
-/// A span drop guard: emits one [`EventKind::Span`] event with the
-/// elapsed wall time when it goes out of scope. The clock is read only
-/// when the tracer is enabled, so a guard on the no-op path costs one
-/// branch.
-///
-/// # Examples
-///
-/// ```
-/// use tagbreathe_obs::trace::{FlightRecorder, TraceSpan};
-///
-/// let ring = FlightRecorder::with_capacity(8)?;
-/// {
-///     let _span = TraceSpan::start(&ring, "demo_stage", 12.5);
-///     // ... stage work ...
-/// }
-/// assert_eq!(ring.snapshot().first().map(|e| e.name), Some("demo_stage"));
-/// # Ok::<(), tagbreathe_obs::trace::CapacityError>(())
-/// ```
-pub struct TraceSpan<'a> {
-    tracer: &'a dyn Tracer,
-    name: &'static str,
-    time_s: f64,
-    start: Option<Instant>,
-}
-
-impl<'a> TraceSpan<'a> {
-    /// Starts a span named `name` at stream time `time_s`. When `tracer`
-    /// is disabled the clock is never read and drop emits nothing.
-    #[must_use]
-    pub fn start(tracer: &'a dyn Tracer, name: &'static str, time_s: f64) -> Self {
-        let start = if tracer.enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        TraceSpan {
-            tracer,
-            name,
-            time_s,
-            start,
-        }
-    }
-
-    /// Whether the span is live (the tracer was enabled at start).
-    #[must_use]
-    pub fn is_running(&self) -> bool {
-        self.start.is_some()
-    }
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.tracer
-                .emit(TraceEvent::span(self.name, self.time_s, ns));
-        }
-    }
-}
-
-impl fmt::Debug for TraceSpan<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceSpan")
-            .field("name", &self.name)
-            .field("running", &self.is_running())
-            .finish()
     }
 }
 
@@ -567,6 +424,9 @@ fn escape(text: &str) -> String {
 mod tests {
     use super::*;
     use crate::json;
+    use crate::recorder::{NoopRecorder, SharedRecorder};
+    use crate::span::StageTimer;
+    use std::sync::Arc;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -676,10 +536,10 @@ mod tests {
 
     #[test]
     fn noop_tracer_is_disabled_and_spans_skip_the_clock() {
-        let tracer = NoopTracer;
-        assert!(!tracer.enabled());
-        tracer.emit(TraceEvent::instant("never", 0.0));
-        let span = TraceSpan::start(&tracer, "s", 0.0);
+        let sink = NoopRecorder;
+        assert!(!sink.tracing());
+        sink.emit(TraceEvent::instant("never", 0.0));
+        let span = StageTimer::span(&sink, "s", 0.0);
         assert!(!span.is_running());
         drop(span);
     }
@@ -687,12 +547,12 @@ mod tests {
     #[test]
     fn shared_tracer_delegates() -> TestResult {
         let ring = Arc::new(FlightRecorder::with_capacity(4)?);
-        let shared = SharedTracer::new(ring.clone());
-        assert!(shared.enabled());
+        let shared = SharedRecorder::new(ring.clone());
+        assert!(shared.tracing());
         shared.emit(TraceEvent::instant("via_shared", 1.0));
         assert_eq!(ring.len(), 1);
-        assert!(!SharedTracer::default().enabled());
-        assert!(format!("{shared:?}").contains("enabled: true"));
+        assert!(!SharedRecorder::default().tracing());
+        assert!(format!("{shared:?}").contains("tracing: true"));
         Ok(())
     }
 
@@ -700,7 +560,7 @@ mod tests {
     fn span_guard_emits_duration() -> TestResult {
         let ring = FlightRecorder::with_capacity(4)?;
         {
-            let span = TraceSpan::start(&ring, "stage", 2.5);
+            let span = StageTimer::span(&ring, "stage", 2.5);
             assert!(span.is_running());
             assert!(format!("{span:?}").contains("stage"));
         }

@@ -366,14 +366,11 @@ impl Publisher {
             let row = table.slos().get(idx).map(|s| s.row());
             let value = row.and_then(|r| r.value).unwrap_or(f64::NAN);
             let objective = row.map_or(f64::NAN, |r| r.objective);
-            let tracer = self.flight.tracer();
-            if tracer.as_dyn().enabled() {
-                tracer.as_dyn().emit(
-                    TraceEvent::instant("slo_transition", time_s)
-                        .with_user(idx as u64)
-                        .with_values(value, f64::from(transition.to.code())),
-                );
-            }
+            self.flight.ring().emit(
+                TraceEvent::instant("slo_transition", time_s)
+                    .with_user(idx as u64)
+                    .with_values(value, f64::from(transition.to.code())),
+            );
             if transition.to == SloState::Burning {
                 self.flight.capture_anomaly(
                     Anomaly {

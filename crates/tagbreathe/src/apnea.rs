@@ -7,7 +7,6 @@
 //! whole-capture effort.
 
 use crate::series::TimeSeries;
-use obs::trace::{NoopTracer, TraceEvent, Tracer};
 
 /// A detected apnea episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,50 +84,19 @@ pub fn detect_apnea(
     signal: &TimeSeries,
     config: &ApneaConfig,
 ) -> Result<Vec<ApneaEpisode>, &'static str> {
-    detect_apnea_traced(signal, config, 0, &NoopTracer)
-}
-
-/// [`detect_apnea`] plus one `apnea_episode` instant [`TraceEvent`] per
-/// detected episode (keyed by `user_id`, start/end seconds in the payload
-/// slots) — the detection itself is identical.
-///
-/// # Errors
-///
-/// Returns the [`ApneaConfig::validate`] message if `config` is invalid.
-pub fn detect_apnea_traced(
-    signal: &TimeSeries,
-    config: &ApneaConfig,
-    user_id: u64,
-    tracer: &dyn Tracer,
-) -> Result<Vec<ApneaEpisode>, &'static str> {
     config.validate()?;
-    let episodes = detect_validated(signal, config);
-    if tracer.enabled() {
-        for e in &episodes {
-            tracer.emit(
-                TraceEvent::instant("apnea_episode", e.start_s)
-                    .with_user(user_id)
-                    .with_values(e.start_s, e.end_s),
-            );
-        }
-    }
-    Ok(episodes)
-}
-
-/// The detection body, assuming a validated configuration.
-fn detect_validated(signal: &TimeSeries, config: &ApneaConfig) -> Vec<ApneaEpisode> {
     let n = signal.len();
     let win = ((config.window_s / signal.dt_s()) as usize).max(1);
     if n < win * 2 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let values = signal.values();
     let global_rms = dsp::stats::rms(values).unwrap_or(0.0);
     if global_rms <= 0.0 {
-        return vec![ApneaEpisode {
+        return Ok(vec![ApneaEpisode {
             start_s: signal.start_s(),
             end_s: signal.time_at(n - 1),
-        }];
+        }]);
     }
     let threshold = global_rms * config.threshold_fraction;
 
@@ -162,7 +130,7 @@ fn detect_validated(signal: &TimeSeries, config: &ApneaConfig) -> Vec<ApneaEpiso
     if let Some(s) = start {
         push_episode(signal, config, &mut episodes, s, n);
     }
-    episodes
+    Ok(episodes)
 }
 
 fn push_episode(
@@ -304,20 +272,6 @@ mod tests {
         let mut c = ApneaConfig::default_config();
         c.threshold_fraction = 0.0;
         assert!(detect_apnea(&s, &c).is_err());
-        Ok(())
-    }
-
-    #[test]
-    fn traced_detection_emits_episode_instants() -> TestResult {
-        let ring = obs::trace::FlightRecorder::with_capacity(8)?;
-        let signal = apnea_signal().ok_or("signal")?;
-        let episodes = detect_apnea_traced(&signal, &ApneaConfig::default_config(), 3, &ring)?;
-        let events = ring.snapshot();
-        assert_eq!(events.len(), episodes.len());
-        let e = events.first().copied().ok_or("no event")?;
-        assert_eq!(e.name, "apnea_episode");
-        assert_eq!(e.user, 3);
-        assert!((e.value_a - 30.0).abs() < 3.0, "start {}", e.value_a);
         Ok(())
     }
 }

@@ -42,7 +42,7 @@ use crate::pipeline::RateSnapshot;
 use epcgen2::mapping::IdentityResolver;
 use epcgen2::report::TagReport;
 use obs::freshness::{duration_ns, Stage, WatermarkClock};
-use obs::trace::{SharedTracer, TraceEvent, Tracer};
+use obs::trace::TraceEvent;
 use obs::{Label, Recorder, SharedRecorder};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -153,10 +153,10 @@ impl RouterCounts {
 #[derive(Debug)]
 pub struct Engine<R, X> {
     resolver: R,
+    /// The shard environment, which also carries the engine's sink.
     env: ShardEnv,
     exec: X,
-    recorder: SharedRecorder,
-    /// Cached `recorder.enabled()`.
+    /// Cached `env.sink.enabled()`.
     recording: bool,
     counts: RouterCounts,
     /// User ID → (shard, dense slot), one entry per admitted user.
@@ -208,12 +208,18 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
             }
             .into());
         }
-        let env = ShardEnv::new(config, window_s);
+        let recording = recorder.enabled();
+        let env = ShardEnv {
+            // Only the inline executor traces: a fleet's shard steps run
+            // on its workers, which trace nothing.
+            tracing: !X::RINGS && recorder.tracing(),
+            sink: recorder,
+            ..ShardEnv::new(config, window_s)
+        };
         let exec = executor(&env)?;
         Ok(Engine {
             resolver,
-            recording: recorder.enabled(),
-            recorder,
+            recording,
             counts: RouterCounts::default(),
             users: ProbeTable::new(),
             chunk: Vec::new(),
@@ -272,7 +278,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
         }
         self.chunk = chunk;
         if let (Some(started), true) = (handoff_started, routed_any) {
-            self.recorder.observe(
+            self.env.sink.observe(
                 metrics::SNAPSHOT_LAG_NS,
                 Some(Label::stage(Stage::RingHandoff.code())),
                 duration_ns(started.elapsed()),
@@ -300,7 +306,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
     /// nothing counted this makes no recorder call, so an empty push takes
     /// no lock.
     fn fold(&mut self, routed: bool) {
-        let rec = self.recorder.as_dyn();
+        let rec = self.env.sink.as_dyn();
         std::mem::take(&mut self.counts).fold(rec);
         self.exec.fold(rec);
         if routed {
@@ -308,7 +314,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
         }
     }
 
-    /// Recorder and tracer bookkeeping for one report: lag stamp, link
+    /// Metric and trace bookkeeping for one report: lag stamp, link
     /// quality and the channel-hop trace.
     fn observe(&mut self, r: &TagReport) {
         if self.recording {
@@ -316,7 +322,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
         }
         let hop = self.link_quality.observe(r);
         if let (true, Some(hop)) = (self.env.tracing, hop) {
-            self.env.tracer.emit(
+            self.env.sink.emit(
                 TraceEvent::instant("channel_hop", r.time_s)
                     .with_port(hop.port)
                     .with_channel(hop.to)
@@ -369,7 +375,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
         } else {
             self.counts.reports_unknown += 1;
             if self.env.tracing {
-                self.env.tracer.emit(
+                self.env.sink.emit(
                     TraceEvent::instant("unknown_report", r.time_s)
                         .with_port(r.antenna_port)
                         .with_channel(r.channel_index),
@@ -459,7 +465,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
     /// epoch. Cold: once per epoch part.
     fn absorb(&mut self, mut part: ShardPart) {
         if self.recording {
-            let rec = self.recorder.as_dyn();
+            let rec = self.env.sink.as_dyn();
             let label = Some(Label::shard(part.shard));
             rec.set_gauge(metrics::FLEET_SHARD_USERS, label, part.occupancy as f64);
             rec.set_gauge(
@@ -500,7 +506,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
             if self.env.tracing {
                 for (&user, &bpm) in &epoch.rates_bpm {
                     let effort = epoch.effort_rms.get(&user).copied().unwrap_or(0.0);
-                    self.env.tracer.emit(
+                    self.env.sink.emit(
                         TraceEvent::instant("rate", epoch.time_s)
                             .with_user(user)
                             .with_values(bpm, effort),
@@ -518,7 +524,7 @@ impl<R: IdentityResolver, X: Executor> Engine<R, X> {
 
     /// Snapshot bookkeeping metrics of one merged epoch.
     fn record_epoch(&mut self, epoch: &ShardPart) {
-        let rec = self.recorder.as_dyn();
+        let rec = self.env.sink.as_dyn();
         if let Some(lag) = self.lag_clock.lag(epoch.time_s) {
             rec.observe(
                 metrics::SNAPSHOT_LAG_NS,
@@ -553,14 +559,14 @@ impl<R, X: Executor> Engine<R, X> {
         &self.env.config
     }
 
-    /// The attached recorder handle (no-op by default).
+    /// The attached sink handle (no-op by default).
     #[must_use]
     pub fn recorder(&self) -> &SharedRecorder {
-        &self.recorder
+        &self.env.sink
     }
 
-    /// Per-antenna-port link statistics (populated only while a recorder
-    /// or tracer is attached).
+    /// Per-antenna-port link statistics (populated only while a sink's
+    /// metric or trace half is on).
     #[must_use]
     pub fn link_quality(&self) -> &LinkQualityTracker {
         &self.link_quality
@@ -605,71 +611,45 @@ impl<R: IdentityResolver> Engine<R, Inline> {
         )
     }
 
-    /// Attaches a metric sink (builder style). With the default no-op
-    /// handle every instrumentation site reduces to one cached boolean
-    /// test, so streaming cost is unchanged; with a registry attached the
-    /// engine emits the `tagbreathe_*` counters, gauges and latency
-    /// histograms listed in [`crate::metrics`].
+    /// Attaches an observability sink (builder style). With the default
+    /// no-op handle every instrumentation site reduces to one cached
+    /// boolean test, so streaming cost is unchanged. With the metric half
+    /// on (a registry) the engine emits the `tagbreathe_*` counters,
+    /// gauges and latency histograms listed in [`crate::metrics`]; with
+    /// the trace half on (a flight recorder) it emits per-read provenance
+    /// events, channel-hop / phase accept-reject instants, per-user rate
+    /// instants and snapshot / evict spans. The estimate stream is
+    /// bit-identical either way (pinned by `tests/observability.rs`).
     ///
     /// # Examples
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use obs::{Registry, SharedRecorder};
+    /// use obs::{FlightRecorder, Registry, SharedRecorder};
     /// use tagbreathe::pipeline::StreamingMonitor;
     /// use tagbreathe::PipelineConfig;
     /// use epcgen2::mapping::EmbeddedIdentity;
     ///
+    /// let monitor = || {
+    ///     StreamingMonitor::new(
+    ///         PipelineConfig::paper_default(),
+    ///         EmbeddedIdentity::new([1]),
+    ///         25.0,
+    ///         5.0,
+    ///     )
+    /// };
     /// let registry = Arc::new(Registry::new());
-    /// let sm = StreamingMonitor::new(
-    ///     PipelineConfig::paper_default(),
-    ///     EmbeddedIdentity::new([1]),
-    ///     25.0,
-    ///     5.0,
-    /// )?
-    /// .with_recorder(SharedRecorder::new(registry.clone()));
-    /// # let _ = sm;
+    /// let metered = monitor()?.with_recorder(SharedRecorder::new(registry.clone()));
+    /// let ring = Arc::new(FlightRecorder::with_capacity(4096)?);
+    /// let traced = monitor()?.with_recorder(SharedRecorder::new(ring.clone()));
+    /// # let _ = (metered, traced);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     #[must_use]
     pub fn with_recorder(mut self, recorder: SharedRecorder) -> Self {
         self.recording = recorder.enabled();
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attaches a flight-recorder tracer (builder style). With the default
-    /// no-op handle every emit site reduces to one cached boolean test;
-    /// with a tracer attached the engine emits per-read provenance
-    /// events, channel-hop / phase accept-reject instants, per-user rate
-    /// instants and snapshot / evict spans into the ring. The estimate
-    /// stream is bit-identical either way (pinned by
-    /// `tests/observability.rs`).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use obs::trace::{FlightRecorder, SharedTracer};
-    /// use tagbreathe::pipeline::StreamingMonitor;
-    /// use tagbreathe::PipelineConfig;
-    /// use epcgen2::mapping::EmbeddedIdentity;
-    ///
-    /// let ring = Arc::new(FlightRecorder::with_capacity(4096)?);
-    /// let sm = StreamingMonitor::new(
-    ///     PipelineConfig::paper_default(),
-    ///     EmbeddedIdentity::new([1]),
-    ///     25.0,
-    ///     5.0,
-    /// )?
-    /// .with_tracer(SharedTracer::new(ring.clone()));
-    /// # let _ = sm;
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: SharedTracer) -> Self {
-        self.env.tracing = tracer.enabled();
-        self.env.tracer = tracer;
+        self.env.tracing = recorder.tracing();
+        self.env.sink = recorder;
         self
     }
 

@@ -174,7 +174,8 @@ impl<R: IdentityResolver> Engine<R, Threaded> {
     /// Creates a fleet with `shards` worker threads, recording its metrics
     /// into `recorder`. Workers never touch the recorder: the router folds
     /// their counts in as their snapshot parts arrive and at
-    /// [`Engine::finish`].
+    /// [`Engine::finish`]. A fleet traces nothing, so the recorder's
+    /// trace half goes unused.
     ///
     /// # Errors
     ///
@@ -235,8 +236,9 @@ impl std::error::Error for FleetError {
 }
 
 /// The threaded executor: one worker thread per shard, fed over an SPSC
-/// ring, answering snapshot requests over a results channel. Workers hold
-/// no recorder; a fleet takes no tracer, so theirs is the no-op one.
+/// ring, answering snapshot requests over a results channel. Workers never
+/// touch the sink their shard env carries: its trace bit is off on this
+/// executor, so a fleet traces nothing.
 #[derive(Debug)]
 pub struct Threaded {
     /// One ring per shard, router side, with its worker's wake state.
@@ -484,6 +486,31 @@ mod tests {
         assert_eq!(snaps.len(), 4, "cadence points at 5,10,15,20 s");
         let times: Vec<f64> = snaps.iter().map(|s| s.time_s).collect();
         assert_eq!(times, [5.0, 10.0, 15.0, 20.0]);
+        Ok(())
+    }
+
+    #[test]
+    fn a_fleet_traces_nothing_into_an_attached_ring() -> Result<(), &'static str> {
+        let ring = std::sync::Arc::new(
+            obs::FlightRecorder::with_capacity(64).map_err(|_| "ring capacity")?,
+        );
+        let mut fleet = FleetEngine::observed(
+            PipelineConfig::paper_default(),
+            EmbeddedIdentity::new([1, 2]),
+            10.0,
+            5.0,
+            2,
+            SharedRecorder::new(ring.clone()),
+        )
+        .map_err(|_| "construction failed")?;
+        // Two monitored users and one unknown, across two cadence points.
+        let reports: Vec<TagReport> = (0..400u32)
+            .map(|i| report(u64::from(i % 3) + 1, 0, f64::from(i) * 0.03))
+            .collect();
+        let mut snaps = fleet.push(reports);
+        snaps.extend(fleet.finish());
+        assert_eq!(snaps.len(), 2);
+        assert!(ring.is_empty(), "{} events traced", ring.len());
         Ok(())
     }
 

@@ -35,20 +35,23 @@ use crate::operators::{OperatorCounts, SpareSlab, UserStreamState};
 use epcgen2::epc::Epc96;
 use epcgen2::report::TagReport;
 use obs::freshness::duration_ns;
-use obs::trace::{SharedTracer, TraceEvent, TraceSpan};
+use obs::trace::TraceEvent;
+use obs::{NoopRecorder, SharedRecorder, StageTimer};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// What every shard step reads besides its message: the pipeline
-/// configuration, the analysis window, and the tracer with its cached
-/// `enabled()` bit (so a disabled tracer costs one boolean test per
-/// site). A shard holds no metric sink: it counts into its own
+/// configuration, the analysis window, and the engine's sink with the
+/// cached bit that says whether shard steps trace into it (so a sink
+/// whose trace half is off costs one boolean test per site). The bit is
+/// set only on the inline executor, so a fleet's shards trace nothing.
+/// A shard never uses the sink's metric half: it counts into its own
 /// `OperatorCounts` block, which its snapshot parts carry home.
 #[derive(Debug, Clone)]
 pub struct ShardEnv {
     pub(crate) config: PipelineConfig,
     pub(crate) window_s: f64,
-    pub(crate) tracer: SharedTracer,
+    pub(crate) sink: SharedRecorder,
     pub(crate) tracing: bool,
 }
 
@@ -57,9 +60,19 @@ impl ShardEnv {
         ShardEnv {
             config,
             window_s,
-            tracer: SharedTracer::noop(),
+            sink: SharedRecorder::noop(),
             tracing: false,
         }
+    }
+
+    /// A span guard for a shard step, live only when shard steps trace.
+    fn span(&self, name: &'static str, time_s: f64) -> StageTimer<'_> {
+        let sink = if self.tracing {
+            self.sink.as_dyn()
+        } else {
+            &NoopRecorder
+        };
+        StageTimer::span(sink, name, time_s)
     }
 }
 
@@ -283,11 +296,11 @@ impl ShardCore {
             } => {
                 let at = slot as usize;
                 let user_id = self.user_ids.get(at).copied().unwrap_or(0);
-                let tracer = env.tracer.as_dyn();
+                let sink = env.sink.as_dyn();
                 // The per-read provenance event comes first, mirroring the
                 // pre-fleet demux ordering.
                 if env.tracing {
-                    tracer.emit(TraceEvent::read(
+                    sink.emit(TraceEvent::read(
                         time_s,
                         user_id,
                         tag_id,
@@ -326,7 +339,7 @@ impl ShardCore {
                         entry.changed(state, &env.config);
                     }
                     if env.tracing {
-                        tracer.emit(outcome.trace_event(user_id, tag_id, &report));
+                        sink.emit(outcome.trace_event(user_id, tag_id, &report));
                     }
                 }
                 None
@@ -381,7 +394,7 @@ impl ShardCore {
     /// within the live count at the sweep's start while the sweep runs,
     /// and is cut to the live count at its end. Cold: once per sweep.
     fn evict(&mut self, watermark_s: f64, env: &ShardEnv) {
-        let _span = TraceSpan::start(env.tracer.as_dyn(), "evict", watermark_s);
+        let _span = env.span("evict", watermark_s);
         let started = Instant::now();
         let tracks = env.config.preprocess == PreprocessKind::ChannelTrackMerge;
         let live_before = self.live.len;
@@ -430,7 +443,7 @@ impl ShardCore {
     /// running occupancy figures, and hands the part the count block.
     /// Cold: once per epoch part.
     fn snapshot_part(&mut self, shard: u32, epoch: u64, time_s: f64, env: &ShardEnv) -> ShardPart {
-        let _span = TraceSpan::start(env.tracer.as_dyn(), "snapshot", time_s);
+        let _span = env.span("snapshot", time_s);
         let started = Instant::now();
         let mut part = ShardPart {
             shard,
@@ -888,7 +901,7 @@ mod tests {
         }
 
         fn evict(&mut self, watermark_s: f64, env: &ShardEnv) {
-            let _span = TraceSpan::start(env.tracer.as_dyn(), "evict", watermark_s);
+            let _span = env.span("evict", watermark_s);
             let started = Instant::now();
             for state in &mut self.states {
                 if state.is_empty() {
@@ -912,7 +925,7 @@ mod tests {
             time_s: f64,
             env: &ShardEnv,
         ) -> ShardPart {
-            let _span = TraceSpan::start(env.tracer.as_dyn(), "snapshot", time_s);
+            let _span = env.span("snapshot", time_s);
             let started = Instant::now();
             let mut part = ShardPart {
                 shard,

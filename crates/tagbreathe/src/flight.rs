@@ -1,9 +1,10 @@
 //! Anomaly-triggered diagnostics over the flight recorder.
 //!
 //! Aggregate metrics say a user's estimate went wrong; the flight
-//! recorder ([`obs::trace::FlightRecorder`]) knows the exact sequence of
-//! reads, phase accepts/rejects and channel hops that led there. This
-//! module closes the loop between the two:
+//! recorder ([`obs::trace::FlightRecorder`], the trace half of the one
+//! [`Recorder`] sink) knows the exact sequence of reads, phase
+//! accepts/rejects and channel hops that led there. This module closes
+//! the loop between the two:
 //!
 //! * [`AnomalyDetector`] watches the streaming output ([`RateSnapshot`]s,
 //!   quality grades, apnea episodes, pattern classes) for the trigger
@@ -26,7 +27,7 @@
 //! use tagbreathe::flight::{FlightDiagnostics, TriggerConfig};
 //!
 //! let mut flight = FlightDiagnostics::new(4096, TriggerConfig::default_config())?;
-//! // Attach flight.tracer() to a StreamingMonitor via with_tracer, push
+//! // Attach flight.tracer() to a StreamingMonitor via with_recorder, push
 //! // reports, then scan each snapshot it emits:
 //! let snap = tagbreathe::RateSnapshot {
 //!     time_s: 5.0,
@@ -44,8 +45,8 @@ use crate::pipeline::RateSnapshot;
 use crate::quality::{Confidence, QualityReport};
 use epcgen2::epc::Epc96;
 use epcgen2::report::TagReport;
-use obs::trace::{chrome_trace, EventKind, FlightRecorder, SharedTracer, TraceEvent};
-use obs::Recorder;
+use obs::trace::{chrome_trace, EventKind, FlightRecorder, TraceEvent};
+use obs::{Recorder, SharedRecorder};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -438,7 +439,7 @@ fn escape_json(text: &str) -> String {
 /// anomaly detector, and the bundles captured so far.
 ///
 /// Attach [`FlightDiagnostics::tracer`] to the pipeline under watch
-/// (e.g. `StreamingMonitor::with_tracer`), then [`FlightDiagnostics::scan`]
+/// (e.g. `StreamingMonitor::with_recorder`), then [`FlightDiagnostics::scan`]
 /// every snapshot it emits. Fired triggers snapshot the ring into
 /// bundles and publish the [`metrics::TRACE_DUMPS`] /
 /// [`metrics::TRACE_DROPPED_EVENTS`] counters.
@@ -470,10 +471,11 @@ impl FlightDiagnostics {
         })
     }
 
-    /// A cloneable tracer handle writing into this driver's ring.
+    /// A cloneable sink handle whose trace half writes into this driver's
+    /// ring (its metric half is off).
     #[must_use]
-    pub fn tracer(&self) -> SharedTracer {
-        SharedTracer::new(self.ring.clone())
+    pub fn tracer(&self) -> SharedRecorder {
+        SharedRecorder::new(self.ring.clone())
     }
 
     /// The underlying ring.
@@ -509,7 +511,9 @@ impl FlightDiagnostics {
         self.capture_all(&fired, rec)
     }
 
-    /// Feeds apnea episodes through the detector (see
+    /// Records one `apnea_episode` instant per episode in the ring (keyed
+    /// by `user`, start/end seconds in the payload slots), then feeds the
+    /// episodes through the detector (see
     /// [`AnomalyDetector::observe_apnea`]), capturing bundles for each.
     /// Returns the number of bundles captured.
     pub fn scan_apnea(
@@ -518,6 +522,11 @@ impl FlightDiagnostics {
         episodes: &[ApneaEpisode],
         rec: &dyn Recorder,
     ) -> usize {
+        self.ring.emit_all(episodes.iter().map(|e| {
+            TraceEvent::instant("apnea_episode", e.start_s)
+                .with_user(user)
+                .with_values(e.start_s, e.end_s)
+        }));
         let fired = self.detector.observe_apnea(user, episodes);
         self.capture_all(&fired, rec)
     }
@@ -578,7 +587,6 @@ impl FlightDiagnostics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::trace::Tracer;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -661,6 +669,33 @@ mod tests {
         let fired = det.observe_apnea(7, &eps);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired.first().map(|a| a.kind), Some(AnomalyKind::Apnea));
+        Ok(())
+    }
+
+    #[test]
+    fn scan_apnea_emits_episode_instants() -> TestResult {
+        // 0–30 s breathing, 30–45 s apnea, 45–90 s breathing.
+        let dt = 1.0 / 16.0;
+        let values = (0..(90.0 / dt) as usize)
+            .map(|i| {
+                let t = i as f64 * dt;
+                if (30.0..45.0).contains(&t) {
+                    0.0
+                } else {
+                    (std::f64::consts::TAU * 0.25 * t).sin()
+                }
+            })
+            .collect();
+        let signal = crate::series::TimeSeries::new(0.0, dt, values)?;
+        let episodes = crate::apnea::detect_apnea(&signal, &crate::ApneaConfig::default_config())?;
+        let mut flight = FlightDiagnostics::new(8, TriggerConfig::default_config())?;
+        flight.scan_apnea(3, &episodes, &obs::NoopRecorder);
+        let events = flight.ring().snapshot();
+        assert_eq!(events.len(), episodes.len());
+        let e = events.first().copied().ok_or("no event")?;
+        assert_eq!(e.name, "apnea_episode");
+        assert_eq!(e.user, 3);
+        assert!((e.value_a - 30.0).abs() < 3.0, "start {}", e.value_a);
         Ok(())
     }
 

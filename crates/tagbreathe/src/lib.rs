@@ -82,7 +82,7 @@ pub mod rate;
 pub mod render;
 pub mod series;
 
-pub use apnea::{detect_apnea, detect_apnea_traced, ApneaConfig, ApneaEpisode};
+pub use apnea::{detect_apnea, ApneaConfig, ApneaEpisode};
 pub use config::{AntennaStrategy, FilterKind, PipelineConfig, PreprocessKind};
 pub use demux::{ChannelHop, LinkQualityTracker};
 pub use enhancement::{enhanced_estimates, Agreement, EnhancedEstimate};

@@ -16,7 +16,7 @@ use crate::rate::{estimate_rate, RateEstimate};
 use crate::series::TimeSeries;
 use epcgen2::mapping::IdentityResolver;
 use epcgen2::report::TagReport;
-use obs::trace::{NoopTracer, TraceEvent, TraceSpan, Tracer};
+use obs::trace::TraceEvent;
 use obs::{NoopRecorder, Recorder, StageTimer};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -181,14 +181,15 @@ impl BreathMonitor {
         reports: &[TagReport],
         resolver: &R,
     ) -> AnalysisReport {
-        self.analyze_observed(reports, resolver, &NoopRecorder, &NoopTracer)
+        self.analyze_observed(reports, resolver, &NoopRecorder)
     }
 
-    /// [`BreathMonitor::analyze`] with metrics and flight-recorder events:
-    /// `demux` / `fold` / `analyze` stage timers and spans, ingest,
-    /// failure and rate counters, the operator graph's per-report events
-    /// and one `rate` instant per estimated user. Output is identical to
-    /// `analyze` — recorder and tracer only observe.
+    /// [`BreathMonitor::analyze`] observed by `rec`. Its metric half gets
+    /// the `demux` / `fold` / `analyze` stage timers and the ingest,
+    /// failure and rate counters; its trace half gets the same stages'
+    /// spans, the operator graph's per-report events and one `rate`
+    /// instant per estimated user. Output is identical to `analyze` — the
+    /// rec only observes.
     ///
     /// Each report is classified once; the monitored ones are stable-sorted
     /// by `(time_s, antenna_port, tag_id)` and folded into one
@@ -200,10 +201,10 @@ impl BreathMonitor {
         reports: &[TagReport],
         resolver: &R,
         rec: &dyn Recorder,
-        tracer: &dyn Tracer,
     ) -> AnalysisReport {
         let on = rec.enabled();
-        let watermark = if tracer.enabled() {
+        let tracing = rec.tracing();
+        let watermark = if tracing {
             reports
                 .iter()
                 .map(|r| r.time_s)
@@ -213,8 +214,7 @@ impl BreathMonitor {
             0.0
         };
         let (ordered, unknown_reports) = {
-            let _timer = StageTimer::start(rec, metrics::STAGE_DEMUX_NS);
-            let _span = TraceSpan::start(tracer, "demux", watermark);
+            let _timer = StageTimer::start(rec, metrics::STAGE_DEMUX_NS).traced("demux", watermark);
             let mut unknown = 0usize;
             let mut ordered: Vec<(u64, u32, &TagReport)> = Vec::with_capacity(reports.len());
             for r in reports.iter().filter(|r| r.time_s.is_finite()) {
@@ -242,9 +242,7 @@ impl BreathMonitor {
             }
         }
         let states = {
-            let _timer = StageTimer::start(rec, metrics::STAGE_FOLD_NS);
-            let _span = TraceSpan::start(tracer, "fold", watermark);
-            let tracing = tracer.enabled();
+            let _timer = StageTimer::start(rec, metrics::STAGE_FOLD_NS).traced("fold", watermark);
             let mut states: BTreeMap<u64, UserStreamState> = BTreeMap::new();
             let mut counts = OperatorCounts::default();
             for (user_id, tag_id, report) in ordered {
@@ -252,7 +250,7 @@ impl BreathMonitor {
                 let outcome = state.push(tag_id, report, &self.config);
                 counts.count_push(outcome);
                 if tracing {
-                    tracer.emit(outcome.trace_event(user_id, tag_id, report));
+                    rec.emit(outcome.trace_event(user_id, tag_id, report));
                 }
             }
             if on {
@@ -262,7 +260,7 @@ impl BreathMonitor {
         };
         let analysed: BTreeMap<u64, Result<UserAnalysis, AnalysisFailure>> = states
             .iter()
-            .map(|(&id, state)| (id, self.analyze_user(state, rec, tracer)))
+            .map(|(&id, state)| (id, self.analyze_user(state, rec)))
             .collect();
         if on {
             let failures = analysed.values().filter(|r| r.is_err()).count();
@@ -277,11 +275,11 @@ impl BreathMonitor {
                 rec.count(metrics::RATES_REPORTED, rates as u64);
             }
         }
-        if tracer.enabled() {
+        if tracing {
             for (&id, result) in &analysed {
                 if let Ok(a) = result {
                     if let Some(bpm) = a.mean_rate_bpm() {
-                        tracer.emit(
+                        rec.emit(
                             TraceEvent::instant("rate", watermark)
                                 .with_user(id)
                                 .with_port(a.antenna_port)
@@ -298,13 +296,14 @@ impl BreathMonitor {
     }
 
     /// Snapshots one user's folded graph and runs the analysis tail on it.
+    /// The `analyze` span covers only users whose snapshot succeeds, and
+    /// is stamped with the snapshot's last time.
     fn analyze_user(
         &self,
         state: &UserStreamState,
         rec: &dyn Recorder,
-        tracer: &dyn Tracer,
     ) -> Result<UserAnalysis, AnalysisFailure> {
-        let _timer = StageTimer::start(rec, metrics::STAGE_ANALYZE_NS);
+        let timer = StageTimer::start(rec, metrics::STAGE_ANALYZE_NS);
         let snap = state
             .snapshot(&self.config)
             .ok_or_else(|| AnalysisFailure::InsufficientData("no displacement data".into()))?;
@@ -313,7 +312,7 @@ impl BreathMonitor {
         } else {
             snap.displacement.time_at(snap.displacement.len() - 1)
         };
-        let _span = TraceSpan::start(tracer, "analyze", analyze_t);
+        let _timer = timer.traced("analyze", analyze_t);
         analyze_displacement(
             &self.config,
             snap.antenna_port,

@@ -119,17 +119,18 @@ pub fn analyze_pattern(signal: &TimeSeries) -> PatternAnalysis {
     }
 }
 
-/// [`analyze_pattern`] plus one `pattern` instant
-/// [`obs::trace::TraceEvent`] (class code in `value_a` — 0 regular,
-/// 1 irregular rate, 2 irregular depth, 3 indeterminate — breath count in
-/// `value_b`, keyed by `user_id`). The analysis itself is identical.
-pub fn analyze_pattern_traced(
+/// [`analyze_pattern`] observed by `rec`: its trace half gets one
+/// `pattern` instant [`obs::TraceEvent`] (class code in `value_a` —
+/// 0 regular, 1 irregular rate, 2 irregular depth, 3 indeterminate —
+/// breath count in `value_b`, keyed by `user_id`). The analysis itself is
+/// identical.
+pub fn analyze_pattern_observed(
     signal: &TimeSeries,
     user_id: u64,
-    tracer: &dyn obs::trace::Tracer,
+    rec: &dyn obs::Recorder,
 ) -> PatternAnalysis {
     let analysis = analyze_pattern(signal);
-    if tracer.enabled() {
+    if rec.tracing() {
         let class = match analysis.class {
             PatternClass::Regular => 0.0,
             PatternClass::IrregularRate => 1.0,
@@ -141,8 +142,8 @@ pub fn analyze_pattern_traced(
         } else {
             signal.time_at(signal.len() - 1)
         };
-        tracer.emit(
-            obs::trace::TraceEvent::instant("pattern", t)
+        rec.emit(
+            obs::TraceEvent::instant("pattern", t)
                 .with_user(user_id)
                 .with_values(class, analysis.breaths.len() as f64),
         );

@@ -11,7 +11,7 @@ use crate::metrics;
 use crate::monitor::UserAnalysis;
 use dsp::goertzel::goertzel_power;
 use dsp::units::bpm_to_hz;
-use obs::trace::{TraceEvent, Tracer};
+use obs::trace::TraceEvent;
 use obs::{Label, Recorder};
 
 /// Confidence grade of an estimate.
@@ -103,18 +103,17 @@ pub fn assess(analysis: &UserAnalysis, thresholds: &QualityThresholds) -> Qualit
     }
 }
 
-/// [`assess`] with metrics and a flight-recorder event: a
-/// `grade`-labelled confidence counter (0 = low, 1 = medium, 2 = high), a
-/// band-SNR histogram in thousandths, and one `quality_grade` instant
-/// [`TraceEvent`] keyed by `user_id` (grade code in `value_a`, band SNR in
-/// `value_b`, timestamped at the end of the assessed window). The returned
-/// report is identical to [`assess`]'s.
+/// [`assess`] observed by `rec`. Its metric half gets a
+/// `grade`-labelled confidence counter (0 = low, 1 = medium, 2 = high) and
+/// a band-SNR histogram in thousandths; its trace half gets one
+/// `quality_grade` instant [`TraceEvent`] keyed by `user_id` (grade code
+/// in `value_a`, band SNR in `value_b`, timestamped at the end of the
+/// assessed window). The returned report is identical to [`assess`]'s.
 pub fn assess_observed(
     user_id: u64,
     analysis: &UserAnalysis,
     thresholds: &QualityThresholds,
     rec: &dyn Recorder,
-    tracer: &dyn Tracer,
 ) -> QualityReport {
     let report = assess(analysis, thresholds);
     let grade: u8 = match report.confidence {
@@ -135,14 +134,14 @@ pub fn assess_observed(
             rec.record(metrics::QUALITY_BAND_SNR_MILLI, milli);
         }
     }
-    if tracer.enabled() {
+    if rec.tracing() {
         let signal = &analysis.breath_signal;
         let t = if signal.is_empty() {
             0.0
         } else {
             signal.time_at(signal.len() - 1)
         };
-        tracer.emit(
+        rec.emit(
             TraceEvent::instant("quality_grade", t)
                 .with_user(user_id)
                 .with_port(analysis.antenna_port)
@@ -256,13 +255,7 @@ mod tests {
     fn assess_observed_emits_a_quality_instant() -> TestResult {
         let ring = obs::trace::FlightRecorder::with_capacity(8)?;
         let a = analysis_at(2.0, 0.0).ok_or("not analysable")?;
-        let q = assess_observed(
-            1,
-            &a,
-            &QualityThresholds::default_thresholds(),
-            &obs::NoopRecorder,
-            &ring,
-        );
+        let q = assess_observed(1, &a, &QualityThresholds::default_thresholds(), &ring);
         assert_eq!(q, assess(&a, &QualityThresholds::default_thresholds()));
         let events = ring.snapshot();
         let e = events.first().copied().ok_or("no event")?;

@@ -88,7 +88,7 @@ fn usage() {
     eprintln!();
     eprintln!("  slo FILE.json [--lag-p99-ms N] [--shed-ratio R] [--bytes-per-user B]");
     eprintln!("      evaluate the default SLO table offline against a metrics");
-    eprintln!("      sidecar (a /metrics.json dump or a BENCH metrics file)");
+    eprintln!("      dump (a /metrics.json scrape or `metrics --format json` output)");
 }
 
 /// Parses `--key value` flags into a map; returns leftover positionals.
@@ -243,7 +243,6 @@ fn analyze(args: &[String]) -> Result<(), String> {
 
 fn metrics(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
-    use tagbreathe_suite::obs::trace::NoopTracer;
     use tagbreathe_suite::obs::{Registry, SharedRecorder};
     use tagbreathe_suite::tagbreathe::quality::assess_observed;
 
@@ -290,7 +289,6 @@ fn metrics(args: &[String]) -> Result<(), String> {
         &reports,
         &EmbeddedIdentity::new(ids),
         registry.as_ref(),
-        &NoopTracer,
     );
     for (id, user) in analysis.successes() {
         assess_observed(
@@ -298,7 +296,6 @@ fn metrics(args: &[String]) -> Result<(), String> {
             user,
             &QualityThresholds::default_thresholds(),
             registry.as_ref(),
-            &NoopTracer,
         );
     }
 
@@ -313,9 +310,9 @@ fn trace(args: &[String]) -> Result<(), String> {
     use tagbreathe_suite::obs::trace::chrome_trace;
     use tagbreathe_suite::obs::{json, Registry};
     use tagbreathe_suite::tagbreathe::flight::{FlightDiagnostics, TriggerConfig};
-    use tagbreathe_suite::tagbreathe::patterns::analyze_pattern_traced;
+    use tagbreathe_suite::tagbreathe::patterns::analyze_pattern_observed;
     use tagbreathe_suite::tagbreathe::quality::{assess_observed, QualityThresholds};
-    use tagbreathe_suite::tagbreathe::{detect_apnea_traced, ApneaConfig};
+    use tagbreathe_suite::tagbreathe::{detect_apnea, ApneaConfig};
 
     let (flags, _) = parse_flags(args)?;
     let users = get_usize(&flags, "users", 1)?;
@@ -365,7 +362,7 @@ fn trace(args: &[String]) -> Result<(), String> {
         5.0,
     )
     .map_err(|e| e.to_string())?
-    .with_tracer(flight.tracer());
+    .with_recorder(flight.tracer());
     for snap in sm.push(reports.iter().copied()) {
         flight.scan(&snap, &registry);
     }
@@ -375,22 +372,11 @@ fn trace(args: &[String]) -> Result<(), String> {
     let analysis =
         BreathMonitor::paper_default().analyze(&reports, &EmbeddedIdentity::new(ids.clone()));
     for (id, user) in analysis.successes() {
-        let quality = assess_observed(
-            id,
-            user,
-            &QualityThresholds::default_thresholds(),
-            &registry,
-            tracer.as_dyn(),
-        );
+        let quality = assess_observed(id, user, &QualityThresholds::default_thresholds(), &tracer);
         flight.scan_quality(id, duration, &quality, &registry);
-        let episodes = detect_apnea_traced(
-            &user.breath_signal,
-            &ApneaConfig::default_config(),
-            id,
-            tracer.as_dyn(),
-        )?;
+        let episodes = detect_apnea(&user.breath_signal, &ApneaConfig::default_config())?;
         flight.scan_apnea(id, &episodes, &registry);
-        analyze_pattern_traced(&user.breath_signal, id, tracer.as_dyn());
+        analyze_pattern_observed(&user.breath_signal, id, &tracer);
     }
 
     let events = flight.ring().snapshot();
@@ -550,7 +536,7 @@ fn slo(args: &[String]) -> Result<(), String> {
     let (flags, positional) = parse_flags(args)?;
     let path = positional
         .first()
-        .ok_or("slo requires a metrics sidecar (JSON) file")?;
+        .ok_or("slo requires a metrics dump (JSON) file")?;
     let defaults = SloConfig::default();
     let config = SloConfig {
         snapshot_lag_p99_ns: (get_f64(
@@ -567,7 +553,7 @@ fn slo(args: &[String]) -> Result<(), String> {
     let (numbers, hist_p99) = parse_metrics_sidecar(&text);
 
     // Prefer the end-to-end stage (a server dump); fall back to the
-    // fleet's shard-ingest stage (a bench sidecar).
+    // engine's shard-ingest stage (a `metrics` dump).
     let lag_key_total = format!("{}{{stage=\"0\"}}", tmetrics::SNAPSHOT_LAG_NS);
     let lag_key_shard = format!("{}{{stage=\"3\"}}", tmetrics::SNAPSHOT_LAG_NS);
     let lag_p99 = hist_p99

@@ -140,6 +140,41 @@ fn metrics_rejects_unknown_format_with_usage() {
 }
 
 #[test]
+fn metrics_json_feeds_the_offline_slo_table() {
+    let metrics = std::env::temp_dir().join(format!(
+        "tagbreathe_cli_metrics_{}.json",
+        std::process::id()
+    ));
+    let out = cli()
+        .args(["metrics", "--duration", "30", "--format", "json"])
+        .output()
+        .expect("metrics runs");
+    assert!(
+        out.status.success(),
+        "metrics failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::write(&metrics, &out.stdout).expect("metrics written");
+    let text = std::fs::read_to_string(&metrics).expect("metrics read back");
+    tagbreathe_suite::obs::json::validate(&text).expect("metrics dump is valid JSON");
+
+    let out = cli()
+        .args(["slo", metrics.to_str().unwrap()])
+        .output()
+        .expect("slo runs");
+    std::fs::remove_file(&metrics).ok();
+    assert!(
+        out.status.success(),
+        "slo failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let table = String::from_utf8_lossy(&out.stdout);
+    for row in ["snapshot_lag_p99", "bytes_per_resident_user"] {
+        assert!(table.contains(row), "no {row} row in:\n{table}");
+    }
+}
+
+#[test]
 fn trace_writes_validated_chrome_trace_and_bundle() {
     let dir = std::env::temp_dir();
     let pid = std::process::id();

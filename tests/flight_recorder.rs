@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use tagbreathe_suite::obs::trace::{chrome_trace, FlightRecorder};
-use tagbreathe_suite::obs::{json, Registry, SharedTracer};
+use tagbreathe_suite::obs::{json, Registry};
 use tagbreathe_suite::prelude::*;
 use tagbreathe_suite::tagbreathe::flight::{AnomalyKind, FlightDiagnostics, TriggerConfig};
 
@@ -57,7 +57,7 @@ fn injected_rate_jump_dumps_a_replayable_bundle() {
     let mut flight = FlightDiagnostics::new(1 << 17, config).expect("flight setup");
     let registry = Registry::new();
 
-    let mut sm = monitor().with_tracer(flight.tracer());
+    let mut sm = monitor().with_recorder(flight.tracer());
     let mut snaps = Vec::new();
     for snap in sm.push(reports.iter().copied()) {
         flight.scan(&snap, &registry);
@@ -114,7 +114,7 @@ fn injected_rate_jump_dumps_a_replayable_bundle() {
 fn overflowed_ring_still_exports_a_valid_trace_and_counts_drops() {
     let reports = apnea_capture();
     let ring = Arc::new(FlightRecorder::with_capacity(64).expect("capacity"));
-    let mut sm = monitor().with_tracer(SharedTracer::new(ring.clone()));
+    let mut sm = monitor().with_recorder(SharedRecorder::new(ring.clone()));
     let _ = sm.push(reports.iter().copied());
 
     assert!(ring.dropped() > 0, "64-slot ring should overflow");
@@ -130,7 +130,7 @@ fn overflowed_ring_still_exports_a_valid_trace_and_counts_drops() {
 #[test]
 fn quality_and_apnea_scans_capture_bundles_end_to_end() {
     use tagbreathe_suite::tagbreathe::quality::{assess_observed, QualityThresholds};
-    use tagbreathe_suite::tagbreathe::{detect_apnea_traced, ApneaConfig};
+    use tagbreathe_suite::tagbreathe::{detect_apnea, ApneaConfig};
 
     let reports = apnea_capture();
     let mut flight =
@@ -140,21 +140,10 @@ fn quality_and_apnea_scans_capture_bundles_end_to_end() {
 
     let analysis = BreathMonitor::paper_default().analyze(&reports, &EmbeddedIdentity::new([1]));
     let user = analysis.users[&1].as_ref().expect("analysable");
-    let quality = assess_observed(
-        1,
-        user,
-        &QualityThresholds::default_thresholds(),
-        &registry,
-        tracer.as_dyn(),
-    );
+    let quality = assess_observed(1, user, &QualityThresholds::default_thresholds(), &tracer);
     flight.scan_quality(1, 90.0, &quality, &registry);
-    let episodes = detect_apnea_traced(
-        &user.breath_signal,
-        &ApneaConfig::default_config(),
-        1,
-        tracer.as_dyn(),
-    )
-    .expect("valid apnea config");
+    let episodes = detect_apnea(&user.breath_signal, &ApneaConfig::default_config())
+        .expect("valid apnea config");
     assert!(!episodes.is_empty(), "apnea waveform yields episodes");
     let captured = flight.scan_apnea(1, &episodes, &registry);
     assert_eq!(captured, episodes.len().min(8));
@@ -162,9 +151,95 @@ fn quality_and_apnea_scans_capture_bundles_end_to_end() {
         .bundles()
         .iter()
         .any(|b| b.anomaly.kind == AnomalyKind::Apnea));
-    // The traced twins left their instants in the ring.
+    // The assessor and the apnea scan left their instants in the ring.
     let events = flight.ring().snapshot();
     for name in ["quality_grade", "apnea_episode"] {
         assert!(events.iter().any(|e| e.name == name), "no {name:?} events");
     }
+}
+
+/// 64-bit FNV-1a over a byte stream.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a over every field of every event except `dur_ns` (a wall-clock
+/// reading), floats as their bits.
+fn event_digest(events: &[tagbreathe_suite::obs::TraceEvent]) -> u64 {
+    use tagbreathe_suite::obs::trace::EventKind;
+    events.iter().fold(0xcbf2_9ce4_8422_2325, |h, e| {
+        let kind: u8 = match e.kind {
+            EventKind::Span => 0,
+            EventKind::Instant => 1,
+            EventKind::Read => 2,
+        };
+        let h = fnv1a(h, &[kind]);
+        let h = fnv1a(h, e.name.as_bytes());
+        let h = fnv1a(h, &e.time_s.to_bits().to_le_bytes());
+        let h = fnv1a(h, &e.user.to_le_bytes());
+        let h = fnv1a(h, &e.tag.to_le_bytes());
+        let h = fnv1a(h, &[e.port]);
+        let h = fnv1a(h, &e.channel.to_le_bytes());
+        let h = fnv1a(h, &e.value_a.to_bits().to_le_bytes());
+        fnv1a(h, &e.value_b.to_bits().to_le_bytes())
+    })
+}
+
+#[test]
+fn every_instrumented_stage_writes_a_pinned_event_stream_into_one_ring() {
+    use std::collections::BTreeMap;
+    use tagbreathe_suite::tagbreathe::patterns::analyze_pattern_observed;
+    use tagbreathe_suite::tagbreathe::quality::{assess_observed, QualityThresholds};
+    use tagbreathe_suite::tagbreathe::{detect_apnea, ApneaConfig};
+
+    let reports = apnea_capture();
+    let resolver = EmbeddedIdentity::new([1]);
+    let mut flight =
+        FlightDiagnostics::new(1 << 18, TriggerConfig::default_config()).expect("flight setup");
+    let tracer = flight.tracer();
+
+    // The inline engine: reads, phase outcomes, channel hops, rate
+    // instants, evict and snapshot spans.
+    let mut sm = monitor().with_recorder(flight.tracer());
+    let _ = sm.push(reports.iter().copied());
+    // The batch: demux / fold / analyze spans, phase outcomes, rates.
+    let analysis = BreathMonitor::paper_default().analyze_observed(&reports, &resolver, &tracer);
+    // Quality, apnea and pattern instants, with their scans.
+    for (id, user) in analysis.successes() {
+        let quality = assess_observed(id, user, &QualityThresholds::default_thresholds(), &tracer);
+        flight.scan_quality(id, 90.0, &quality, &NoopRecorder);
+        let episodes = detect_apnea(&user.breath_signal, &ApneaConfig::default_config())
+            .expect("valid apnea config");
+        flight.scan_apnea(id, &episodes, &NoopRecorder);
+        analyze_pattern_observed(&user.breath_signal, id, &tracer);
+    }
+
+    assert_eq!(flight.ring().dropped(), 0, "the ring holds the whole run");
+    let events = flight.ring().snapshot();
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for e in &events {
+        *counts.entry(e.name).or_default() += 1;
+    }
+    let counts: Vec<(&str, usize)> = counts.into_iter().collect();
+    assert_eq!(
+        counts,
+        [
+            ("analyze", 1),
+            ("apnea_episode", 2),
+            ("channel_hop", 449),
+            ("demux", 1),
+            ("evict", 17),
+            ("fold", 1),
+            ("pattern", 1),
+            ("phase_accept", 11188),
+            ("phase_reject", 116),
+            ("quality_grade", 1),
+            ("rate", 18),
+            ("read", 5652),
+            ("snapshot", 17),
+        ]
+    );
+    assert_eq!(event_digest(&events), 0x3283_e68c_5097_ce14);
 }

@@ -13,8 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
-use tagbreathe_suite::obs::trace::NoopTracer;
-use tagbreathe_suite::obs::{Label, Registry, SharedRecorder};
+use tagbreathe_suite::obs::{Label, Registry, SharedRecorder, TraceEvent};
 use tagbreathe_suite::prelude::*;
 use tagbreathe_suite::tagbreathe::engine::{Engine, Executor};
 use tagbreathe_suite::tagbreathe::metrics;
@@ -65,7 +64,6 @@ fn replayed_scenario_populates_every_instrumented_stage() {
         &reports,
         &EmbeddedIdentity::new(ids),
         registry.as_ref(),
-        &NoopTracer,
     );
     for (id, user) in analysis.successes() {
         assess_observed(
@@ -73,7 +71,6 @@ fn replayed_scenario_populates_every_instrumented_stage() {
             user,
             &QualityThresholds::default_thresholds(),
             registry.as_ref(),
-            &NoopTracer,
         );
     }
 
@@ -167,25 +164,18 @@ fn recording_never_perturbs_batch_or_reader_output() {
     let resolver = EmbeddedIdentity::new([1]);
     let monitor = BreathMonitor::paper_default();
     let plain = monitor.analyze(&plain_reports, &resolver);
-    let observed = monitor.analyze_observed(&plain_reports, &resolver, &registry, &NoopTracer);
+    let observed = monitor.analyze_observed(&plain_reports, &resolver, &registry);
     assert_eq!(plain, observed);
 
     let user = plain.users[&1].as_ref().expect("analysable");
     let q_plain = assess(user, &QualityThresholds::default_thresholds());
-    let q_observed = assess_observed(
-        1,
-        user,
-        &QualityThresholds::default_thresholds(),
-        &registry,
-        &NoopTracer,
-    );
+    let q_observed = assess_observed(1, user, &QualityThresholds::default_thresholds(), &registry);
     assert_eq!(q_plain, q_observed);
 }
 
 #[test]
 fn tracing_never_perturbs_streaming_output() {
     use tagbreathe_suite::obs::trace::FlightRecorder;
-    use tagbreathe_suite::obs::SharedTracer;
 
     let (reports, ids) = capture(45.0);
     let make = || {
@@ -200,7 +190,7 @@ fn tracing_never_perturbs_streaming_output() {
 
     let ring = Arc::new(FlightRecorder::with_capacity(1 << 16).expect("capacity"));
     let mut plain = make();
-    let mut traced = make().with_tracer(SharedTracer::new(ring.clone()));
+    let mut traced = make().with_recorder(SharedRecorder::new(ring.clone()));
 
     let plain_snaps = plain.push(reports.iter().copied());
     let traced_snaps = traced.push(reports.iter().copied());
@@ -378,6 +368,15 @@ impl Recorder for CountingRecorder {
     fn observe(&self, name: &'static str, label: Option<Label>, value: u64) {
         self.tick();
         self.registry.observe(name, label, value);
+    }
+
+    fn tracing(&self) -> bool {
+        self.tick();
+        false
+    }
+
+    fn emit(&self, _event: TraceEvent) {
+        self.tick();
     }
 }
 
